@@ -3,8 +3,10 @@
 The region is the convex hull of 2^(n+1) deterministic extreme points and
 equals the l1 unit ball in transform coordinates: a vector lies inside iff
 sum_r |spectrum(xi)[r]| <= 1.  The sign pattern of the spectrum is the
-inequality most strongly violated by xi.  An independent linear-programming
-oracle over the extreme points backs the l1 criterion in tests.
+inequality most strongly violated by xi; it is computed with the same
+butterfly as the exact transform, over floats.  An independent
+linear-programming oracle over the extreme points backs the l1 criterion in
+tests.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .inequality import SignTable
-from .transform import MAX_SITES, BitString, DimensionMismatchError
+from .transform import MAX_SITES, BitString, DimensionMismatchError, _butterfly
 
 __all__ = [
     "BOUNDARY_TOL",
@@ -112,24 +114,6 @@ class ClassicalModel:
         object.__setattr__(self, "weights", cleaned)
 
 
-def _wht_rows(a: np.ndarray) -> np.ndarray:
-    """Float Walsh-Hadamard butterfly along the last axis."""
-    out = np.array(a, dtype=float, copy=True)
-    m = out.shape[-1]
-    if m == 0 or m & (m - 1):
-        raise DimensionMismatchError(f"table length {m} is not a power of two")
-    lead = out.shape[:-1]
-    step = 1
-    while step < m:
-        shaped = out.reshape(-1, m // (2 * step), 2, step)
-        top = shaped[:, :, 0, :].copy()
-        bot = shaped[:, :, 1, :]
-        shaped[:, :, 0, :] = top + bot
-        shaped[:, :, 1, :] = top - bot
-        step *= 2
-    return out.reshape(*lead, m)
-
-
 def _parity_column(n: int, r: int) -> np.ndarray:
     s = np.arange(1 << n, dtype=np.uint32)
     return (np.bitwise_count(s & np.uint32(r)) & 1).astype(np.int8)
@@ -159,7 +143,7 @@ def mix(model: ClassicalModel) -> CorrelationVector:
 
 def spectrum(xi: CorrelationVector) -> np.ndarray:
     """Transform coordinates: spectrum[r] = 2^-n sum_s (-1)^<r,s> xi(s)."""
-    return _wht_rows(xi.as_array()) / (1 << xi.n)
+    return np.array(_butterfly(list(xi.xi))) / (1 << xi.n)
 
 
 def l1_margin(xi: CorrelationVector) -> float:

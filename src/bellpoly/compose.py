@@ -3,8 +3,9 @@
 Substituting an extremal polynomial for each observable slot of an extremal
 polynomial yields an extremal polynomial on the combined sites.  Running
 the construction backwards splits off the last site as a CHSH shell around
-two tables on one site fewer; iterating this decomposes every inequality
-into nested CHSH form with single-site leaves.
+two tables on one site fewer: the coefficient tables of f(., 0) and
+f(., 1), the two halves of the sign table.  Halving down to sign pairs
+decomposes every inequality into nested CHSH form with single-site leaves.
 """
 
 from __future__ import annotations
@@ -138,29 +139,23 @@ class NestingNode:
 
 Nesting = Union[NestingLeaf, NestingNode]
 
-_LEAVES = {
-    (1, 0): (1, 0, 1),
-    (0, 1): (1, 1, 1),
-    (-1, 0): (1, 0, -1),
-    (0, -1): (1, 1, -1),
-}
-
 
 def full_nesting(beta: BellTable) -> Nesting:
-    """Recursively decompose down to single-site leaves.
+    """Decompose down to single-site leaves by halving the sign table.
 
-    Every intermediate table is verified extremal along the way, which
-    certifies constructively that beta arises from CHSH substitutions.
+    The branches a0, a1 of a node are the two halves of its sign table
+    (last site 0 and 1), exactly the tables chsh_decompose returns, so the
+    leaves are the sign pairs (f(2i), f(2i+1)) in order: a single-site
+    table with sign f(2i) on observable choice int(f(2i) != f(2i+1)).
+    Raises NotExtremalError when beta has no sign table.
     """
-    if beta.n == 1:
-        c = beta.coefficients
-        key = c.numerators if c.log_denominator == 0 else None
-        if key not in _LEAVES:
-            raise NotExtremalError(f"{c.numerators}/2^{c.log_denominator} is not a single-site facet")
-        site, choice, sign = _LEAVES[key]
-        return NestingLeaf(site=site, choice=choice, sign=sign)
-    b0, b1 = chsh_decompose(beta)
-    return NestingNode(a0=full_nesting(b0), a1=full_nesting(b1))
+    f = signs_from_coefficients(beta).signs
+    level: list[Nesting] = [
+        NestingLeaf(site=1, choice=int(a != b), sign=a) for a, b in zip(f[::2], f[1::2])
+    ]
+    while len(level) > 1:
+        level = [NestingNode(a0=x, a1=y) for x, y in zip(level[::2], level[1::2])]
+    return level[0]
 
 
 def evaluate_nesting(tree: Nesting) -> BellTable:

@@ -87,15 +87,6 @@ class BellTable:
     ) -> "BellTable":
         return cls(DyadicVector(n, tuple(numerators), log_denominator))
 
-    def coefficient(self, s: int) -> Fraction:
-        return self.coefficients.value(s)
-
-    def __neg__(self) -> "BellTable":
-        c = self.coefficients
-        return BellTable(
-            DyadicVector(c.n, tuple(-v for v in c.numerators), c.log_denominator)
-        )
-
 
 def coefficients_from_signs(f: SignTable) -> BellTable:
     """beta(s) = 2^-n sum_r f(r) (-1)^<r,s>; always an extremal table."""

@@ -325,9 +325,9 @@ def _dense_bell_operator(
     half = len(coeffs) // 2
     low = _dense_bell_operator(coeffs[:half], pairs[:-1])
     high = _dense_bell_operator(coeffs[half:], pairs[:-1])
-    # the last site is the most significant coefficient bit; kron keeps the
-    # first factor most significant, so the last site goes in front
-    return np.kron(pairs[-1][0], low) + np.kron(pairs[-1][1], high)
+    # site 1 is the leftmost tensor factor (most significant basis bit), as in
+    # simulate_correlations and partial_transpose, so the last site goes last
+    return np.kron(low, pairs[-1][0]) + np.kron(high, pairs[-1][1])
 
 
 def bell_operator_norm_exact(

@@ -7,7 +7,10 @@ permutation followed by an XOR mask, which lets a full group sweep over one
 table run as a handful of numpy gathers even at n=6 (5.9 million elements).
 The image words are deduplicated by sorting them and comparing neighbours:
 the orbit of a generic n=6 table (all 5.9 million images distinct) takes
-about 0.25 s and 90 MB on one core of a shared 2-core x86 host.
+about 0.25 s and 90 MB on one core of a shared 2-core x86 host.  The census
+flags come from orbit invariants, not from a scan of every member: the
+permutation-invariant tables are looked up among the sorted member ids, and
+factorizing is tested on one member, since the group preserves product form.
 """
 
 from __future__ import annotations
@@ -232,35 +235,34 @@ def orbit_of_id(n: int, table_id: int) -> Orbit:
     return Orbit(n=n, canonical_id=int(ids[0]), size=len(ids), member_ids=ids)
 
 
-def _member_bits(n: int, member_ids: np.ndarray) -> np.ndarray:
-    shifts = np.arange(1 << n, dtype=np.uint64)
-    return (member_ids[:, None] >> shifts[None, :]) & np.uint64(1)
-
-
 def _orbit_flags(n: int, member_ids: np.ndarray) -> tuple[bool, bool]:
-    """(has permutation-invariant member, has factorizing member)."""
-    bits = _member_bits(n, member_ids)
-    pmaps = _perm_maps(n)
-    fixed = np.ones(len(member_ids), dtype=bool)
-    for pidx in pmaps[1:]:
-        fixed &= (bits[:, pidx] == bits).all(axis=1)
-        if not fixed.any():
-            break
-    perm_invariant = bool(fixed.any())
+    """(has permutation-invariant member, has factorizing member).
 
+    A table is permutation invariant iff f(r) depends only on weight(r), so
+    the first flag looks those 2^(n+1) ids up in the sorted members.  Every
+    group element maps product tables to product tables (permutations move
+    cuts to cuts; XOR shifts and sign characters factor over any cut), so
+    the second flag is decided by one member.
+    """
+    shells = [0] * (n + 1)
+    for r in range(1 << n):
+        shells[r.bit_count()] |= 1 << r
+    symmetric = np.array(
+        [sum(s for w, s in enumerate(shells) if pick >> w & 1) for pick in range(2 << n)],
+        dtype=np.uint64,
+    )
+    idx = np.minimum(np.searchsorted(member_ids, symmetric), len(member_ids) - 1)
+    perm_invariant = bool((member_ids[idx] == symmetric).any())
+
+    bits = _unpack_bits(n, int(member_ids[0]))
     size = 1 << n
     words = np.arange(size)
-    factorizing = False
-    for t in range(1, size - 1):
-        if not t & 1:
-            continue  # consider only subsets containing site 1 (complements match)
+    for t in range(1, size - 1, 2):  # cuts with site 1 on the left (complements match)
         left = words & t
         right = words & ~t & (size - 1)
-        cond = (bits ^ bits[:, :1]) == (bits[:, left] ^ bits[:, right])
-        if cond.all(axis=1).any():
-            factorizing = True
-            break
-    return perm_invariant, factorizing
+        if ((bits ^ bits[0]) == (bits[left] ^ bits[right])).all():
+            return perm_invariant, True
+    return perm_invariant, False
 
 
 def classify_all(n: int) -> list[OrbitRecord]:

@@ -2,8 +2,9 @@
 
 Every table in this package is indexed by n-bit words, with the entry for
 site k stored in bit k-1 (site 1 is least significant).  The transform
-kernel is (-1)^<r,s> with <r,s> = sum_k r_k s_k mod 2.  All arithmetic here
-is exact integer arithmetic; no floats enter the transforms.
+kernel is (-1)^<r,s> with <r,s> = sum_k r_k s_k mod 2.  walsh_hadamard is
+exact integer arithmetic; its butterfly is the package's only transform and
+also computes the float spectrum of a correlation vector.
 """
 
 from __future__ import annotations
@@ -74,6 +75,12 @@ def walsh_hadamard(values: Sequence[int]) -> list[int]:
     m = len(out)
     if m == 0 or m & (m - 1):
         raise DimensionMismatchError(f"table length {m} is not a power of two")
+    return _butterfly(out)
+
+
+def _butterfly(out: list) -> list:
+    """In-place butterfly over a power-of-two list of ints or floats."""
+    m = len(out)
     step = 1
     while step < m:
         for lo in range(0, m, 2 * step):

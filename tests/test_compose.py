@@ -28,6 +28,22 @@ A1 = BellTable.from_numerators(1, (1, 0), 0)
 A2 = BellTable.from_numerators(1, (0, 1), 0)
 
 
+SINGLE_SITE_LEAVES = {
+    BellTable.from_numerators(1, (1, 0), 0): NestingLeaf(site=1, choice=0, sign=1),
+    BellTable.from_numerators(1, (0, 1), 0): NestingLeaf(site=1, choice=1, sign=1),
+    BellTable.from_numerators(1, (-1, 0), 0): NestingLeaf(site=1, choice=0, sign=-1),
+    BellTable.from_numerators(1, (0, -1), 0): NestingLeaf(site=1, choice=1, sign=-1),
+}
+
+
+def reference_nesting(beta: BellTable):
+    """The nesting tree by recursing chsh_decompose down to single-site tables."""
+    if beta.n == 1:
+        return SINGLE_SITE_LEAVES[beta]
+    b0, b1 = chsh_decompose(beta)
+    return NestingNode(a0=reference_nesting(b0), a1=reference_nesting(b1))
+
+
 def chsh_shell(b0: BellTable, b1: BellTable) -> BellTable:
     """Wire two tables into the two slots of one CHSH site."""
     return substitute(chsh_prototype(), [b0, b1, A1, A2])
@@ -126,6 +142,15 @@ def test_full_nesting_random_n4_reconstructs_exactly():
     for _ in range(200):
         beta = bell_table_from_id(4, int(rng.integers(0, 1 << 16)))
         assert evaluate_nesting(full_nesting(beta)) == beta
+
+
+def test_full_nesting_matches_chsh_decompose_recursion():
+    rng = np.random.default_rng(44)
+    cases = [(2, v) for v in range(16)] + [(3, v) for v in range(256)]
+    cases += [(4, int(rng.integers(0, 1 << 16))) for _ in range(200)]
+    for n, value in cases:
+        beta = bell_table_from_id(n, value)
+        assert full_nesting(beta) == reference_nesting(beta)
 
 
 def test_full_nesting_rejects_non_extremal():

@@ -24,6 +24,7 @@ from bellpoly.quantum import (
     violation_value,
     xy_observable,
 )
+from bellpoly.quantum import _coefficient_array, _dense_bell_operator
 from bellpoly.transform import DimensionMismatchError
 
 CHSH = BellTable.from_numerators(2, (1, 1, 1, -1), 1)
@@ -319,3 +320,16 @@ def test_gradient_matches_finite_differences():
                 - squared_modulus_and_gradient(beta, down)[0]
             ) / (2 * step)
         assert np.linalg.norm(grad - fd) <= 1e-5 * max(1.0, np.linalg.norm(fd))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_dense_bell_operator_shares_the_simulator_qubit_order(n):
+    """tr(rho B) equals beta . xi on non-symmetric product mixtures."""
+    rng = np.random.default_rng(40 + n)
+    for _ in range(5):
+        beta = random_extremal(rng, n)
+        obs = ObservableSpec(tuple(tuple(rng.uniform(0, 2 * math.pi, 2)) for _ in range(n)))
+        rho = sample_separable(n, 3, rng)
+        dense = _dense_bell_operator(_coefficient_array(beta), obs.matrix_pairs())
+        expected = evaluate(beta, simulate_correlations(rho, obs))
+        assert np.trace(rho.entries @ dense).real == pytest.approx(expected, abs=1e-12)

@@ -173,6 +173,18 @@ def test_census_n3_flags_brute_force():
         assert rec.factorizing == any(s in products for s in members)
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_factorizing_is_an_orbit_invariant(n):
+    products = np.array(sorted(signs_to_id(SignTable(n, s)) for s in _product_tables(n)), dtype=np.uint64)
+    kinds = set()
+    for rec in classify_all(n):
+        inside = np.isin(orbit_of_id(n, rec.canonical_id).member_ids, products)
+        assert inside.all() or not inside.any()
+        assert rec.factorizing == inside.all()
+        kinds.add(bool(inside.all()))
+    assert kinds == {True, False}
+
+
 def _all_elements(n):
     for perm in itertools.permutations(range(n)):
         for r0, s0, sign in itertools.product(range(1 << n), range(1 << n), (1, -1)):
