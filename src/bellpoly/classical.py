@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .inequality import SignTable
 from .transform import MAX_SITES, BitString, DimensionMismatchError, _butterfly
@@ -170,8 +169,11 @@ def lp_membership(xi: CorrelationVector) -> bool:
 
     Kept independent of the l1 criterion; limited to n <= 4 where the LP
     stays small.  Solver failures raise MembershipSolverError rather than
-    masquerading as infeasibility.
+    masquerading as infeasibility.  scipy is imported here, not at module
+    load, so that `import bellpoly` does not pay for `scipy.optimize`.
     """
+    from scipy.optimize import linprog
+
     n = xi.n
     if n > _LP_MAX_SITES:
         raise ValueError(f"the LP oracle is limited to n <= {_LP_MAX_SITES}")

@@ -88,6 +88,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 def cmd_classify(args: argparse.Namespace) -> int:
     records = symmetry.classify_all(args.n)
     rows = []
+    converged = True
     for rec in records:
         row = {
             "n": rec.n,
@@ -101,9 +102,11 @@ def cmd_classify(args: argparse.Namespace) -> int:
             result = quantum.max_violation(beta, seed=args.seed)
             row["max_violation"] = round(result.value, 9)
             row["seed"] = args.seed
+            row["converged"] = result.converged
+            converged &= result.converged
         rows.append(row)
     _emit_rows(rows, args.format, sys.stdout)
-    return EXIT_OK
+    return EXIT_OK if converged else EXIT_NONCONVERGED
 
 
 def _load_vectors(path: Path) -> list[classical.CorrelationVector]:

@@ -92,15 +92,21 @@ def census4():
 
 
 @pytest.fixture(scope="module")
-def violations():
+def violation_results():
     """Optimizer results for all n=3 and n=4 orbit representatives."""
     start = time.perf_counter()
-    values: dict[tuple[int, int], float] = {}
+    results: dict[tuple[int, int], quantum.ViolationResult] = {}
     for n, ids in ((3, list(TABLE_N3)), (4, [row[0] for row in TABLE_N4])):
         for value in ids:
             beta = inequality.bell_table_from_id(n, value)
-            values[(n, value)] = quantum.max_violation(beta, seed=0).value
-    return values, time.perf_counter() - start
+            results[(n, value)] = quantum.max_violation(beta, seed=0)
+    return results, time.perf_counter() - start
+
+
+@pytest.fixture(scope="module")
+def violations(violation_results):
+    results, elapsed = violation_results
+    return {key: result.value for key, result in results.items()}, elapsed
 
 
 def test_criterion_01_group_orders():
@@ -166,6 +172,17 @@ def test_criterion_05_mermin_bound_uniqueness(violations):
         runner_up = max(values[(n, v)] for v in ids if v != expected_id)
         details.append(f"n={n}: bound {bound:.6f} attained by {attaining}, next {runner_up:.4f}")
     report(5, "overall maximum and uniqueness", ok, "; ".join(details))
+
+
+def test_representatives_converge_at_reproducible_phases(violation_results):
+    """Every representative is flagged converged and its phases give its value."""
+    results, _ = violation_results
+    for (n, value), result in results.items():
+        beta = inequality.bell_table_from_id(n, value)
+        assert result.converged, (n, value, result.gradient_norm)
+        assert quantum.violation_value(beta, result.phases) == pytest.approx(
+            result.value, abs=1e-9
+        )
 
 
 def test_criterion_06_mermin_n6_number():

@@ -1,6 +1,10 @@
 """Classical region: extreme points, spectrum, margin, witness, LP oracle."""
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from bellpoly.classical import (
     spectrum,
     witness,
 )
+import bellpoly
 from bellpoly.inequality import bell_table_from_id, coefficients_from_signs, evaluate, id_to_signs, signs_to_id
 
 GHZ_MERMIN = CorrelationVector(3, (0, 1, 1, 0, 1, 0, 0, -1))
@@ -168,6 +173,21 @@ def test_lp_agrees_with_margin_on_samples():
             if abs(margin - 1.0) < 1e-9:
                 continue
             assert lp_membership(xi) == (margin <= 1.0)
+
+
+def test_import_loads_no_scipy():
+    """scipy loads only when the LP oracle runs, not at `import bellpoly`."""
+    src = str(Path(bellpoly.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = "import sys, bellpoly; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_correlation_vector_validation():

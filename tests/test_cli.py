@@ -5,7 +5,8 @@ import math
 
 import pytest
 
-from bellpoly.cli import EXIT_INVALID, EXIT_OK, main
+from bellpoly import quantum
+from bellpoly.cli import EXIT_INVALID, EXIT_NONCONVERGED, EXIT_OK, main
 
 
 def run(capsys, *argv):
@@ -60,6 +61,28 @@ def test_classify_n2_with_violations(capsys):
     assert all(row["seed"] == 1 for row in rows)
 
 
+def test_classify_n3_rows_report_convergence(capsys):
+    code, out, _ = run(capsys, "classify", "-n", "3")
+    assert code == EXIT_OK
+    rows = json_lines(out)
+    assert len(rows) == 5 and all(row["converged"] is True for row in rows)
+
+
+def test_classify_exits_3_on_a_nonconverged_row(capsys, monkeypatch):
+    real = quantum.max_violation
+
+    def flag_chsh(beta, **kwargs):
+        result = real(beta, **kwargs)
+        if beta.coefficients.log_denominator:
+            return quantum.ViolationResult(result.value, result.phases, False, 1.0)
+        return result
+
+    monkeypatch.setattr(quantum, "max_violation", flag_chsh)
+    code, out, _ = run(capsys, "classify", "-n", "2")
+    assert code == EXIT_NONCONVERGED
+    assert [row["converged"] for row in json_lines(out)] == [True, False]
+
+
 def test_classify_census_only_csv(capsys):
     code, out, _ = run(capsys, "classify", "-n", "3", "--no-violations", "--format", "csv")
     assert code == EXIT_OK
@@ -104,6 +127,15 @@ def test_violation_mermin_n4(capsys):
     assert report["attained_fraction"] == pytest.approx(1.0, abs=1e-6)
     assert report["converged"] is True
     assert report["seed"] == 0
+
+
+def test_violation_mermin_n3_converges(capsys):
+    # id 129 is mermin_sign_table(3); its value is exactly 2
+    code, out, _ = run(capsys, "violation", "-n", "3", "--id", "129")
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert report["value"] == pytest.approx(2.0, abs=1e-9)
+    assert report["converged"] is True
 
 
 def test_ghz_command_reproduces_extreme_point(capsys):

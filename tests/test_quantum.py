@@ -24,7 +24,8 @@ from bellpoly.quantum import (
     violation_value,
     xy_observable,
 )
-from bellpoly.quantum import _coefficient_array, _dense_bell_operator
+from bellpoly import quantum
+from bellpoly.quantum import ViolationResult, _ascent_terms, _coefficient_array, _dense_bell_operator
 from bellpoly.transform import DimensionMismatchError
 
 CHSH = BellTable.from_numerators(2, (1, 1, 1, -1), 1)
@@ -115,12 +116,112 @@ def test_max_violation_rejects_zero_table():
 
 
 @pytest.fixture(scope="module")
-def exhaustive_n3_values():
+def exhaustive_n3_results():
     """max_violation for every one of the 256 tripartite inequalities."""
     return {
-        table_id: max_violation(bell_table_from_id(3, table_id)).value
+        table_id: max_violation(bell_table_from_id(3, table_id))
         for table_id in range(256)
     }
+
+
+@pytest.fixture(scope="module")
+def exhaustive_n3_values(exhaustive_n3_results):
+    return {table_id: result.value for table_id, result in exhaustive_n3_results.items()}
+
+
+def test_exhaustive_n3_converged_at_reproducible_phases(exhaustive_n3_results):
+    for table_id, result in exhaustive_n3_results.items():
+        beta = bell_table_from_id(3, table_id)
+        assert result.converged, (table_id, result.gradient_norm)
+        assert violation_value(beta, result.phases) == pytest.approx(result.value, abs=1e-9)
+
+
+def grid_maximum_n3(coeffs, steps):
+    """max |T| over the steps^3 grid of site angles, T = sum_s c_s e^(i phi.s).
+
+    Sites 1 and 2 are evaluated on the grid.  Along site 3, T = A + B e^(i phi_3)
+    and |T|^2 = |A|^2 + |B|^2 + 2 |conj(A) B| cos(psi + phi_3), psi = arg(conj(A) B),
+    so the grid maximum is at the grid angle nearest to -psi.
+    """
+    h = 2 * math.pi / steps
+    z = np.exp(1j * h * np.arange(steps))
+    table = np.asarray(coeffs, dtype=complex).reshape(2, 2, 2)  # [s3, s2, s1]
+    site1 = table[..., 0, None] + table[..., 1, None] * z  # [s3, s2, phi_1]
+    a, b = site1[:, 0, :, None] + site1[:, 1, :, None] * z  # [phi_1, phi_2] each
+    cross = a.conj() * b
+    offset = np.mod(-np.angle(cross), h)
+    squared = abs(a) ** 2 + abs(b) ** 2 + 2 * abs(cross) * np.cos(np.minimum(offset, h - offset))
+    return math.sqrt(squared.max())
+
+
+def test_grid_maximum_n3_matches_direct_evaluation():
+    steps = 16
+    phi = 2 * math.pi / steps * np.arange(steps)
+    grid = np.stack(np.meshgrid(phi, phi, phi, indexing="ij"), axis=-1).reshape(-1, 3)
+    bits = (np.arange(8)[:, None] >> np.arange(3)) & 1
+    rng = np.random.default_rng(7)
+    for _ in range(10):
+        coeffs = rng.normal(size=8)
+        direct = np.abs(np.exp(1j * grid @ bits.T) @ coeffs).max()
+        assert grid_maximum_n3(coeffs, steps) == pytest.approx(direct, abs=1e-12)
+
+
+def test_exhaustive_n3_global_maximum_on_a_grid(exhaustive_n3_values):
+    """The value lies between a 128^3 grid maximum and its Lipschitz bound."""
+    steps = 128
+    h = 2 * math.pi / steps
+    bits = (np.arange(8)[:, None] >> np.arange(3)) & 1
+    for table_id, value in exhaustive_n3_values.items():
+        coeffs = np.asarray(bell_table_from_id(3, table_id).coefficients.as_floats())
+        lower = grid_maximum_n3(coeffs, steps)
+        upper = lower + h / 2 * float((np.abs(coeffs)[:, None] * bits).sum())
+        assert lower - 1e-12 <= value <= upper, (table_id, lower, value, upper)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_ascent_hessian_matches_finite_differences(n):
+    rng = np.random.default_rng(90 + n)
+    step = 1e-6
+    for _ in range(10):
+        beta = random_extremal(rng, n)
+        phi = rng.uniform(0, 2 * math.pi, size=(3, n))
+        value, grad, hess = _ascent_terms(_coefficient_array(beta), phi)
+        for row in range(3):
+            ref_value, ref_grad = squared_modulus_and_gradient(beta, phi[row])
+            assert value[row] == pytest.approx(ref_value, abs=1e-12)
+            assert np.allclose(grad[row], ref_grad, atol=1e-12)
+            fd = np.empty((n, n))
+            for k in range(n):
+                up, down = phi[row].copy(), phi[row].copy()
+                up[k] += step
+                down[k] -= step
+                fd[:, k] = (
+                    squared_modulus_and_gradient(beta, up)[1]
+                    - squared_modulus_and_gradient(beta, down)[1]
+                ) / (2 * step)
+            assert np.allclose(hess[row], hess[row].T, atol=1e-12)
+            assert np.linalg.norm(hess[row] - fd) <= 1e-5 * max(1.0, np.linalg.norm(fd))
+
+
+def test_max_violation_reports_its_search():
+    result = max_violation(MERMIN3, seed=3, random_starts=10)
+    assert result.starts == 4**3 + 10
+    assert 1 <= result.starts_at_best <= result.starts
+    assert result.iterations > 0
+    # the search counters default, so older constructions still work
+    bare = ViolationResult(2.0, PhaseVector(0.0, (HALF_PI,) * 3), True, 0.0)
+    assert (bare.starts, bare.starts_at_best, bare.iterations) == (0, 0, 0)
+
+
+def test_max_violation_blocks_do_not_change_the_result(monkeypatch):
+    """Splitting the starts into small blocks gives the same search."""
+    beta = bell_table_from_id(4, 279)
+    whole = max_violation(beta, seed=2)
+    monkeypatch.setattr(quantum, "_START_BLOCK", 7)
+    split = max_violation(beta, seed=2)
+    assert split.value == pytest.approx(whole.value, abs=1e-12)
+    assert split.starts == whole.starts
+    assert split.starts_at_best == whole.starts_at_best
 
 
 def test_exhaustive_n3_upper_bound(exhaustive_n3_values):
