@@ -142,6 +142,7 @@ def cmd_violation(args: argparse.Namespace) -> int:
         "n": args.n,
         "id": args.id,
         "value": round(result.value, 9),
+        "phi0": round(result.phases.phi0, 9),
         "phases": [round(v, 9) for v in result.phases.phi],
         "bound": round(bound, 9),
         "attained_fraction": round(result.value / bound, 9),
@@ -190,14 +191,15 @@ def cmd_id(args: argparse.Namespace) -> int:
 def cmd_ppt_check(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
     threshold = 1.0 + 1e-9
-    worst = 0.0
-    for _ in range(args.states):
+    worst, worst_state, worst_spec = 0.0, None, None
+    for state_index in range(args.states):
         rho = quantum.sample_separable(args.n, args.terms, rng)
-        for _ in range(args.specs):
+        for spec_index in range(args.specs):
             angles = rng.uniform(0.0, 2.0 * np.pi, size=(args.n, 2))
             spec = quantum.ObservableSpec(tuple(map(tuple, angles)))
-            xi = quantum.simulate_correlations(rho, spec)
-            worst = max(worst, classical.l1_margin(xi))
+            margin = classical.l1_margin(quantum.simulate_correlations(rho, spec))
+            if margin > worst:
+                worst, worst_state, worst_spec = margin, state_index, spec_index
     report = {
         "n": args.n,
         "states": args.states,
@@ -207,6 +209,8 @@ def cmd_ppt_check(args: argparse.Namespace) -> int:
         "max_value": round(worst, 12),
         "threshold": threshold,
         "passed": bool(worst <= threshold),
+        "worst_state": worst_state,
+        "worst_spec": worst_spec,
     }
     print(json.dumps(report))
     return EXIT_OK

@@ -1,4 +1,4 @@
-"""Quantum violations, GHZ realizations, and a dense qubit cross-check layer.
+"""Quantum violations, GHZ realizations, and a qubit cross-check layer.
 
 The maximal quantum value of an inequality reduces to maximizing
 |sum_s beta(s) prod_k e^(i phi_k s_k)| over one angle per site, which
@@ -6,9 +6,9 @@ The maximal quantum value of an inequality reduces to maximizing
 start points, with the exact gradient and Hessian.  Every extreme point of
 the quantum body has the cosine form xi(s) = cos(phi0 + sum_k phi_k s_k)
 and is realized by the generalized GHZ state with observables in the x-y
-plane of the Bloch sphere.  A dense simulator, an operator-norm
-cross-check and partial-transpose utilities keep the variational formula
-honest.
+plane of the Bloch sphere.  A simulator of x-y-plane correlations (read
+off the state's anti-diagonal), an operator-norm cross-check and
+partial-transpose utilities keep the variational formula honest.
 """
 
 from __future__ import annotations
@@ -301,8 +301,10 @@ def max_violation(
     starts are the grid {0, pi/2, pi, 3pi/2}^n plus `random_starts` seeded
     random points, and all of them climb at once in blocks of
     `_START_BLOCK`, using the exact gradient and Hessian (see
-    `_newton_ascent`).  The best start wins; `converged` says its gradient
-    norm, recomputed with `squared_modulus_and_gradient`, is at most 1e-8.
+    `_newton_ascent`).  The best start wins, with phi0 = -arg T so that
+    extreme_point_q(result.phases) attains the value; `converged` says its
+    gradient norm, recomputed with `squared_modulus_and_gradient`, is at
+    most 1e-8.
     Deterministic for a given seed.  Nonconvergence is reported via the
     flag, never raised.
     """
@@ -323,9 +325,10 @@ def max_violation(
     best_phi = np.concatenate(phis)[best]
     best_value, grad = squared_modulus_and_gradient(beta, best_phi)
     gradient_norm = float(np.linalg.norm(grad))
+    total = coeffs @ np.exp(1j * (_bit_matrix(beta.n) @ best_phi))
     return ViolationResult(
         value=float(math.sqrt(max(best_value, 0.0))),
-        phases=PhaseVector(0.0, tuple(best_phi)),
+        phases=PhaseVector(-float(np.angle(total)), tuple(best_phi)),
         converged=bool(gradient_norm <= 1e-8),
         gradient_norm=gradient_norm,
         starts=len(starts),
@@ -359,48 +362,38 @@ def ghz_state(n: int) -> np.ndarray:
     return psi
 
 
-def _apply_site_gate(tensor: np.ndarray, gate: np.ndarray, axis: int) -> np.ndarray:
-    moved = np.tensordot(gate, tensor, axes=([1], [axis]))
-    return np.moveaxis(moved, 0, axis)
-
-
 def simulate_correlations(
     state: Union[np.ndarray, DensityMatrix], obs: ObservableSpec
 ) -> CorrelationVector:
-    """xi(s) = <prod_k A_k(s_k)> by dense tensor contraction.
+    """xi(s) = <prod_k A_k(s_k)> from the state's anti-diagonal, in O(n 2^n).
 
-    Site k is tensor factor k (site 1 leftmost, i.e. most significant bit of
-    the basis index).  Accepts a state vector or a density matrix.
+    A(theta) = cos(theta) X + sin(theta) Y maps |j> to e^(i theta (1-2j)) |1-j>,
+    so only d_j = rho[j, ~j] (psi_j conj(psi_~j) for a vector) enters, and
+    xi = (M_1 x ... x M_n) d with M_k[s, j] = e^(i (1-2j) theta_k(s)).  Site 1
+    is the most significant bit of the basis index j; s_k is bit k-1 of s.
+    Accepts a state vector or a density matrix.
     """
     n = obs.n
     if n > MAX_SIMULATOR_QUBITS:
         raise ValueError(f"simulator is limited to {MAX_SIMULATOR_QUBITS} qubits")
-    pairs = obs.matrix_pairs()
     dim = 1 << n
 
     if isinstance(state, DensityMatrix):
         if state.n != n:
             raise DimensionMismatchError(f"state has {state.n} qubits, spec {n} sites")
-        rho = state.entries
-        values = []
-        for s in range(dim):
-            acted = rho.reshape((2,) * n + (dim,))
-            for k in range(n):
-                acted = _apply_site_gate(acted, pairs[k][(s >> k) & 1], k)
-            values.append(np.trace(acted.reshape(dim, dim)))
+        values = state.entries[:, ::-1].diagonal()
     else:
         psi = np.asarray(state, dtype=complex)
         if psi.shape != (dim,):
             raise DimensionMismatchError(
                 f"state vector has shape {psi.shape}, expected ({dim},)"
             )
-        values = []
-        for s in range(dim):
-            acted = psi.reshape((2,) * n)
-            for k in range(n):
-                acted = _apply_site_gate(acted, pairs[k][(s >> k) & 1], k)
-            values.append(np.vdot(psi, acted.reshape(dim)))
-    values = np.asarray(values)
+        values = psi * psi[::-1].conj()
+    for theta in obs.angles:
+        # M_k[s, j] contracts the leading axis (site k's j); s_k goes last
+        values = (np.exp(1j * np.outer(theta, (1.0, -1.0))) @ values.reshape(2, -1)).T
+    # the axes are now (s_1, ..., s_n); reverse them so s_1 is the low bit
+    values = values.reshape((2,) * n).transpose().reshape(dim)
     if np.abs(values.imag).max() > 1e-9:
         raise ValueError("expectations came out complex; observables not Hermitian?")
     if np.abs(values.real).max() > 1.0 + 1e-9:

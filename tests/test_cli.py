@@ -3,9 +3,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from bellpoly import quantum
+from bellpoly import classical, inequality, quantum
 from bellpoly.cli import EXIT_INVALID, EXIT_NONCONVERGED, EXIT_OK, main
 
 
@@ -127,6 +128,11 @@ def test_violation_mermin_n4(capsys):
     assert report["attained_fraction"] == pytest.approx(1.0, abs=1e-6)
     assert report["converged"] is True
     assert report["seed"] == 0
+    # phi0 and the site angles realize the value as a quantum extreme point
+    phases = quantum.PhaseVector(report["phi0"], report["phases"])
+    beta = inequality.bell_table_from_id(4, 6014)
+    realized = inequality.evaluate(beta, quantum.extreme_point_q(phases))
+    assert realized == pytest.approx(report["value"], abs=1e-6)
 
 
 def test_violation_mermin_n3_converges(capsys):
@@ -195,3 +201,19 @@ def test_ppt_check_small_run(capsys):
     assert report["passed"] is True
     assert report["max_value"] <= 1.0 + 1e-9
     assert report["seed"] == 7
+
+
+def test_ppt_check_names_a_replayable_worst_case(capsys):
+    args = ("-n", "3", "--states", "4", "--specs", "5", "--terms", "2", "--seed", "11")
+    code, out, _ = run(capsys, "ppt-check", *args)
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert 0 <= report["worst_state"] < 4 and 0 <= report["worst_spec"] < 5
+    # replay the seeded loops up to the named pair
+    rng = np.random.default_rng(11)
+    for _ in range(report["worst_state"] + 1):
+        rho = quantum.sample_separable(3, 2, rng)
+        pairs = [rng.uniform(0.0, 2.0 * np.pi, size=(3, 2)) for _ in range(5)]
+    spec = quantum.ObservableSpec(tuple(map(tuple, pairs[report["worst_spec"]])))
+    margin = classical.l1_margin(quantum.simulate_correlations(rho, spec))
+    assert round(margin, 12) == report["max_value"]

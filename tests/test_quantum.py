@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from bellpoly.classical import l1_margin
-from bellpoly.inequality import BellTable, bell_table_from_id, evaluate
+from bellpoly.inequality import (
+    BellTable,
+    bell_table_from_id,
+    coefficients_from_signs,
+    evaluate,
+    mermin_sign_table,
+)
 from bellpoly.quantum import (
     DensityMatrix,
     ObservableSpec,
@@ -26,6 +32,7 @@ from bellpoly.quantum import (
 )
 from bellpoly import quantum
 from bellpoly.quantum import ViolationResult, _ascent_terms, _coefficient_array, _dense_bell_operator
+from bellpoly.symmetry import classify_all
 from bellpoly.transform import DimensionMismatchError
 
 CHSH = BellTable.from_numerators(2, (1, 1, 1, -1), 1)
@@ -44,6 +51,61 @@ def random_bloch_observable(rng):
         [[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex
     )
     return np.tensordot(v, sigma, axes=1)
+
+
+def random_pure_state(rng, n):
+    psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    return psi / np.linalg.norm(psi)
+
+
+def random_mixed_state(rng, n):
+    g = rng.normal(size=(1 << n, 1 << n)) + 1j * rng.normal(size=(1 << n, 1 << n))
+    rho = g @ g.conj().T
+    return DensityMatrix(n, rho / np.trace(rho).real)
+
+
+def random_spec(rng, n):
+    return ObservableSpec(tuple(map(tuple, rng.uniform(0, 2 * math.pi, size=(n, 2)))))
+
+
+def apply_site_gate(tensor, gate, axis):
+    moved = np.tensordot(gate, tensor, axes=([1], [axis]))
+    return np.moveaxis(moved, 0, axis)
+
+
+def dense_correlations(state, obs):
+    """Unclipped <prod_k A_k(s_k)> by 2^n passes of n dense site contractions.
+
+    The oracle for simulate_correlations: site k is tensor factor k (site 1
+    leftmost, the most significant bit of the basis index).
+    """
+    n = obs.n
+    pairs = obs.matrix_pairs()
+    dim = 1 << n
+    values = []
+    if isinstance(state, DensityMatrix):
+        for s in range(dim):
+            acted = state.entries.reshape((2,) * n + (dim,))
+            for k in range(n):
+                acted = apply_site_gate(acted, pairs[k][(s >> k) & 1], k)
+            values.append(np.trace(acted.reshape(dim, dim)))
+    else:
+        psi = np.asarray(state, dtype=complex)
+        for s in range(dim):
+            acted = psi.reshape((2,) * n)
+            for k in range(n):
+                acted = apply_site_gate(acted, pairs[k][(s >> k) & 1], k)
+            values.append(np.vdot(psi, acted.reshape(dim)))
+    return np.asarray(values)
+
+
+def haar_local_unitary(rng, n):
+    """(x)_k U_k with each U_k Haar-random in SU(2), site 1 leftmost."""
+    total = np.ones((1, 1), dtype=complex)
+    for _ in range(n):
+        a, b = random_pure_state(rng, 1)
+        total = np.kron(total, np.array([[a, -b.conjugate()], [b, a.conjugate()]]))
+    return total
 
 
 def test_phase_vector_reduction():
@@ -134,6 +196,20 @@ def test_exhaustive_n3_converged_at_reproducible_phases(exhaustive_n3_results):
         beta = bell_table_from_id(3, table_id)
         assert result.converged, (table_id, result.gradient_norm)
         assert violation_value(beta, result.phases) == pytest.approx(result.value, abs=1e-9)
+
+
+def test_max_violation_phases_realize_the_value(exhaustive_n3_results):
+    """The extreme point of the returned phases, and its GHZ realization, reach the value."""
+    cases = [(bell_table_from_id(3, t), r) for t, r in exhaustive_n3_results.items()]
+    for rec in classify_all(4):
+        beta = bell_table_from_id(4, rec.canonical_id)
+        cases.append((beta, max_violation(beta)))
+    for beta, result in cases:
+        assert evaluate(beta, extreme_point_q(result.phases)) == pytest.approx(
+            result.value, abs=1e-9
+        )
+        xi = simulate_correlations(ghz_state(beta.n), ghz_observables(result.phases))
+        assert evaluate(beta, xi) == pytest.approx(result.value, abs=1e-9)
 
 
 def grid_maximum_n3(coeffs, steps):
@@ -316,6 +392,33 @@ def test_simulator_dimension_checks():
         simulate_correlations(ghz_state(3), ObservableSpec(((0.0, 1.0),)))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_simulator_matches_dense_oracle(n):
+    """Both branches agree with the dense contraction on entangled states."""
+    rng = np.random.default_rng(100 + n)
+    for _ in range(3):
+        spec = random_spec(rng, n)
+        psi = random_pure_state(rng, n)
+        states = [
+            psi,
+            DensityMatrix(n, np.outer(psi, psi.conj())),
+            random_mixed_state(rng, n),
+            sample_separable(n, 3, rng),
+        ]
+        for state in states:
+            expected = dense_correlations(state, spec)
+            assert np.abs(expected.imag).max() <= 1e-12
+            got = simulate_correlations(state, spec).xi
+            assert np.abs(np.asarray(got) - expected.real).max() <= 1e-12
+
+
+def test_simulator_rejects_unnormalized_vector():
+    # xi(0) = cos(0) = 1 on the normalized state, so 2 psi reads 4
+    spec = ghz_observables(PhaseVector(0.0, (0.0, 0.0, 0.0)))
+    with pytest.raises(ValueError, match="outside"):
+        simulate_correlations(2.0 * ghz_state(3), spec)
+
+
 def test_density_matrix_validation():
     with pytest.raises(ValueError):
         DensityMatrix(1, np.array([[0.5, 0.5], [0.5j, 0.5]]))  # not Hermitian
@@ -434,3 +537,57 @@ def test_dense_bell_operator_shares_the_simulator_qubit_order(n):
         dense = _dense_bell_operator(_coefficient_array(beta), obs.matrix_pairs())
         expected = evaluate(beta, simulate_correlations(rho, obs))
         assert np.trace(rho.entries @ dense).real == pytest.approx(expected, abs=1e-12)
+
+
+def shifts_upb_state():
+    """(1 - sum_i |psi_i><psi_i|)/4 over the Shifts unextendible product basis."""
+    zero, one = np.eye(2, dtype=complex)
+    plus, minus = (zero + one) / math.sqrt(2), (zero - one) / math.sqrt(2)
+    rho = np.eye(8, dtype=complex)
+    for a, b, c in ((zero, one, plus), (one, plus, zero), (plus, zero, one), (minus, minus, minus)):
+        psi = np.kron(np.kron(a, b), c)
+        rho -= np.outer(psi, psi.conj())
+    return rho / 4
+
+
+def test_bound_entangled_ppt_state_stays_classical():
+    """Shifts-UPB state: PPT on every cut, so every inequality holds for it.
+
+    Local unitaries turn any pair of +-1 observables per site into x-y-plane
+    ones and keep PPT, so rotating the state and sampling x-y angles samples
+    every non-degenerate measurement.
+    """
+    rho = shifts_upb_state()
+    for site in (1, 2, 3):
+        assert np.linalg.eigvalsh(partial_transpose(rho, {site})).min() >= -1e-12
+    rng = np.random.default_rng(61)
+    for _ in range(100):
+        u = haar_local_unitary(rng, 3)
+        rotated = DensityMatrix(3, u @ rho @ u.conj().T)
+        for _ in range(20):
+            xi = simulate_correlations(rotated, random_spec(rng, 3))
+            assert l1_margin(xi) <= 1.0 + 1e-9
+
+
+def test_dur_state_shows_the_ppt_hypothesis_is_sharp():
+    """Dur's N=8 state: PPT on the one-site cuts only, and it violates Mermin."""
+    n = 8
+    dim = 1 << n
+    ghz = ghz_state(n)
+    rho = np.outer(ghz, ghz.conj())
+    for k in range(n):
+        u_k = 1 << (n - 1 - k)  # |0..1_k..0>; its complement is dim - 1 - u_k
+        rho[u_k, u_k] += 0.5
+        rho[dim - 1 - u_k, dim - 1 - u_k] += 0.5
+    state = DensityMatrix(n, rho / (n + 1))
+    for mask in range(1, 1 << (n - 1)):  # one side of each of the 127 cuts
+        sites = {k + 1 for k in range(n - 1) if mask >> k & 1}
+        ppt = np.linalg.eigvalsh(partial_transpose(state, sites)).min() >= -1e-12
+        assert ppt == (len(sites) in (1, n - 1)), sites
+    beta = coefficients_from_signs(mermin_sign_table(n))
+    phi = (1.5 * math.pi,) * n
+    total = _coefficient_array(beta) @ (-1j) ** np.bitwise_count(np.arange(dim))
+    phases = PhaseVector(-float(np.angle(total)), phi)
+    assert evaluate(beta, extreme_point_q(phases)) == pytest.approx(mermin_bound(n), abs=1e-12)
+    xi = simulate_correlations(state, ghz_observables(phases))
+    assert evaluate(beta, xi) == pytest.approx(2**3.5 / 9, abs=1e-12)
