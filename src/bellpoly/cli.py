@@ -103,6 +103,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
             row["max_violation"] = round(result.value, 9)
             row["seed"] = args.seed
             row["converged"] = result.converged
+            row["gradient_norm"] = round(result.gradient_norm, 9)
             converged &= result.converged
         rows.append(row)
     _emit_rows(rows, args.format, sys.stdout)

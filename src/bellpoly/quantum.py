@@ -2,13 +2,14 @@
 
 The maximal quantum value of an inequality reduces to maximizing
 |sum_s beta(s) prod_k e^(i phi_k s_k)| over one angle per site, which
-`max_violation` does by one batched saddle-free Newton ascent over all its
-start points, with the exact gradient and Hessian.  Every extreme point of
-the quantum body has the cosine form xi(s) = cos(phi0 + sum_k phi_k s_k)
-and is realized by the generalized GHZ state with observables in the x-y
-plane of the Bloch sphere.  A simulator of x-y-plane correlations (read
-off the state's anti-diagonal), an operator-norm cross-check and
-partial-transpose utilities keep the variational formula honest.
+`max_violation` does by one batched saddle-free Newton ascent with the
+exact gradient and Hessian, from starts on a grid over sites 1..n-1 whose
+last angle is set in closed form.  Every extreme point of the quantum body
+has the cosine form xi(s) = cos(phi0 + sum_k phi_k s_k) and is realized by
+the generalized GHZ state with observables in the x-y plane of the Bloch
+sphere.  A simulator of x-y-plane correlations (read off the state's
+anti-diagonal), an operator-norm cross-check and partial-transpose
+utilities keep the variational formula honest.
 """
 
 from __future__ import annotations
@@ -211,11 +212,20 @@ def mermin_bound(n: int) -> float:
 
 
 def _start_points(n: int, seed: int, random_starts: int) -> np.ndarray:
-    axes = [np.array([0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi])] * n
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+    """Grid {0, pi/2, pi, 3pi/2}^(n-1) and random points over sites 1..n-1."""
+    grid = 0.5 * math.pi * np.indices((4,) * (n - 1)).reshape(n - 1, 4 ** (n - 1)).T
     rng = np.random.default_rng(seed)
-    extra = rng.uniform(0.0, TWO_PI, size=(random_starts, n))
+    extra = rng.uniform(0.0, TWO_PI, size=(random_starts, n))[:, : n - 1]
     return np.vstack([grid, extra])
+
+
+def _seed_last_angle(coeffs: np.ndarray, head: np.ndarray) -> np.ndarray:
+    """Append to each row phi' of head its best phi_n: split on s_n,
+    T = A(phi') + e^(i phi_n) B(phi'), and |T| = |A| + |B| at arg A - arg B."""
+    half = len(coeffs) // 2
+    waves = np.exp(1j * (head @ _bit_matrix(head.shape[1]).T))
+    last = np.angle(waves @ coeffs[:half]) - np.angle(waves @ coeffs[half:])
+    return np.column_stack([head, last])
 
 
 def _ascent_terms(
@@ -298,15 +308,15 @@ def max_violation(
     """Global maximum of violation_value over the torus of site angles.
 
     Multi-start saddle-free Newton ascent on the squared modulus |T|^2: the
-    starts are the grid {0, pi/2, pi, 3pi/2}^n plus `random_starts` seeded
-    random points, and all of them climb at once in blocks of
-    `_START_BLOCK`, using the exact gradient and Hessian (see
-    `_newton_ascent`).  The best start wins, with phi0 = -arg T so that
-    extreme_point_q(result.phases) attains the value; `converged` says its
-    gradient norm, recomputed with `squared_modulus_and_gradient`, is at
-    most 1e-8.
-    Deterministic for a given seed.  Nonconvergence is reported via the
-    flag, never raised.
+    starts are the grid {0, pi/2, pi, 3pi/2}^(n-1) plus `random_starts`
+    seeded random points over sites 1..n-1, each with the phi_n that
+    maximizes |T| given them (`_seed_last_angle`).  All of them climb over
+    all n angles at once in blocks of `_START_BLOCK`, using the exact
+    gradient and Hessian (see `_newton_ascent`).  The best start wins, with
+    phi0 = -arg T so that extreme_point_q(result.phases) attains the value;
+    `converged` says its gradient norm, recomputed with
+    `squared_modulus_and_gradient`, is at most 1e-8.  Deterministic for a
+    given seed.  Nonconvergence is reported via the flag, never raised.
     """
     if not any(beta.coefficients.numerators):
         raise ValueError("the zero table has no violation to maximize")
@@ -314,9 +324,8 @@ def max_violation(
     starts = _start_points(beta.n, seed, random_starts)
     values, phis, iterations = [], [], 0
     for lo in range(0, len(starts), _START_BLOCK):
-        value, phi, steps = _newton_ascent(
-            coeffs, starts[lo : lo + _START_BLOCK], max_iterations, gradient_tol
-        )
+        block = _seed_last_angle(coeffs, starts[lo : lo + _START_BLOCK])
+        value, phi, steps = _newton_ascent(coeffs, block, max_iterations, gradient_tol)
         values.append(value)
         phis.append(phi)
         iterations += steps
@@ -340,7 +349,7 @@ def max_violation(
 def extreme_point_q(phases: PhaseVector) -> CorrelationVector:
     """The quantum-body extreme point xi(s) = cos(phi0 + sum_k phi_k s_k)."""
     angles = phases.phi0 + _bit_matrix(phases.n) @ np.asarray(phases.phi)
-    return CorrelationVector(phases.n, tuple(np.cos(angles)))
+    return CorrelationVector(phases.n, np.cos(angles).tolist())
 
 
 def ghz_observables(phases: PhaseVector) -> ObservableSpec:
@@ -399,7 +408,7 @@ def simulate_correlations(
     if np.abs(values.real).max() > 1.0 + 1e-9:
         raise ValueError("expectation outside [-1, 1]; state not normalized?")
     xi = np.clip(values.real, -1.0, 1.0)
-    return CorrelationVector(n, tuple(xi))
+    return CorrelationVector(n, xi.tolist())
 
 
 def _dense_bell_operator(

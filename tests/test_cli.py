@@ -67,6 +67,10 @@ def test_classify_n3_rows_report_convergence(capsys):
     assert code == EXIT_OK
     rows = json_lines(out)
     assert len(rows) == 5 and all(row["converged"] is True for row in rows)
+    for row in rows:
+        keys = list(row)
+        assert keys[keys.index("converged") + 1] == "gradient_norm"
+        assert 0.0 <= row["gradient_norm"] <= 1e-8
 
 
 def test_classify_exits_3_on_a_nonconverged_row(capsys, monkeypatch):

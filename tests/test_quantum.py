@@ -31,7 +31,13 @@ from bellpoly.quantum import (
     xy_observable,
 )
 from bellpoly import quantum
-from bellpoly.quantum import ViolationResult, _ascent_terms, _coefficient_array, _dense_bell_operator
+from bellpoly.quantum import (
+    ViolationResult,
+    _ascent_terms,
+    _coefficient_array,
+    _dense_bell_operator,
+    _seed_last_angle,
+)
 from bellpoly.symmetry import classify_all
 from bellpoly.transform import DimensionMismatchError
 
@@ -281,12 +287,49 @@ def test_ascent_hessian_matches_finite_differences(n):
 
 def test_max_violation_reports_its_search():
     result = max_violation(MERMIN3, seed=3, random_starts=10)
-    assert result.starts == 4**3 + 10
+    assert result.starts == 4**2 + 10
     assert 1 <= result.starts_at_best <= result.starts
     assert result.iterations > 0
     # the search counters default, so older constructions still work
     bare = ViolationResult(2.0, PhaseVector(0.0, (HALF_PI,) * 3), True, 0.0)
     assert (bare.starts, bare.starts_at_best, bare.iterations) == (0, 0, 0)
+
+
+def test_max_violation_n1_tables():
+    """No grid sites at n = 1: one empty grid point plus the random starts.
+
+    The four extremal tables have A or B zero; (1/2, -1/2) has both nonzero.
+    """
+    tables = [bell_table_from_id(1, i) for i in range(4)]
+    for beta in tables + [BellTable.from_numerators(1, (1, -1), 1)]:
+        result = max_violation(beta, seed=4, random_starts=5)
+        assert result.value == pytest.approx(1.0, abs=1e-12)
+        assert result.converged
+        assert result.starts == 1 + 5
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_seed_last_angle_attains_the_site_maximum(n):
+    """phi_n = arg A - arg B gives |T| = |A| + |B|, the maximum over phi_n."""
+    rng = np.random.default_rng(50 + n)
+    grid = np.linspace(0.0, 2 * math.pi, 256, endpoint=False)
+    for _ in range(5):
+        beta = random_extremal(rng, n)
+        coeffs = _coefficient_array(beta)
+        head = rng.uniform(0, 2 * math.pi, size=(4, n - 1))
+        seeded = _seed_last_angle(coeffs, head)
+        assert np.array_equal(seeded[:, : n - 1], head)
+        for row in range(len(head)):
+            halves = [0j, 0j]
+            for s, c in enumerate(coeffs):
+                angle = sum(head[row, k] for k in range(n - 1) if s >> k & 1)
+                halves[s >> (n - 1)] += c * complex(math.cos(angle), math.sin(angle))
+            value = violation_value(beta, PhaseVector(0.0, tuple(seeded[row])))
+            assert value == pytest.approx(abs(halves[0]) + abs(halves[1]), abs=1e-12)
+            on_grid = max(
+                violation_value(beta, PhaseVector(0.0, (*head[row], last))) for last in grid
+            )
+            assert on_grid <= value + 1e-12
 
 
 def test_max_violation_blocks_do_not_change_the_result(monkeypatch):
