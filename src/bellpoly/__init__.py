@@ -8,13 +8,11 @@ with GHZ witnesses.
 
 from .classical import (
     BOUNDARY_TOL,
-    ClassicalModel,
     CorrelationVector,
     extreme_point,
     is_member,
     l1_margin,
     lp_membership,
-    mix,
     spectrum,
     witness,
 )
@@ -67,6 +65,6 @@ from .symmetry import (
     orbit,
     orbit_of_id,
 )
-from .transform import BitString, DimensionMismatchError, DyadicVector, parity_inner, walsh_hadamard
+from .transform import DimensionMismatchError, DyadicVector, walsh_hadamard
 
 __version__ = "0.1.0"

@@ -14,16 +14,15 @@ from __future__ import annotations
 import csv
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .inequality import SignTable
-from .transform import MAX_SITES, BitString, DimensionMismatchError, _butterfly
+from .transform import MAX_SITES, DimensionMismatchError, _butterfly
 
 __all__ = [
     "BOUNDARY_TOL",
-    "ClassicalModel",
     "CorrelationVector",
     "MembershipSolverError",
     "correlation_vector_from_json",
@@ -33,14 +32,12 @@ __all__ = [
     "is_member",
     "l1_margin",
     "lp_membership",
-    "mix",
     "spectrum",
     "witness",
 ]
 
 BOUNDARY_TOL = 1e-10
 _ENTRY_TOL = 1e-9
-_WEIGHT_TOL = 1e-12
 _LP_MAX_SITES = 4
 
 
@@ -79,65 +76,23 @@ class CorrelationVector:
     def as_array(self) -> np.ndarray:
         return np.asarray(self.xi, dtype=float)
 
-    def scaled(self, factor: float) -> "CorrelationVector":
-        return CorrelationVector(self.n, tuple(factor * v for v in self.xi))
-
-
-@dataclass(frozen=True)
-class ClassicalModel:
-    """Probability weights on the deterministic extreme points (r, sign)."""
-
-    n: int
-    weights: Mapping[tuple[int, int], float]
-
-    def __post_init__(self) -> None:
-        n = operator.index(self.n)
-        if not 1 <= n <= MAX_SITES:
-            raise ValueError(f"site count must be in 1..{MAX_SITES}, got {n}")
-        cleaned: dict[tuple[int, int], float] = {}
-        total = 0.0
-        for (r, sign), w in self.weights.items():
-            r = operator.index(r)
-            if not 0 <= r < 1 << n:
-                raise ValueError(f"configuration {r} out of range for n={n}")
-            if sign not in (-1, 1):
-                raise ValueError("extreme-point sign must be -1 or +1")
-            w = float(w)
-            if w < -_WEIGHT_TOL:
-                raise ValueError(f"negative weight {w} for ({r}, {sign:+d})")
-            cleaned[(r, sign)] = cleaned.get((r, sign), 0.0) + max(w, 0.0)
-            total += w
-        if abs(total - 1.0) > _WEIGHT_TOL:
-            raise ValueError(f"weights sum to {total!r}, expected 1")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "weights", cleaned)
-
 
 def _parity_column(n: int, r: int) -> np.ndarray:
     s = np.arange(1 << n, dtype=np.uint32)
     return (np.bitwise_count(s & np.uint32(r)) & 1).astype(np.int8)
 
 
-def extreme_point(n: int, r: int | BitString, sign: int = 1) -> CorrelationVector:
+def extreme_point(n: int, r: int, sign: int = 1) -> CorrelationVector:
     """The deterministic correlation vector xi(s) = sign * (-1)^<r,s>."""
-    if isinstance(r, BitString):
-        if r.n != n:
-            raise DimensionMismatchError(f"site counts differ: {r.n} vs {n}")
-        r = r.bits
-    BitString(n, r)  # validates the range
+    n, r = operator.index(n), operator.index(r)
+    if not 1 <= n <= MAX_SITES:
+        raise ValueError(f"site count must be in 1..{MAX_SITES}, got {n}")
+    if not 0 <= r < 1 << n:
+        raise ValueError(f"configuration {r} out of range for n={n}")
     if sign not in (-1, 1):
         raise ValueError("sign must be -1 or +1")
     xi = sign * (1.0 - 2.0 * _parity_column(n, r))
     return CorrelationVector(n, tuple(xi))
-
-
-def mix(model: ClassicalModel) -> CorrelationVector:
-    """Convex combination of extreme points according to the model weights."""
-    acc = np.zeros(1 << model.n)
-    for (r, sign), w in model.weights.items():
-        acc += w * extreme_point(model.n, r, sign).as_array()
-    np.clip(acc, -1.0, 1.0, out=acc)
-    return CorrelationVector(model.n, tuple(acc))
 
 
 def spectrum(xi: CorrelationVector) -> np.ndarray:

@@ -87,11 +87,9 @@ def substitute(outer: BellTable, inner: Sequence[BellTable]) -> BellTable:
         if coeff == 0:
             continue
         part = [coeff]
-        width = 0
         for k in range(k_sites):
             slot = lifted[2 * k + ((s >> k) & 1)]
             part = [p * q for q in slot for p in part]
-            width += block_sizes[k]
         for t, v in enumerate(part):
             out[t] += v
     log_den = outer.coefficients.log_denominator + sum(pair_log_den)
@@ -158,27 +156,33 @@ def full_nesting(beta: BellTable) -> Nesting:
     return level[0]
 
 
-def evaluate_nesting(tree: Nesting) -> BellTable:
-    """Expand a nesting tree back into a flat coefficient table, exactly."""
+def _expand(tree: Nesting) -> list[int]:
+    """Numerators of a subtree on m sites over its fixed denominator 2^(m-1)."""
     if isinstance(tree, NestingLeaf):
         if tree.site != 1:
             raise ValueError("leaves of a full nesting sit on site 1")
         if tree.choice not in (0, 1) or tree.sign not in (-1, 1):
             raise ValueError(f"malformed leaf {tree}")
-        nums = (tree.sign, 0) if tree.choice == 0 else (0, tree.sign)
-        return BellTable(DyadicVector(1, nums, 0))
-    e0 = evaluate_nesting(tree.a0)
-    e1 = evaluate_nesting(tree.a1)
-    if e0.n != e1.n:
-        raise ValueError(f"branch site counts differ: {e0.n} vs {e1.n}")
-    c0, c1 = e0.coefficients, e1.coefficients
-    d = max(c0.log_denominator, c1.log_denominator)
-    low = tuple(v << (d - c0.log_denominator) for v in c0.numerators)
-    high = tuple(v << (d - c1.log_denominator) for v in c1.numerators)
-    nums = tuple(a + b for a, b in zip(low, high)) + tuple(
-        a - b for a, b in zip(low, high)
-    )
-    return BellTable(DyadicVector(e0.n + 1, nums, d + 1))
+        return [tree.sign, 0] if tree.choice == 0 else [0, tree.sign]
+    low = _expand(tree.a0)
+    high = _expand(tree.a1)
+    if len(low) != len(high):
+        raise ValueError(
+            f"branch site counts differ: {len(low).bit_length() - 1}"
+            f" vs {len(high).bit_length() - 1}"
+        )
+    return [a + b for a, b in zip(low, high)] + [a - b for a, b in zip(low, high)]
+
+
+def evaluate_nesting(tree: Nesting) -> BellTable:
+    """Expand a nesting tree back into a flat coefficient table, exactly.
+
+    Both branches of a node on m sites share the denominator 2^(m-1), so the
+    expansion runs over plain integers and normalizes once, at the root.
+    """
+    nums = _expand(tree)
+    n = len(nums).bit_length() - 1
+    return BellTable(DyadicVector(n, tuple(nums), n - 1))
 
 
 def nesting_to_json(tree: Nesting) -> dict:

@@ -67,9 +67,6 @@ class SignTable:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "signs", signs)
 
-    def __neg__(self) -> "SignTable":
-        return SignTable(self.n, tuple(-v for v in self.signs))
-
 
 @dataclass(frozen=True)
 class BellTable:

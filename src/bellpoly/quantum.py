@@ -65,6 +65,12 @@ class NormCrossCheckError(RuntimeError):
     """The two norm routes disagree; signals an implementation bug."""
 
 
+def _reduce_angle(v: float) -> float:
+    """v mod 2pi in [0, 2pi); a tiny negative v rounds to 2pi itself, which is 0."""
+    v = float(v) % TWO_PI
+    return 0.0 if v == TWO_PI else v
+
+
 @dataclass(frozen=True)
 class PhaseVector:
     """A global phase and one angle per site, reduced to [0, 2pi)."""
@@ -73,10 +79,10 @@ class PhaseVector:
     phi: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        phi = tuple(float(v) % TWO_PI for v in self.phi)
+        phi = tuple(_reduce_angle(v) for v in self.phi)
         if not 1 <= len(phi) <= MAX_SITES:
             raise ValueError(f"need 1..{MAX_SITES} site angles, got {len(phi)}")
-        object.__setattr__(self, "phi0", float(self.phi0) % TWO_PI)
+        object.__setattr__(self, "phi0", _reduce_angle(self.phi0))
         object.__setattr__(self, "phi", phi)
 
     @property
@@ -104,14 +110,6 @@ class ObservableSpec:
     @property
     def n(self) -> int:
         return len(self.angles)
-
-    def matrix(self, site: int, choice: int) -> np.ndarray:
-        """The 2x2 observable of one site (1-based) and choice (0 or 1)."""
-        if not 1 <= site <= self.n:
-            raise IndexError(f"site {site} out of range 1..{self.n}")
-        if choice not in (0, 1):
-            raise ValueError("choice must be 0 or 1")
-        return xy_observable(self.angles[site - 1][choice])
 
     def matrix_pairs(self) -> list[tuple[np.ndarray, np.ndarray]]:
         return [

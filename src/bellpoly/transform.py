@@ -1,4 +1,4 @@
-"""Bit-string arithmetic and the exact Walsh-Hadamard transform over Z_2^n.
+"""The exact Walsh-Hadamard transform over Z_2^n and dyadic coefficient vectors.
 
 Every table in this package is indexed by n-bit words, with the entry for
 site k stored in bit k-1 (site 1 is least significant).  The transform
@@ -11,14 +11,11 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 __all__ = [
-    "BitString",
     "DimensionMismatchError",
     "DyadicVector",
-    "parity_inner",
     "walsh_hadamard",
 ]
 
@@ -27,41 +24,6 @@ MAX_SITES = 31
 
 class DimensionMismatchError(ValueError):
     """Operands are defined for different site counts or table lengths."""
-
-
-@dataclass(frozen=True)
-class BitString:
-    """n binary entries packed into an integer, site k in bit position k-1."""
-
-    n: int
-    bits: int
-
-    def __post_init__(self) -> None:
-        n = operator.index(self.n)
-        bits = operator.index(self.bits)
-        if not 1 <= n <= MAX_SITES:
-            raise ValueError(f"site count must be in 1..{MAX_SITES}, got {n}")
-        if bits < 0 or bits >> n:
-            raise ValueError(f"value {bits} does not fit in {n} bits")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "bits", bits)
-
-    @property
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
-    def entry(self, site: int) -> int:
-        """The binary entry for one site (1-based)."""
-        if not 1 <= site <= self.n:
-            raise IndexError(f"site {site} out of range 1..{self.n}")
-        return (self.bits >> (site - 1)) & 1
-
-
-def parity_inner(r: BitString, s: BitString) -> int:
-    """<r,s> = sum_k r_k s_k mod 2."""
-    if r.n != s.n:
-        raise DimensionMismatchError(f"site counts differ: {r.n} vs {s.n}")
-    return (r.bits & s.bits).bit_count() & 1
 
 
 def walsh_hadamard(values: Sequence[int]) -> list[int]:
@@ -123,14 +85,3 @@ class DyadicVector:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "numerators", nums)
         object.__setattr__(self, "log_denominator", d)
-
-    def value(self, s: int) -> Fraction:
-        return Fraction(self.numerators[s], 1 << self.log_denominator)
-
-    def as_fractions(self) -> list[Fraction]:
-        den = 1 << self.log_denominator
-        return [Fraction(v, den) for v in self.numerators]
-
-    def as_floats(self) -> list[float]:
-        scale = float(1 << self.log_denominator)
-        return [v / scale for v in self.numerators]

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from bellpoly.classical import (
-    ClassicalModel,
     CorrelationVector,
     correlation_vector_from_json,
     correlation_vector_to_json,
@@ -19,7 +18,6 @@ from bellpoly.classical import (
     is_member,
     l1_margin,
     lp_membership,
-    mix,
     spectrum,
     witness,
 )
@@ -39,28 +37,21 @@ def test_extreme_point_validation():
     with pytest.raises(ValueError):
         extreme_point(2, 4)
     with pytest.raises(ValueError):
+        extreme_point(2, -1)
+    with pytest.raises(ValueError):
         extreme_point(2, 0, sign=2)
 
 
 def test_mix_point_mass_and_cancellation():
     n = 2
-    ones = mix(ClassicalModel(n, {(0, 1): 1.0}))
-    assert ones.xi == (1, 1, 1, 1)
-    zero = mix(ClassicalModel(n, {(0, 1): 0.5, (0, -1): 0.5}))
-    assert zero.xi == (0, 0, 0, 0)
-    uniform = mix(ClassicalModel(n, {(r, 1): 0.25 for r in range(4)}))
-    assert uniform.xi == (1, 0, 0, 0)
-
-
-def test_model_validation():
-    with pytest.raises(ValueError):
-        ClassicalModel(2, {(0, 1): 0.7})  # not normalized
-    with pytest.raises(ValueError):
-        ClassicalModel(2, {(0, 1): 1.5, (1, 1): -0.5})  # negative weight
-    with pytest.raises(ValueError):
-        ClassicalModel(2, {(4, 1): 1.0})  # configuration out of range
-    with pytest.raises(ValueError):
-        ClassicalModel(2, {(0, 2): 1.0})  # bad sign
+    ones = np.clip(1.0 * extreme_point(n, 0).as_array(), -1.0, 1.0)
+    assert CorrelationVector(n, tuple(ones)).xi == (1, 1, 1, 1)
+    zero = np.clip(
+        0.5 * extreme_point(n, 0).as_array() + 0.5 * extreme_point(n, 0, -1).as_array(), -1.0, 1.0
+    )
+    assert CorrelationVector(n, tuple(zero)).xi == (0, 0, 0, 0)
+    uniform = np.clip(sum(0.25 * extreme_point(n, r).as_array() for r in range(4)), -1.0, 1.0)
+    assert CorrelationVector(n, tuple(uniform)).xi == (1, 0, 0, 0)
 
 
 def test_spectrum_of_extreme_point_is_a_spike():
@@ -101,7 +92,7 @@ def test_margin_homogeneity():
     rng = np.random.default_rng(8)
     xi = CorrelationVector(3, tuple(rng.uniform(-1, 1, 8)))
     for lam in (0.0, 0.25, -0.8):
-        assert l1_margin(xi.scaled(lam)) == pytest.approx(
+        assert l1_margin(CorrelationVector(3, tuple(lam * v for v in xi.xi))) == pytest.approx(
             abs(lam) * l1_margin(xi), abs=1e-12
         )
 
@@ -125,7 +116,7 @@ def test_witness_frozen_example_lands_in_mermin_orbit():
 def test_witness_odd_symmetry():
     rng = np.random.default_rng(2)
     xi = CorrelationVector(3, tuple(rng.uniform(-1, 1, 8)))
-    flipped = witness(xi.scaled(-1.0))
+    flipped = witness(CorrelationVector(3, tuple(-v for v in xi.xi)))
     sp = spectrum(xi)
     for r, value in enumerate(sp):
         if abs(value) > 1e-12:
@@ -150,7 +141,8 @@ def test_mixtures_never_violate_extremal_inequalities():
         merged = {}
         for k, w in zip(keys, weights):
             merged[k] = merged.get(k, 0.0) + float(w)
-        xi = mix(ClassicalModel(2, merged))
+        acc = sum(w * extreme_point(2, r, sign).as_array() for (r, sign), w in merged.items())
+        xi = CorrelationVector(2, tuple(np.clip(acc, -1.0, 1.0)))
         for value in range(16):
             beta = bell_table_from_id(2, value)
             assert abs(evaluate(beta, xi)) <= 1.0 + 1e-12
@@ -159,7 +151,7 @@ def test_mixtures_never_violate_extremal_inequalities():
 def test_lp_membership_examples():
     assert lp_membership(extreme_point(2, 0))
     assert not lp_membership(GHZ_MERMIN)
-    assert lp_membership(GHZ_MERMIN.scaled(0.49))
+    assert lp_membership(CorrelationVector(3, tuple(0.49 * v for v in GHZ_MERMIN.xi)))
     with pytest.raises(ValueError):
         lp_membership(CorrelationVector(5, (0.0,) * 32))
 

@@ -170,8 +170,11 @@ def test_nesting_json_roundtrip():
         nesting_from_json({"op": "chsh", "a0": {"site": 1}, "a1": {}})
 
 
-def test_evaluate_nesting_rejects_malformed_leaves():
+def test_evaluate_nesting_rejects_malformed_leaves_and_nodes():
     with pytest.raises(ValueError):
         evaluate_nesting(NestingLeaf(site=2, choice=0, sign=1))
     with pytest.raises(ValueError):
         evaluate_nesting(NestingLeaf(site=1, choice=3, sign=1))
+    leaf = NestingLeaf(site=1, choice=0, sign=1)
+    with pytest.raises(ValueError, match="branch site counts differ: 1 vs 2"):
+        evaluate_nesting(NestingNode(a0=leaf, a1=NestingNode(a0=leaf, a1=leaf)))

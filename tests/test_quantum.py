@@ -122,6 +122,13 @@ def test_phase_vector_reduction():
     assert p.n == 2
 
 
+def test_phase_vector_tiny_negative_angle_reduces_to_zero():
+    # -1e-17 % 2pi rounds to 2pi itself, outside [0, 2pi)
+    p = PhaseVector(-1e-17, (-1e-17, 1.0))
+    assert p.phi0 == 0.0
+    assert p.phi == (0.0, 1.0)
+
+
 def test_xy_observables_square_to_identity():
     rng = np.random.default_rng(0)
     for theta in rng.uniform(0, 2 * math.pi, 20):
@@ -254,7 +261,8 @@ def test_exhaustive_n3_global_maximum_on_a_grid(exhaustive_n3_values):
     h = 2 * math.pi / steps
     bits = (np.arange(8)[:, None] >> np.arange(3)) & 1
     for table_id, value in exhaustive_n3_values.items():
-        coeffs = np.asarray(bell_table_from_id(3, table_id).coefficients.as_floats())
+        c = bell_table_from_id(3, table_id).coefficients
+        coeffs = np.asarray(c.numerators) / 2**c.log_denominator
         lower = grid_maximum_n3(coeffs, steps)
         upper = lower + h / 2 * float((np.abs(coeffs)[:, None] * bits).sum())
         assert lower - 1e-12 <= value <= upper, (table_id, lower, value, upper)
@@ -378,7 +386,7 @@ def test_ghz_observable_angles():
         assert a1 == pytest.approx(HALF_PI + alpha)
     for site in (1, 2, 3):
         for choice in (0, 1):
-            m = spec.matrix(site, choice)
+            m = xy_observable(spec.angles[site - 1][choice])
             assert np.allclose(m @ m, np.eye(2), atol=1e-14)
 
 
@@ -483,7 +491,8 @@ def test_bell_norm_degenerate_observables():
     rng = np.random.default_rng(8)
     for _ in range(10):
         beta = random_extremal(rng, 2)
-        total = sum(beta.coefficients.as_floats())
+        c = beta.coefficients
+        total = sum(np.asarray(c.numerators) / 2**c.log_denominator)
         assert bell_operator_norm_exact(beta, spec) == pytest.approx(
             abs(total), abs=1e-10
         )

@@ -55,7 +55,7 @@ def test_apply_identity_and_global_sign():
     f = id_to_signs(3, 23)
     assert apply(identity(3), f) == f
     flip = GroupElement((0, 1, 2), 0, 0, -1)
-    assert apply(flip, f) == -f
+    assert apply(flip, f) == SignTable(3, tuple(-v for v in f.signs))
 
 
 def test_apply_chsh_xor_shift():

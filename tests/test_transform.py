@@ -1,16 +1,10 @@
-"""Transform layer: parity, the exact butterfly, dyadic vectors."""
+"""Transform layer: the exact butterfly and dyadic vectors."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellpoly.transform import (
-    BitString,
-    DimensionMismatchError,
-    DyadicVector,
-    parity_inner,
-    walsh_hadamard,
-)
+from bellpoly.transform import DimensionMismatchError, DyadicVector, walsh_hadamard
 
 
 def naive_transform(values):
@@ -20,38 +14,6 @@ def naive_transform(values):
         sum(v * (-1) ** ((r & s).bit_count() & 1) for s, v in enumerate(values))
         for r in range(m)
     ]
-
-
-@pytest.mark.parametrize(
-    "r, s, expected",
-    [
-        (0b000, 0b101, 0),
-        (0b101, 0b101, 0),
-        (0b011, 0b001, 1),
-        (0b111, 0b111, 1),
-    ],
-)
-def test_parity_inner_examples(r, s, expected):
-    assert parity_inner(BitString(3, r), BitString(3, s)) == expected
-
-
-def test_parity_inner_dimension_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        parity_inner(BitString(2, 0b01), BitString(3, 0b001))
-
-
-def test_bitstring_validation():
-    with pytest.raises(ValueError):
-        BitString(3, 0b1000)
-    with pytest.raises(ValueError):
-        BitString(0, 0)
-    with pytest.raises(ValueError):
-        BitString(32, 0)
-    b = BitString(4, 0b1010)
-    assert b.weight == 2
-    assert [b.entry(k) for k in (1, 2, 3, 4)] == [0, 1, 0, 1]
-    with pytest.raises(IndexError):
-        b.entry(5)
 
 
 def test_walsh_delta_to_constant():
@@ -109,7 +71,7 @@ def test_dyadic_reduction_to_lowest_terms():
     v = DyadicVector(2, (2, 2, 2, 2), 2)
     assert v.numerators == (1, 1, 1, 1)
     assert v.log_denominator == 1
-    assert v.value(0) == pytest.approx(0.5)
+    assert DyadicVector(1, (3, -1), 2) == DyadicVector(1, (6, -2), 3)
 
 
 def test_dyadic_zero_vector_reduces_denominator():
@@ -124,12 +86,3 @@ def test_dyadic_validation():
         DyadicVector(2, (1, 2, 3, 4), -1)
     with pytest.raises(TypeError):
         DyadicVector(1, (0.5, 1), 1)
-
-
-def test_dyadic_views():
-    from fractions import Fraction
-
-    v = DyadicVector(1, (3, -1), 2)
-    assert v.as_fractions() == [Fraction(3, 4), Fraction(-1, 4)]
-    assert v.as_floats() == [0.75, -0.25]
-    assert v == DyadicVector(1, (6, -2), 3)
