@@ -180,8 +180,10 @@ def cmd_id(args: argparse.Namespace) -> int:
         f = inequality.mermin_sign_table(args.n)
     elif args.signs is not None:
         f = _signs_from_string(args.signs)
+        if args.n is not None and args.n != f.n:
+            raise ValueError(f"-n {args.n} but {len(f.signs)} signs given (n={f.n})")
     elif args.polynomial is not None:
-        beta = inequality.parse_polynomial(args.polynomial)
+        beta = inequality.parse_polynomial(args.polynomial, args.n)
         f = inequality.signs_from_coefficients(beta)
     else:
         raise ValueError("one of --mermin, --signs, --polynomial is required")

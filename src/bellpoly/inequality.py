@@ -13,7 +13,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .transform import (
@@ -100,9 +100,8 @@ def signs_from_coefficients(beta: BellTable) -> SignTable:
         elif w == -unit:
             signs.append(-1)
         else:
-            raise NotExtremalError(
-                f"transform value {Fraction(w, unit)} at r={r} is not +-1"
-            )
+            value = _ratio(w, beta.coefficients.log_denominator)
+            raise NotExtremalError(f"transform value {value} at r={r} is not +-1")
     return SignTable(beta.n, tuple(signs))
 
 
@@ -166,10 +165,21 @@ def evaluate(beta: BellTable, xi) -> float:
 _SITE_LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
-def _factor(site: int, choice: int, n: int) -> str:
+@lru_cache(maxsize=16)
+def _monomials(n: int) -> tuple[tuple[int, str], ...]:
+    """(s, factor text) for every term, in the order polynomial_string writes them."""
     if n <= len(_SITE_LETTERS):
-        return f"{_SITE_LETTERS[site]}{choice + 1}"
-    return f"A{site + 1}({choice})"
+        names = [(f"{c}1", f"{c}2") for c in _SITE_LETTERS[:n]]
+    else:
+        names = [(f"A{k + 1}(0)", f"A{k + 1}(1)") for k in range(n)]
+    order = sorted(range(1 << n), key=lambda s: tuple((s >> k) & 1 for k in range(n)))
+    return tuple((s, " ".join(names[k][(s >> k) & 1] for k in range(n))) for s in order)
+
+
+def _ratio(num: int, d: int) -> str:
+    """num / 2^d in lowest terms, written 'p/q', or 'p' when it is an integer."""
+    shift = min(d, (num & -num).bit_length() - 1) if num else d
+    return f"{num >> shift}/{1 << (d - shift)}" if shift < d else str(num >> shift)
 
 
 def polynomial_string(beta: BellTable) -> str:
@@ -178,95 +188,83 @@ def polynomial_string(beta: BellTable) -> str:
     Terms are ordered by the choice tuple (s_1, s_2, ...) lexicographically;
     zero terms are dropped and unit coefficients left implicit.
     """
-    n = beta.n
-    den = 1 << beta.coefficients.log_denominator
-    order = sorted(range(1 << n), key=lambda s: tuple((s >> k) & 1 for k in range(n)))
+    nums, d = beta.coefficients.numerators, beta.coefficients.log_denominator
     parts: list[str] = []
-    for s in order:
-        num = beta.coefficients.numerators[s]
-        if num == 0:
-            continue
-        coef = Fraction(abs(num), den)
-        factors = " ".join(_factor(k, (s >> k) & 1, n) for k in range(n))
-        body = factors if coef == 1 else f"{coef} {factors}"
-        if not parts:
-            parts.append(body if num > 0 else f"-{body}")
-        else:
+    for s, factors in _monomials(beta.n):
+        if num := nums[s]:
+            coef = _ratio(abs(num), d)
+            body = factors if coef == "1" else f"{coef} {factors}"
             parts.append(("+ " if num > 0 else "- ") + body)
-    return " ".join(parts) if parts else "0"
+    if not parts:
+        return "0"
+    text = " ".join(parts)
+    return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
-_TOKEN_RE = re.compile(r"\s*([+-]|\d+/\d+|\d+|[a-z]\d+)")
+_TOKEN_RE = re.compile(
+    r"\s*(?P<tok>(?P<sign>[+-])|(?P<num>\d+)(?:/(?P<den>\d+))?|(?P<site>[a-z])(?P<choice>\d+))"
+)
 
 
 def parse_polynomial(text: str, n: int | None = None) -> BellTable:
     """Parse a flat polynomial like '1/2 a1 b1 - 1/2 a2 b2' back to a table.
 
     Every term must name each site exactly once (letters a..z, choice
-    subscript 1 or 2); coefficients must be dyadic rationals.
+    subscript 1 or 2); terms on one monomial are summed, and each sum must
+    be a dyadic rational.
     """
-    pos = 0
-    tokens: list[str] = []
     stripped = text.strip()
     if stripped == "0":
         if n is None:
             raise ValueError("cannot infer the site count of the zero polynomial")
         return BellTable(DyadicVector(n, (0,) * (1 << n), 0))
-    while pos < len(stripped):
-        m = _TOKEN_RE.match(stripped, pos)
-        if not m:
-            raise ValueError(f"cannot parse polynomial near {stripped[pos:pos + 12]!r}")
-        tokens.append(m.group(1))
+    tokens, pos = [], 0
+    for m in _TOKEN_RE.finditer(stripped):
+        if m.start() != pos:
+            break
+        tokens.append(m.groups())
         pos = m.end()
+    if pos != len(stripped):
+        raise ValueError(f"cannot parse polynomial near {stripped[pos:pos + 12]!r}")
 
-    terms: list[tuple[Fraction, dict[int, int]]] = []
-    sign, coef, factors = 1, None, {}
-
-    def flush() -> None:
-        nonlocal sign, coef, factors
-        if not factors:
-            raise ValueError("term without site factors")
-        terms.append((sign * (coef if coef is not None else Fraction(1)), factors))
-        sign, coef, factors = 1, None, {}
-
-    for tok in tokens:
-        if tok in "+-":
-            if factors:
-                flush()
-            sign = 1 if tok == "+" else -1
-        elif tok[0].isdigit():
-            if coef is not None or factors:
-                raise ValueError(f"misplaced coefficient {tok!r}")
-            if "/" in tok:
-                a, b = tok.split("/")
-                coef = Fraction(int(a), int(b))
-            else:
-                coef = Fraction(int(tok))
-        else:
-            site = _SITE_LETTERS.index(tok[0]) + 1
-            choice = int(tok[1:])
-            if choice not in (1, 2):
+    terms: list[tuple[int, int, int, int]] = []  # (numerator, denominator, s, mask)
+    sign, num, den, s, mask = 1, None, 1, 0, 0
+    for tok, tok_sign, tok_num, tok_den, letter, choice in tokens:
+        if letter is not None:
+            bit, choice = 1 << _SITE_LETTERS.index(letter), int(choice) - 1
+            if choice not in (0, 1):
                 raise ValueError(f"choice subscript must be 1 or 2 in {tok!r}")
-            if site in factors:
-                raise ValueError(f"site {tok[0]!r} repeated within one term")
-            factors[site] = choice - 1
-    flush()
+            if mask & bit:
+                raise ValueError(f"site {letter!r} repeated within one term")
+            mask, s = mask | bit, s | bit * choice
+        elif tok_num is not None:
+            if num is not None or mask:
+                raise ValueError(f"misplaced coefficient {tok!r}")
+            num, den = int(tok_num), int(tok_den or 1)
+            if den == 0:
+                raise ValueError(f"coefficient {tok!r} has a zero denominator")
+        else:
+            if mask:
+                terms.append((sign * (1 if num is None else num), den, s, mask))
+                num, den, s, mask = None, 1, 0, 0
+            sign = 1 if tok_sign == "+" else -1
+    if not mask:
+        raise ValueError("term without site factors")
+    terms.append((sign * (1 if num is None else num), den, s, mask))
 
-    sites = max(max(f) for _, f in terms)
+    sites = max(t[3] for t in terms).bit_length()
     if n is not None and n != sites:
         raise ValueError(f"polynomial names sites up to {sites}, expected n={n}")
-    n = sites
-    table = [Fraction(0)] * (1 << n)
-    for coef, f in terms:
-        if sorted(f) != list(range(1, n + 1)):
-            raise ValueError("every term must name each site exactly once")
-        s = sum(choice << (site - 1) for site, choice in f.items())
-        table[s] += coef
-    den = math.lcm(*(c.denominator for c in table))
+    if any(t[3] != (1 << sites) - 1 for t in terms):
+        raise ValueError("every term must name each site exactly once")
+    lcm, table = math.lcm(*(t[1] for t in terms)), [0] * (1 << sites)
+    for num, den, s, _ in terms:
+        table[s] += num * (lcm // den)
+    g = math.gcd(lcm, *table)
+    den = lcm // g
     if den & (den - 1):
         raise ValueError(f"coefficients are not dyadic (denominator {den})")
-    d = den.bit_length() - 1
-    return BellTable(DyadicVector(n, tuple(int(c * den) for c in table), d))
+    return BellTable(DyadicVector(sites, tuple(v // g for v in table), den.bit_length() - 1))
 
 
 def bell_table_to_json(beta: BellTable) -> dict:

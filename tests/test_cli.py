@@ -196,6 +196,23 @@ def test_id_rejects_non_extremal_polynomial(capsys):
     assert code == EXIT_INVALID
 
 
+def test_id_rejects_a_zero_denominator(capsys):
+    code, out, err = run(capsys, "id", "--polynomial", "1/0 a1 b1")
+    assert code == EXIT_INVALID and out == ""
+    assert err == "error: coefficient '1/0' has a zero denominator\n"
+
+
+def test_id_checks_the_site_count_against_n(capsys):
+    chsh = "1/2 a1 b1 + 1/2 a1 b2 + 1/2 a2 b1 - 1/2 a2 b2"
+    code, out, err = run(capsys, "id", "-n", "3", "--signs", "++++")
+    assert code == EXIT_INVALID and out == "" and "-n 3" in err
+    code, out, err = run(capsys, "id", "-n", "3", "--polynomial", chsh)
+    assert code == EXIT_INVALID and out == "" and "expected n=3" in err
+    for flag, value in (("--signs", "+++-"), ("--polynomial", chsh)):
+        code, out, _ = run(capsys, "id", "-n", "2", flag, value)
+        assert code == EXIT_OK and json.loads(out) == {"n": 2, "id": 8}
+
+
 def test_ppt_check_small_run(capsys):
     code, out, _ = run(
         capsys, "ppt-check", "-n", "2", "--states", "3", "--specs", "3", "--seed", "7"

@@ -2,9 +2,13 @@
 
 import math
 import random
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellpoly.inequality import (
     BellTable,
@@ -23,7 +27,7 @@ from bellpoly.inequality import (
     signs_from_coefficients,
     signs_to_id,
 )
-from bellpoly.transform import DimensionMismatchError
+from bellpoly.transform import DimensionMismatchError, DyadicVector
 
 MERMIN3 = BellTable.from_numerators(3, (0, 1, 1, 0, 1, 0, 0, -1), 1)
 GHZ_MERMIN_VECTOR = (0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 0.0, -1.0)
@@ -171,6 +175,204 @@ def test_parse_polynomial_errors():
     with pytest.raises(ValueError):
         parse_polynomial("0")  # zero needs an explicit site count
     assert parse_polynomial("0", n=2).coefficients.numerators == (0, 0, 0, 0)
+
+
+def test_parse_polynomial_rejects_a_zero_denominator():
+    for text in ("1/0 a1 b1", "a1 b1 - 0/0 a2 b2"):
+        with pytest.raises(ValueError, match="has a zero denominator"):
+            parse_polynomial(text)
+
+
+# Independent oracle: the polynomial text codec written over fractions.Fraction,
+# one Fraction per term, summed per monomial and put over the lcm of the
+# reduced entries.  The package renders and parses over plain integers.
+
+_ORACLE_LETTERS = "abcdefghijklmnopqrstuvwxyz"
+_ORACLE_TOKEN_RE = re.compile(r"\s*([+-]|\d+/\d+|\d+|[a-z]\d+)")
+
+
+def _oracle_factor(site, choice, n):
+    if n <= len(_ORACLE_LETTERS):
+        return f"{_ORACLE_LETTERS[site]}{choice + 1}"
+    return f"A{site + 1}({choice})"
+
+
+def oracle_polynomial_string(beta):
+    n = beta.n
+    den = 1 << beta.coefficients.log_denominator
+    order = sorted(range(1 << n), key=lambda s: tuple((s >> k) & 1 for k in range(n)))
+    parts = []
+    for s in order:
+        num = beta.coefficients.numerators[s]
+        if num == 0:
+            continue
+        coef = Fraction(abs(num), den)
+        factors = " ".join(_oracle_factor(k, (s >> k) & 1, n) for k in range(n))
+        body = factors if coef == 1 else f"{coef} {factors}"
+        if not parts:
+            parts.append(body if num > 0 else f"-{body}")
+        else:
+            parts.append(("+ " if num > 0 else "- ") + body)
+    return " ".join(parts) if parts else "0"
+
+
+def oracle_parse_polynomial(text, n=None):
+    pos = 0
+    tokens = []
+    stripped = text.strip()
+    if stripped == "0":
+        if n is None:
+            raise ValueError("cannot infer the site count of the zero polynomial")
+        return BellTable(DyadicVector(n, (0,) * (1 << n), 0))
+    while pos < len(stripped):
+        m = _ORACLE_TOKEN_RE.match(stripped, pos)
+        if not m:
+            raise ValueError(f"cannot parse polynomial near {stripped[pos:pos + 12]!r}")
+        tokens.append(m.group(1))
+        pos = m.end()
+
+    terms = []
+    sign, coef, factors = 1, None, {}
+
+    def flush():
+        nonlocal sign, coef, factors
+        if not factors:
+            raise ValueError("term without site factors")
+        terms.append((sign * (coef if coef is not None else Fraction(1)), factors))
+        sign, coef, factors = 1, None, {}
+
+    for tok in tokens:
+        if tok in "+-":
+            if factors:
+                flush()
+            sign = 1 if tok == "+" else -1
+        elif tok[0].isdigit():
+            if coef is not None or factors:
+                raise ValueError(f"misplaced coefficient {tok!r}")
+            if "/" in tok:
+                a, b = tok.split("/")
+                coef = Fraction(int(a), int(b))
+            else:
+                coef = Fraction(int(tok))
+        else:
+            site = _ORACLE_LETTERS.index(tok[0]) + 1
+            choice = int(tok[1:])
+            if choice not in (1, 2):
+                raise ValueError(f"choice subscript must be 1 or 2 in {tok!r}")
+            if site in factors:
+                raise ValueError(f"site {tok[0]!r} repeated within one term")
+            factors[site] = choice - 1
+    flush()
+
+    sites = max(max(f) for _, f in terms)
+    if n is not None and n != sites:
+        raise ValueError(f"polynomial names sites up to {sites}, expected n={n}")
+    n = sites
+    table = [Fraction(0)] * (1 << n)
+    for coef, f in terms:
+        if sorted(f) != list(range(1, n + 1)):
+            raise ValueError("every term must name each site exactly once")
+        s = sum(choice << (site - 1) for site, choice in f.items())
+        table[s] += coef
+    den = math.lcm(*(c.denominator for c in table))
+    if den & (den - 1):
+        raise ValueError(f"coefficients are not dyadic (denominator {den})")
+    d = den.bit_length() - 1
+    return BellTable(DyadicVector(n, tuple(int(c * den) for c in table), d))
+
+
+def _outcome(parse, text, n):
+    """The parsed table, or the error type and message."""
+    try:
+        return parse(text, n)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_codec_matches_oracle(beta):
+    text = polynomial_string(beta)
+    assert text == oracle_polynomial_string(beta)
+    for n in (None, beta.n):
+        assert _outcome(parse_polynomial, text, n) == _outcome(oracle_parse_polynomial, text, n)
+    assert parse_polynomial(text, beta.n) == beta
+
+
+def test_polynomial_text_matches_oracle_on_every_small_table():
+    for n in (1, 2, 3):
+        for value in range(1 << (1 << n)):
+            _assert_codec_matches_oracle(bell_table_from_id(n, value))
+
+
+def test_polynomial_text_matches_oracle_on_seeded_tables():
+    rnd = random.Random(9)
+    for n in range(4, 10):
+        for _ in range(6):
+            _assert_codec_matches_oracle(bell_table_from_id(n, rnd.getrandbits(1 << n)))
+
+
+@st.composite
+def dyadic_tables(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    numerators = draw(
+        st.lists(
+            st.one_of(st.just(0), st.integers(min_value=-(2**20), max_value=2**20)),
+            min_size=1 << n,
+            max_size=1 << n,
+        )
+    )
+    return BellTable.from_numerators(n, numerators, draw(st.integers(0, 12)))
+
+
+@given(dyadic_tables(), st.randoms(use_true_random=False), st.integers(1, 6))
+@settings(max_examples=150, deadline=None)
+def test_polynomial_text_matches_oracle_on_dyadic_tables(beta, rnd, scale):
+    _assert_codec_matches_oracle(beta)
+    # the same table written unreduced (numerator and denominator times
+    # scale), with terms shuffled and a monomial split in two
+    c = beta.coefficients
+    terms = [(num * scale, s) for s, num in enumerate(c.numerators) if num] or [(0, 0)]
+    num, s = terms[0]
+    terms[0:1] = [(num - scale, s), (scale, s)]
+    rnd.shuffle(terms)
+    den = scale << c.log_denominator
+    text = " ".join(
+        ("- " if num < 0 else "+ ")
+        + f"{abs(num)}/{den} "
+        + " ".join(f"{'abcdef'[k]}{(s >> k & 1) + 1}" for k in range(beta.n))
+        for num, s in terms
+    )
+    assert _outcome(parse_polynomial, text, None) == _outcome(
+        oracle_parse_polynomial, text, None
+    )
+    assert parse_polynomial(text, beta.n) == beta
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "- - a1",
+        "a1b2",
+        "a01 b02",
+        "3/6 a1 b1",
+        "1/3 a1 + 2/3 a1",
+        "a1 a1",
+        "2 a1 3 b1",
+        "a1 -",
+        "a3 b1",
+        "1/ 2 a1",
+        "a1 # b1",
+        "0",
+        "",
+        "1/2 - a1",
+        "a1 + 0 b1",
+        "1/6 a1 + 1/3 a2",
+        "7/12 a1 + 5/12 a1",
+        "a1 1/2",
+    ],
+)
+@pytest.mark.parametrize("n", [None, 1, 2])
+def test_accepted_language_matches_oracle(text, n):
+    assert _outcome(parse_polynomial, text, n) == _outcome(oracle_parse_polynomial, text, n)
 
 
 def test_mermin_sign_table_ids():
