@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .inequality import SignTable
-from .transform import MAX_SITES, DimensionMismatchError, _butterfly
+from .transform import DimensionMismatchError, _butterfly, site_count
 
 __all__ = [
     "BOUNDARY_TOL",
@@ -53,9 +53,7 @@ class CorrelationVector:
     xi: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        n = operator.index(self.n)
-        if not 1 <= n <= MAX_SITES:
-            raise ValueError(f"site count must be in 1..{MAX_SITES}, got {n}")
+        n = site_count(self.n)
         xi = tuple(float(v) for v in self.xi)
         if len(xi) != 1 << n:
             raise DimensionMismatchError(
@@ -84,9 +82,7 @@ def _parity_column(n: int, r: int) -> np.ndarray:
 
 def extreme_point(n: int, r: int, sign: int = 1) -> CorrelationVector:
     """The deterministic correlation vector xi(s) = sign * (-1)^<r,s>."""
-    n, r = operator.index(n), operator.index(r)
-    if not 1 <= n <= MAX_SITES:
-        raise ValueError(f"site count must be in 1..{MAX_SITES}, got {n}")
+    n, r = site_count(n), operator.index(r)
     if not 0 <= r < 1 << n:
         raise ValueError(f"configuration {r} out of range for n={n}")
     if sign not in (-1, 1):

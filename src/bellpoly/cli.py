@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import classical, inequality, quantum, symmetry
-from .transform import DimensionMismatchError
+from .transform import DimensionMismatchError, site_count
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -52,12 +52,12 @@ def _emit_rows(rows: list[dict], fmt: str, stream) -> None:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    n = args.n
+    n = site_count(args.n)
     if args.id is not None:
         ids = [args.id]
     elif args.range is not None:
         lo, hi = args.range
-        if not 0 <= lo <= hi <= 1 << (1 << n):
+        if not 0 <= lo <= hi or (hi - 1).bit_length() > 1 << n:  # hi <= 2^(2^n)
             raise ValueError(f"range [{lo}, {hi}) out of bounds for n={n}")
         ids = range(lo, hi)
     elif args.all:

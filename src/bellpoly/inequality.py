@@ -17,9 +17,9 @@ from functools import lru_cache
 from typing import Sequence
 
 from .transform import (
-    MAX_SITES,
     DimensionMismatchError,
     DyadicVector,
+    site_count,
     walsh_hadamard,
 )
 
@@ -54,9 +54,7 @@ class SignTable:
     signs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        n = operator.index(self.n)
-        if not 1 <= n <= MAX_SITES:
-            raise ValueError(f"site count must be in 1..{MAX_SITES}, got {n}")
+        n = site_count(self.n)
         signs = tuple(operator.index(v) for v in self.signs)
         if len(signs) != 1 << n:
             raise DimensionMismatchError(
@@ -115,9 +113,7 @@ def is_extremal(beta: BellTable) -> bool:
 
 def id_to_signs(n: int, value: int) -> SignTable:
     """Decode an inequality number: bit r set means f(r) = -1."""
-    value = operator.index(value)
-    if n < 1 or n > MAX_SITES:
-        raise ValueError(f"site count must be in 1..{MAX_SITES}, got {n}")
+    value, n = operator.index(value), site_count(n)
     if not 0 <= value < 1 << (1 << n):
         raise ValueError(f"id {value} out of range for n={n}")
     return SignTable(n, tuple(1 - 2 * ((value >> r) & 1) for r in range(1 << n)))
@@ -142,8 +138,7 @@ def mermin_sign_table(n: int) -> SignTable:
     f(r) = -1 exactly where weight(r) mod 4 is 0 or 3.  For n=3 this sits in
     the orbit numbered 23, for n=4 in the orbit numbered 6014.
     """
-    if n < 1 or n > MAX_SITES:
-        raise ValueError(f"site count must be in 1..{MAX_SITES}, got {n}")
+    n = site_count(n)
     return SignTable(
         n,
         tuple(-1 if r.bit_count() % 4 in (0, 3) else 1 for r in range(1 << n)),
@@ -201,9 +196,45 @@ def polynomial_string(beta: BellTable) -> str:
     return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
-_TOKEN_RE = re.compile(
-    r"\s*(?P<tok>(?P<sign>[+-])|(?P<num>\d+)(?:/(?P<den>\d+))?|(?P<site>[a-z])(?P<choice>\d+))"
+# A term: a prefix (signs, coefficient) then a word (site factors), else the tail.
+# (?![\d/]) ends a coefficient where its token ends, or a failed term would
+# retry all 2^(k-1) splits of a k-digit run.
+_TOKEN = r"[+-]|\d+(?:/\d+)?|[a-z]\d+"
+_TOKEN_RE, _TOKENS_RE = re.compile(_TOKEN), re.compile(rf"(?:\s*(?:{_TOKEN}))*")
+_TERM_RE = re.compile(
+    r"((?:\s*(?:[+-]|\d+(?:/\d+)?(?![\d/])))*)((?:\s*[a-z]\d+)+)|(.+)", re.DOTALL
 )
+
+
+@lru_cache(maxsize=1024)
+def _coefficient(prefix: str, first: bool) -> tuple[int, int]:
+    """(signed numerator, denominator) of a prefix; only the first may lack a sign."""
+    sign, num, den, signed = 1, None, 1, first
+    for tok in _TOKEN_RE.findall(prefix):
+        if tok in ("+", "-"):
+            sign, signed = (1 if tok == "+" else -1), True
+        elif num is not None or not signed:
+            raise ValueError(f"misplaced coefficient {tok!r}")
+        else:
+            p, _, q = tok.partition("/")
+            num, den = int(p), int(q or 1)
+            if den == 0:
+                raise ValueError(f"coefficient {tok!r} has a zero denominator")
+    return sign * (1 if num is None else num), den
+
+
+@lru_cache(maxsize=1024)
+def _monomial(word: str) -> tuple[int, int]:
+    """(s, site mask) of a term's site factors, e.g. ' a1 b2' -> (2, 3)."""
+    s = mask = 0
+    for tok in _TOKEN_RE.findall(word):
+        bit, choice = 1 << _SITE_LETTERS.index(tok[0]), int(tok[1:]) - 1
+        if choice not in (0, 1):
+            raise ValueError(f"choice subscript must be 1 or 2 in {tok!r}")
+        if mask & bit:
+            raise ValueError(f"site {tok[0]!r} repeated within one term")
+        mask, s = mask | bit, s | bit * choice
+    return s, mask
 
 
 def parse_polynomial(text: str, n: int | None = None) -> BellTable:
@@ -211,46 +242,28 @@ def parse_polynomial(text: str, n: int | None = None) -> BellTable:
 
     Every term must name each site exactly once (letters a..z, choice
     subscript 1 or 2); terms on one monomial are summed, and each sum must
-    be a dyadic rational.
+    be a dyadic rational.  One regex scan splits the text into terms, each
+    a prefix (' - 3/8') then a word (' a1 b2'); both recur across tables
+    and go through lru_caches of 1,024 entries (~0.15 MB of n=12 words),
+    never a whole text or table.  Errors come in text order.
     """
     stripped = text.strip()
     if stripped == "0":
         if n is None:
             raise ValueError("cannot infer the site count of the zero polynomial")
+        n = site_count(n)
         return BellTable(DyadicVector(n, (0,) * (1 << n), 0))
-    tokens, pos = [], 0
-    for m in _TOKEN_RE.finditer(stripped):
-        if m.start() != pos:
-            break
-        tokens.append(m.groups())
-        pos = m.end()
-    if pos != len(stripped):
-        raise ValueError(f"cannot parse polynomial near {stripped[pos:pos + 12]!r}")
-
+    found = _TERM_RE.findall(stripped)
+    tail = found.pop()[2] if found and found[-1][2] else ""
+    end = _TOKENS_RE.match(stripped, len(stripped) - len(tail)).end()
+    if end != len(stripped):
+        raise ValueError(f"cannot parse polynomial near {stripped[end:end + 12]!r}")
     terms: list[tuple[int, int, int, int]] = []  # (numerator, denominator, s, mask)
-    sign, num, den, s, mask = 1, None, 1, 0, 0
-    for tok, tok_sign, tok_num, tok_den, letter, choice in tokens:
-        if letter is not None:
-            bit, choice = 1 << _SITE_LETTERS.index(letter), int(choice) - 1
-            if choice not in (0, 1):
-                raise ValueError(f"choice subscript must be 1 or 2 in {tok!r}")
-            if mask & bit:
-                raise ValueError(f"site {letter!r} repeated within one term")
-            mask, s = mask | bit, s | bit * choice
-        elif tok_num is not None:
-            if num is not None or mask:
-                raise ValueError(f"misplaced coefficient {tok!r}")
-            num, den = int(tok_num), int(tok_den or 1)
-            if den == 0:
-                raise ValueError(f"coefficient {tok!r} has a zero denominator")
-        else:
-            if mask:
-                terms.append((sign * (1 if num is None else num), den, s, mask))
-                num, den, s, mask = None, 1, 0, 0
-            sign = 1 if tok_sign == "+" else -1
-    if not mask:
+    for prefix, word, _ in found:
+        terms.append((*_coefficient(prefix, not terms), *_monomial(word)))
+    if tail or not terms:
+        _coefficient.__wrapped__(tail, not terms)  # the tail's own errors first, uncached
         raise ValueError("term without site factors")
-    terms.append((sign * (1 if num is None else num), den, s, mask))
 
     sites = max(t[3] for t in terms).bit_length()
     if n is not None and n != sites:

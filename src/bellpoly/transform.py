@@ -26,6 +26,14 @@ class DimensionMismatchError(ValueError):
     """Operands are defined for different site counts or table lengths."""
 
 
+def site_count(n: int) -> int:
+    """n as an int, checked to lie in 1..MAX_SITES before anything is sized by it."""
+    n = operator.index(n)
+    if not 1 <= n <= MAX_SITES:
+        raise ValueError(f"site count must be in 1..{MAX_SITES}, got {n}")
+    return n
+
+
 def walsh_hadamard(values: Sequence[int]) -> list[int]:
     """Unnormalized transform w[r] = sum_s (-1)^<r,s> v[s], exact over int.
 
@@ -68,9 +76,7 @@ class DyadicVector:
     log_denominator: int
 
     def __post_init__(self) -> None:
-        n = operator.index(self.n)
-        if not 1 <= n <= MAX_SITES:
-            raise ValueError(f"site count must be in 1..{MAX_SITES}, got {n}")
+        n = site_count(self.n)
         nums = tuple(operator.index(v) for v in self.numerators)
         if len(nums) != 1 << n:
             raise DimensionMismatchError(

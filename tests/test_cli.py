@@ -213,6 +213,34 @@ def test_id_checks_the_site_count_against_n(capsys):
         assert code == EXIT_OK and json.loads(out) == {"n": 2, "id": 8}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "-n", "-1", "--range", "0", "1"),
+        ("enumerate", "-n", "32", "--range", "0", "1"),
+        ("enumerate", "-n", "0", "--all"),
+        ("id", "--polynomial", "0", "-n", "40"),
+        ("id", "--polynomial", "0", "-n", "-1"),
+    ],
+)
+def test_site_count_is_checked_before_anything_is_sized_by_it(capsys, argv):
+    # 2^(2^32) ids or a 2^40-entry table would be built before the check
+    n = argv[argv.index("-n") + 1]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_INVALID and out == ""
+    assert err == f"error: site count must be in 1..31, got {n}\n"
+
+
+def test_enumerate_range_bound_is_exact(capsys):
+    code, out, _ = run(capsys, "enumerate", "-n", "2", "--range", "15", "16")
+    assert code == EXIT_OK and [row["id"] for row in json_lines(out)] == [15]
+    for lo, hi in ((0, 17), (2, 1), (-1, 0)):
+        code, out, err = run(capsys, "enumerate", "-n", "2", "--range", str(lo), str(hi))
+        assert code == EXIT_INVALID and err == f"error: range [{lo}, {hi}) out of bounds for n=2\n"
+    code, out, _ = run(capsys, "enumerate", "-n", "1", "--range", "0", "0")
+    assert code == EXIT_OK and out == ""
+
+
 def test_ppt_check_small_run(capsys):
     code, out, _ = run(
         capsys, "ppt-check", "-n", "2", "--states", "3", "--specs", "3", "--seed", "7"

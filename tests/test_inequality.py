@@ -3,6 +3,7 @@
 import math
 import random
 import re
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bellpoly import inequality
 from bellpoly.inequality import (
     BellTable,
     NotExtremalError,
@@ -251,6 +253,8 @@ def oracle_parse_polynomial(text, n=None):
                 raise ValueError(f"misplaced coefficient {tok!r}")
             if "/" in tok:
                 a, b = tok.split("/")
+                if int(b) == 0:
+                    raise ValueError(f"coefficient {tok!r} has a zero denominator")
                 coef = Fraction(int(a), int(b))
             else:
                 coef = Fraction(int(tok))
@@ -368,11 +372,76 @@ def test_polynomial_text_matches_oracle_on_dyadic_tables(beta, rnd, scale):
         "1/6 a1 + 1/3 a2",
         "7/12 a1 + 5/12 a1",
         "a1 1/2",
+        "- + a1",
+        "1/0 a1 a1",
+        "a1 a3 - 1/0 b1",
+        "a1 b1 - 1/0",
     ],
 )
 @pytest.mark.parametrize("n", [None, 1, 2])
 def test_accepted_language_matches_oracle(text, n):
     assert _outcome(parse_polynomial, text, n) == _outcome(oracle_parse_polynomial, text, n)
+
+
+@st.composite
+def token_texts(draw):
+    """Signs, 'p' and 'p/q' coefficients (with '/0'), site factors with
+    choices 0..3 and repeated sites, glued or spaced, and the odd junk
+    character; whole terms over the first k sites, so that some texts parse."""
+    k = draw(st.integers(1, 3))
+    sign = st.sampled_from("+-")
+    coef = st.builds(
+        lambda p, q: str(p) if q is None else f"{p}/{q}",
+        st.integers(0, 12),
+        st.sampled_from([None, 1, 2, 4, 8, 3, 0]),
+    )
+    site = st.builds("{}{}".format, st.sampled_from("abcd"[: k + 1]), st.sampled_from("1212203"))
+    word = st.permutations("abc"[:k]).flatmap(
+        lambda letters: st.tuples(*(st.sampled_from([f"{c}1", f"{c}2"]) for c in letters))
+    )
+    term = st.builds(
+        lambda *parts: " ".join(filter(None, (*parts[:2], *parts[2]))),
+        st.sampled_from(["+", "-", "+", "-", None]),
+        st.none() | coef,
+        word,
+    )
+    token = st.one_of(term, term, term, sign, coef, site)
+    separator = st.sampled_from(["", " ", " ", " ", " ", "  ", "\t", "\n"])
+    pairs = draw(st.lists(st.tuples(token, separator), max_size=8))
+    text = "".join(tok + sep for tok, sep in pairs)
+    if draw(st.integers(0, 3)) == 0:
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from("#/*.x")) + text[at:]
+    return text
+
+
+@given(token_texts(), st.sampled_from([None, 1, 2, 3]))
+@settings(max_examples=400, deadline=None)
+def test_random_token_sequences_match_oracle(text, n):
+    # the table, or the first error met reading the tokens left to right
+    assert _outcome(parse_polynomial, text, n) == _outcome(oracle_parse_polynomial, text, n)
+
+
+def test_a_digit_run_is_not_split_by_backtracking():
+    # a term scan free to split '111...1' into several coefficients retries
+    # all 2^25 splits before giving up (about 15 s); the token grammar has one
+    start = time.perf_counter()
+    for text in ("1" * 26 + "#", "1/" + "1" * 26 + " #", "a1 + " + "1" * 26 + "/"):
+        assert _outcome(parse_polynomial, text, None) == _outcome(
+            oracle_parse_polynomial, text, None
+        )
+    assert time.perf_counter() - start < 1.0
+
+
+def test_polynomial_text_round_trip_past_the_cache_bounds():
+    # 8,192 monomials at n=13, more site words than the parser caches
+    beta = bell_table_from_id(13, random.Random(13).getrandbits(1 << 13))
+    text = polynomial_string(beta)
+    assert parse_polynomial(text, 13) == beta
+    assert parse_polynomial(text) == beta
+    cache = inequality._monomial.cache_info()
+    assert cache.currsize == cache.maxsize < 1 << 13
+    _assert_codec_matches_oracle(beta)
 
 
 def test_mermin_sign_table_ids():
