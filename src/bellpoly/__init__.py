@@ -10,7 +10,6 @@ from .classical import (
     BOUNDARY_TOL,
     CorrelationVector,
     extreme_point,
-    is_member,
     l1_margin,
     lp_membership,
     spectrum,
@@ -53,7 +52,6 @@ from .quantum import (
     partial_transpose,
     sample_separable,
     simulate_correlations,
-    violation_value,
 )
 from .symmetry import (
     GroupElement,

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .inequality import SignTable
-from .transform import DimensionMismatchError, _butterfly, site_count
+from .transform import DimensionMismatchError, _butterfly, bit_matrix, site_count, word_bits
 
 __all__ = [
     "BOUNDARY_TOL",
@@ -29,7 +29,6 @@ __all__ = [
     "correlation_vector_to_json",
     "correlation_vectors_from_csv",
     "extreme_point",
-    "is_member",
     "l1_margin",
     "lp_membership",
     "spectrum",
@@ -75,11 +74,6 @@ class CorrelationVector:
         return np.asarray(self.xi, dtype=float)
 
 
-def _parity_column(n: int, r: int) -> np.ndarray:
-    s = np.arange(1 << n, dtype=np.uint32)
-    return (np.bitwise_count(s & np.uint32(r)) & 1).astype(np.int8)
-
-
 def extreme_point(n: int, r: int, sign: int = 1) -> CorrelationVector:
     """The deterministic correlation vector xi(s) = sign * (-1)^<r,s>."""
     n, r = site_count(n), operator.index(r)
@@ -87,8 +81,8 @@ def extreme_point(n: int, r: int, sign: int = 1) -> CorrelationVector:
         raise ValueError(f"configuration {r} out of range for n={n}")
     if sign not in (-1, 1):
         raise ValueError("sign must be -1 or +1")
-    xi = sign * (1.0 - 2.0 * _parity_column(n, r))
-    return CorrelationVector(n, tuple(xi))
+    parity = (bit_matrix(n) @ np.frombuffer(word_bits(n, r), np.uint8)) % 2
+    return CorrelationVector(n, tuple(sign * (1.0 - 2.0 * parity)))
 
 
 def spectrum(xi: CorrelationVector) -> np.ndarray:
@@ -99,10 +93,6 @@ def spectrum(xi: CorrelationVector) -> np.ndarray:
 def l1_margin(xi: CorrelationVector) -> float:
     """sum_r |spectrum(xi)[r]|; xi is classical iff the value is <= 1."""
     return float(np.abs(spectrum(xi)).sum())
-
-
-def is_member(xi: CorrelationVector, tol: float = BOUNDARY_TOL) -> bool:
-    return l1_margin(xi) <= 1.0 + tol
 
 
 def witness(xi: CorrelationVector) -> SignTable:
@@ -128,12 +118,9 @@ def lp_membership(xi: CorrelationVector) -> bool:
     n = xi.n
     if n > _LP_MAX_SITES:
         raise ValueError(f"the LP oracle is limited to n <= {_LP_MAX_SITES}")
-    m = 1 << n
-    columns = np.empty((m, 2 * m))
-    for r in range(m):
-        col = 1.0 - 2.0 * _parity_column(n, r)
-        columns[:, 2 * r] = col
-        columns[:, 2 * r + 1] = -col
+    m, bits = 1 << n, bit_matrix(n)
+    signs = 1.0 - 2.0 * ((bits @ bits.T) % 2)  # column r is the extreme point (+r)
+    columns = np.stack([signs, -signs], axis=2).reshape(m, 2 * m)  # (+r, -r) interleaved
     a_eq = np.vstack([columns, np.ones((1, 2 * m))])
     b_eq = np.append(xi.as_array(), 1.0)
     res = linprog(

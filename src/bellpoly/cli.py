@@ -42,7 +42,8 @@ def _signs_from_string(text: str) -> inequality.SignTable:
 
 
 def _emit_rows(rows: list[dict], fmt: str, stream) -> None:
-    if fmt == "csv":
+    """Write rows as JSON lines or as CSV with a header; no rows print nothing."""
+    if fmt == "csv" and rows:
         writer = csv.DictWriter(stream, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         writer.writerows(rows)

@@ -13,7 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .inequality import BellTable, NotExtremalError, signs_from_coefficients
+from .inequality import (
+    BellTable,
+    NotExtremalError,
+    SignTable,
+    coefficients_from_signs,
+    signs_from_coefficients,
+)
 from .transform import MAX_SITES, DyadicVector
 
 __all__ = [
@@ -34,9 +40,10 @@ def chsh_prototype() -> BellTable:
     return BellTable.from_numerators(2, (1, 1, 1, -1), 1)
 
 
-def _require_extremal(beta: BellTable, role: str) -> None:
+def _require_extremal(beta: BellTable, role: str) -> tuple[int, ...]:
+    """The sign table of beta, which must be extremal."""
     try:
-        signs_from_coefficients(beta)
+        return signs_from_coefficients(beta).signs
     except NotExtremalError as exc:
         raise NotExtremalError(f"{role} table is not extremal: {exc}") from exc
 
@@ -48,73 +55,51 @@ def substitute(outer: BellTable, inner: Sequence[BellTable]) -> BellTable:
     (site1/choice0, site1/choice1, site2/choice0, ...); the two tables of
     one outer site must have the same site count.  Site blocks are laid out
     in outer-site order, so absolute sites 1..n_1 come from outer site 1 and
-    so on.  All inputs must be extremal and the result then is as well.
+    so on.  All inputs must be extremal and the result then is as well: at a
+    deterministic point r = (r_1, ..., r_K) the slots of outer site k read
+    a_k(r_k) and a_k(r_k) (-1)^(r'_k), r'_k = [a_k(r_k) != b_k(r_k)], so the
+    result has the signs F(r) = prod_k a_k(r_k) * f(r').
     """
     k_sites = outer.n
     if len(inner) != 2 * k_sites:
         raise ValueError(
             f"expected {2 * k_sites} inner tables (two per outer site), got {len(inner)}"
         )
-    _require_extremal(outer, "outer")
-    for i, table in enumerate(inner):
-        _require_extremal(table, f"inner slot {i}")
+    f = _require_extremal(outer, "outer")
+    slots = [_require_extremal(table, f"inner slot {i}") for i, table in enumerate(inner)]
 
-    block_sizes = []
     for k in range(k_sites):
         a, b = inner[2 * k], inner[2 * k + 1]
         if a.n != b.n:
             raise ValueError(
                 f"slot tables of outer site {k + 1} differ in size: {a.n} vs {b.n}"
             )
-        block_sizes.append(a.n)
-    n_total = sum(block_sizes)
+    n_total = sum(table.n for table in inner[::2])
     if n_total > MAX_SITES:
         raise ValueError(f"site-count overflow: {n_total} > {MAX_SITES}")
 
-    # lift each slot pair to a common power-of-two denominator
-    lifted: list[tuple[int, ...]] = []
-    pair_log_den = []
+    # (prod_k a_k(r_k), r') for every r over the blocks placed so far
+    pairs = [(1, 0)]
     for k in range(k_sites):
-        a, b = inner[2 * k].coefficients, inner[2 * k + 1].coefficients
-        d = max(a.log_denominator, b.log_denominator)
-        lifted.append(tuple(v << (d - a.log_denominator) for v in a.numerators))
-        lifted.append(tuple(v << (d - b.log_denominator) for v in b.numerators))
-        pair_log_den.append(d)
-
-    out = [0] * (1 << n_total)
-    for s in range(1 << k_sites):
-        coeff = outer.coefficients.numerators[s]
-        if coeff == 0:
-            continue
-        part = [coeff]
-        for k in range(k_sites):
-            slot = lifted[2 * k + ((s >> k) & 1)]
-            part = [p * q for q in slot for p in part]
-        for t, v in enumerate(part):
-            out[t] += v
-    log_den = outer.coefficients.log_denominator + sum(pair_log_den)
-    return BellTable(DyadicVector(n_total, tuple(out), log_den))
+        a, b = slots[2 * k], slots[2 * k + 1]
+        pairs = [(x * sign, word | (x != y) << k) for x, y in zip(a, b) for sign, word in pairs]
+    return coefficients_from_signs(SignTable(n_total, tuple(sign * f[word] for sign, word in pairs)))
 
 
 def chsh_decompose(beta: BellTable) -> tuple[BellTable, BellTable]:
     """Split off the last site: (beta(.,0) + beta(.,1), beta(.,0) - beta(.,1)).
 
-    Both halves are extremal on n-1 sites, and wiring them into the two
-    slots of one CHSH site reconstructs beta exactly.
+    These are the coefficient tables of the two halves of the sign table
+    (last site 0 and 1), so both are extremal on n-1 sites, and wiring them
+    into the two slots of one CHSH site reconstructs beta exactly.
     """
     if beta.n < 2:
         raise ValueError("need at least two sites to split one off")
-    _require_extremal(beta, "input")
-    c = beta.coefficients
-    half = 1 << (beta.n - 1)
-    low = c.numerators[:half]
-    high = c.numerators[half:]
-    b0 = tuple(a + b for a, b in zip(low, high))
-    b1 = tuple(a - b for a, b in zip(low, high))
-    d = c.log_denominator
+    f = _require_extremal(beta, "input")
+    half = len(f) // 2
     return (
-        BellTable(DyadicVector(beta.n - 1, b0, d)),
-        BellTable(DyadicVector(beta.n - 1, b1, d)),
+        coefficients_from_signs(SignTable(beta.n - 1, f[:half])),
+        coefficients_from_signs(SignTable(beta.n - 1, f[half:])),
     )
 
 

@@ -3,8 +3,8 @@
 An extremal inequality is parameterized by 2^n signs f(r); its coefficient
 table beta(s) is the normalized Walsh-Hadamard transform of f and is an
 exact dyadic vector with denominator 2^n.  Reading the signs as binary
-digits (f(r) = -1 means bit r of the integer is set, site 1 least
-significant) numbers all 2^(2^n) inequalities 0 .. 2^(2^n)-1.
+digits (the layout of bellpoly.transform) numbers all 2^(2^n) inequalities
+0 .. 2^(2^n)-1.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .transform import (
     DyadicVector,
     site_count,
     walsh_hadamard,
+    word_bits,
 )
 
 __all__ = [
@@ -116,7 +117,7 @@ def id_to_signs(n: int, value: int) -> SignTable:
     value, n = operator.index(value), site_count(n)
     if not 0 <= value < 1 << (1 << n):
         raise ValueError(f"id {value} out of range for n={n}")
-    return SignTable(n, tuple(1 - 2 * ((value >> r) & 1) for r in range(1 << n)))
+    return SignTable(n, tuple(map((1, -1).__getitem__, word_bits(1 << n, value))))
 
 
 def signs_to_id(f: SignTable) -> int:
@@ -167,8 +168,8 @@ def _monomials(n: int) -> tuple[tuple[int, str], ...]:
         names = [(f"{c}1", f"{c}2") for c in _SITE_LETTERS[:n]]
     else:
         names = [(f"A{k + 1}(0)", f"A{k + 1}(1)") for k in range(n)]
-    order = sorted(range(1 << n), key=lambda s: tuple((s >> k) & 1 for k in range(n)))
-    return tuple((s, " ".join(names[k][(s >> k) & 1] for k in range(n))) for s in order)
+    order = sorted((word_bits(n, s), s) for s in range(1 << n))  # by (s_1, s_2, ...)
+    return tuple((s, " ".join(pair[b] for pair, b in zip(names, bits))) for bits, s in order)
 
 
 def _ratio(num: int, d: int) -> str:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .classical import CorrelationVector
 from .inequality import BellTable
-from .transform import MAX_SITES, DimensionMismatchError
+from .transform import MAX_SITES, DimensionMismatchError, bit_matrix, site_count
 
 __all__ = [
     "DensityMatrix",
@@ -42,7 +42,6 @@ __all__ = [
     "sample_separable",
     "simulate_correlations",
     "squared_modulus_and_gradient",
-    "violation_value",
     "xy_observable",
 ]
 
@@ -54,6 +53,9 @@ _TRACE_TOL = 1e-12
 _EIGENVALUE_TOL = 1e-10
 # starts per batched ascent: memory stays O(block * 2^n * n) at every n
 _START_BLOCK = 1024
+_RANDOM_STARTS = 32
+_MAX_ITERATIONS = 500
+_GRADIENT_TOL = 1e-12
 _MAX_HALVINGS = 40
 _HOLD_EPS = 4.0 * np.finfo(float).eps
 
@@ -144,16 +146,9 @@ class DensityMatrix:
 
 
 @lru_cache(maxsize=16)
-def _bit_matrix(n: int) -> np.ndarray:
-    """(2^n, n) matrix of choice bits: row s holds (s_1, ..., s_n)."""
-    s = np.arange(1 << n)
-    return ((s[:, None] >> np.arange(n)[None, :]) & 1).astype(float)
-
-
-@lru_cache(maxsize=16)
 def _bit_pair_matrix(n: int) -> np.ndarray:
     """(2^n, n*n) matrix: row s holds s_j s_k at column j*n + k."""
-    bits = _bit_matrix(n)
+    bits = bit_matrix(n)
     return (bits[:, :, None] * bits[:, None, :]).reshape(1 << n, n * n)
 
 
@@ -162,23 +157,14 @@ def _coefficient_array(beta: BellTable) -> np.ndarray:
     return np.asarray(c.numerators, dtype=float) / (1 << c.log_denominator)
 
 
-def violation_value(beta: BellTable, phases: PhaseVector) -> float:
-    """|sum_s beta(s) prod_k e^(i phi_k s_k)|; the global phase drops out."""
-    if phases.n != beta.n:
-        raise DimensionMismatchError(f"site counts differ: {phases.n} vs {beta.n}")
-    coeffs = _coefficient_array(beta)
-    total = coeffs @ np.exp(1j * (_bit_matrix(beta.n) @ np.asarray(phases.phi)))
-    return float(abs(total))
-
-
 def squared_modulus_and_gradient(
     beta: BellTable, phi: Sequence[float]
 ) -> tuple[float, np.ndarray]:
     """Value and analytic gradient of |T(phi)|^2, T = sum_s beta(s) e^(i phi.s)."""
-    bit_matrix = _bit_matrix(beta.n)
-    weighted = _coefficient_array(beta) * np.exp(1j * (bit_matrix @ np.asarray(phi, float)))
+    bits = bit_matrix(beta.n)
+    weighted = _coefficient_array(beta) * np.exp(1j * (bits @ np.asarray(phi, float)))
     total = weighted.sum()
-    partials = bit_matrix.T @ weighted  # dT/dphi_k = i * partials[k]
+    partials = bits.T @ weighted  # dT/dphi_k = i * partials[k]
     value = float((total * total.conjugate()).real)
     grad = -2.0 * (total.conjugate() * partials).imag
     return value, grad
@@ -204,16 +190,15 @@ class ViolationResult:
 
 def mermin_bound(n: int) -> float:
     """2^((n-1)/2), the overall maximum over all inequalities."""
-    if n < 1:
-        raise ValueError(f"site count must be positive, got {n}")
+    n = site_count(n)
     return 2.0 ** ((n - 1) / 2)
 
 
-def _start_points(n: int, seed: int, random_starts: int) -> np.ndarray:
+def _start_points(n: int, seed: int) -> np.ndarray:
     """Grid {0, pi/2, pi, 3pi/2}^(n-1) and random points over sites 1..n-1."""
     grid = 0.5 * math.pi * np.indices((4,) * (n - 1)).reshape(n - 1, 4 ** (n - 1)).T
     rng = np.random.default_rng(seed)
-    extra = rng.uniform(0.0, TWO_PI, size=(random_starts, n))[:, : n - 1]
+    extra = rng.uniform(0.0, TWO_PI, size=(_RANDOM_STARTS, n))[:, : n - 1]
     return np.vstack([grid, extra])
 
 
@@ -221,7 +206,7 @@ def _seed_last_angle(coeffs: np.ndarray, head: np.ndarray) -> np.ndarray:
     """Append to each row phi' of head its best phi_n: split on s_n,
     T = A(phi') + e^(i phi_n) B(phi'), and |T| = |A| + |B| at arg A - arg B."""
     half = len(coeffs) // 2
-    waves = np.exp(1j * (head @ _bit_matrix(head.shape[1]).T))
+    waves = np.exp(1j * (head @ bit_matrix(head.shape[1]).T))
     last = np.angle(waves @ coeffs[:half]) - np.angle(waves @ coeffs[half:])
     return np.column_stack([head, last])
 
@@ -236,7 +221,7 @@ def _ascent_terms(
     2 Re(conj(P_j) P_k) - 2 Re(conj(T) sum_s W_s s_j s_k).
     """
     starts, n = phi.shape
-    bits = _bit_matrix(n)
+    bits = bit_matrix(n)
     weighted = coeffs * np.exp(1j * (phi @ bits.T))
     total = weighted.sum(axis=1)
     partials = weighted @ bits
@@ -248,24 +233,22 @@ def _ascent_terms(
     return value, grad, hess
 
 
-def _newton_ascent(
-    coeffs: np.ndarray, phi: np.ndarray, max_iterations: int, gradient_tol: float
-) -> tuple[np.ndarray, np.ndarray, int]:
+def _newton_ascent(coeffs: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """Saddle-free Newton ascent of |T|^2 from every row of phi at once.
 
     The step is |H|^-1 g, with the Hessian's eigenvalues taken by absolute
     value (floored at 1e-8 of the largest), so it climbs out of saddles.  It
     is halved until |T|^2 rises, or until |T|^2 holds within rounding and the
     gradient shrinks.  A start stops at its gradient tolerance, when no
-    halving is accepted, or after max_iterations steps.  Returns the final
+    halving is accepted, or after _MAX_ITERATIONS steps.  Returns the final
     |T|^2, the final angles and the number of steps taken over all starts.
     """
     phi = phi.copy()
     value, grad, hess = _ascent_terms(coeffs, phi)
     grad_norm = np.linalg.norm(grad, axis=1)
-    active = np.flatnonzero(grad_norm > gradient_tol)
+    active = np.flatnonzero(grad_norm > _GRADIENT_TOL)
     steps = 0
-    for _ in range(max_iterations):
+    for _ in range(_MAX_ITERATIONS):
         if not active.size:
             break
         eigvals, eigvecs = np.linalg.eigh(hess[active])
@@ -291,22 +274,15 @@ def _newton_ascent(
                 break
         moved = np.concatenate(accepted)
         steps += moved.size
-        active = moved[grad_norm[moved] > gradient_tol]
+        active = moved[grad_norm[moved] > _GRADIENT_TOL]
     return value, phi, steps
 
 
-def max_violation(
-    beta: BellTable,
-    *,
-    seed: int = 0,
-    random_starts: int = 32,
-    max_iterations: int = 500,
-    gradient_tol: float = 1e-12,
-) -> ViolationResult:
-    """Global maximum of violation_value over the torus of site angles.
+def max_violation(beta: BellTable, *, seed: int = 0) -> ViolationResult:
+    """Global maximum of |T(phi)| = |sum_s beta(s) e^(i phi.s)| over the torus of site angles.
 
     Multi-start saddle-free Newton ascent on the squared modulus |T|^2: the
-    starts are the grid {0, pi/2, pi, 3pi/2}^(n-1) plus `random_starts`
+    starts are the grid {0, pi/2, pi, 3pi/2}^(n-1) plus `_RANDOM_STARTS`
     seeded random points over sites 1..n-1, each with the phi_n that
     maximizes |T| given them (`_seed_last_angle`).  All of them climb over
     all n angles at once in blocks of `_START_BLOCK`, using the exact
@@ -319,11 +295,11 @@ def max_violation(
     if not any(beta.coefficients.numerators):
         raise ValueError("the zero table has no violation to maximize")
     coeffs = _coefficient_array(beta)
-    starts = _start_points(beta.n, seed, random_starts)
+    starts = _start_points(beta.n, seed)
     values, phis, iterations = [], [], 0
     for lo in range(0, len(starts), _START_BLOCK):
         block = _seed_last_angle(coeffs, starts[lo : lo + _START_BLOCK])
-        value, phi, steps = _newton_ascent(coeffs, block, max_iterations, gradient_tol)
+        value, phi, steps = _newton_ascent(coeffs, block)
         values.append(value)
         phis.append(phi)
         iterations += steps
@@ -332,7 +308,7 @@ def max_violation(
     best_phi = np.concatenate(phis)[best]
     best_value, grad = squared_modulus_and_gradient(beta, best_phi)
     gradient_norm = float(np.linalg.norm(grad))
-    total = coeffs @ np.exp(1j * (_bit_matrix(beta.n) @ best_phi))
+    total = coeffs @ np.exp(1j * (bit_matrix(beta.n) @ best_phi))
     return ViolationResult(
         value=float(math.sqrt(max(best_value, 0.0))),
         phases=PhaseVector(-float(np.angle(total)), tuple(best_phi)),
@@ -346,7 +322,7 @@ def max_violation(
 
 def extreme_point_q(phases: PhaseVector) -> CorrelationVector:
     """The quantum-body extreme point xi(s) = cos(phi0 + sum_k phi_k s_k)."""
-    angles = phases.phi0 + _bit_matrix(phases.n) @ np.asarray(phases.phi)
+    angles = phases.phi0 + bit_matrix(phases.n) @ np.asarray(phases.phi)
     return CorrelationVector(phases.n, np.cos(angles).tolist())
 
 
@@ -448,17 +424,13 @@ def bell_operator_norm_exact(
     dense = _dense_bell_operator(coeffs, pairs)
     norm_dense = float(np.linalg.svd(dense, compute_uv=False)[0])
 
-    eigenvalues = [np.linalg.eigvals(b @ a) for a, b in pairs]
-    best = 0.0
-    bits = _bit_matrix(n).astype(int)
-    for pick in range(1 << n):
-        gammas = np.array(
-            [eigenvalues[k][(pick >> k) & 1] for k in range(n)], dtype=complex
-        )
-        factors = np.prod(
-            np.where(bits.astype(bool), gammas[None, :], 1.0), axis=1
-        )
-        best = max(best, float(abs(coeffs @ factors)))
+    # values[p] = sum_s beta(s) prod_k gamma_k(p_k)^(s_k), one site at a time:
+    # contract the low bit (s_k) with [1, gamma_k], then put p_k on top
+    values = coeffs.astype(complex)
+    for a, b in pairs:
+        powers = np.stack([np.ones(2), np.linalg.eigvals(b @ a)])
+        values = (values.reshape(-1, 2) @ powers).T.ravel()
+    best = float(np.abs(values).max())
 
     if abs(best - norm_dense) > 1e-8:
         raise NormCrossCheckError(

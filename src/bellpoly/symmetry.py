@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .inequality import SignTable, signs_to_id
-from .transform import DimensionMismatchError
+from .transform import DimensionMismatchError, bit_matrix, site_count, word_bits
 
 __all__ = [
     "GroupElement",
@@ -32,14 +32,10 @@ __all__ = [
     "OrbitRecord",
     "apply",
     "classify_all",
-    "compose",
     "group_order",
-    "identity",
-    "inverse",
     "orbit",
     "orbit_of_id",
     "permute_word",
-    "random_element",
 ]
 
 MAX_ORBIT_SITES = 6
@@ -48,8 +44,7 @@ MAX_CENSUS_SITES = 4
 
 def group_order(n: int) -> int:
     """|G| = n! * 2^(2n+1)."""
-    if n < 1:
-        raise ValueError(f"site count must be positive, got {n}")
+    n = site_count(n)
     return math.factorial(n) << (2 * n + 1)
 
 
@@ -93,39 +88,6 @@ class GroupElement:
         return len(self.perm)
 
 
-def identity(n: int) -> GroupElement:
-    return GroupElement(tuple(range(n)), 0, 0, 1)
-
-
-def compose(g1: GroupElement, g2: GroupElement) -> GroupElement:
-    """The element acting as g2 first, then g1: apply(compose(g1, g2), f) ==
-    apply(g1, apply(g2, f))."""
-    if g1.n != g2.n:
-        raise DimensionMismatchError(f"site counts differ: {g1.n} vs {g2.n}")
-    perm = tuple(g2.perm[p] for p in g1.perm)
-    r0 = permute_word(g1.r0, g2.perm) ^ g2.r0
-    s0 = permute_word(g1.s0, g2.perm) ^ g2.s0
-    parity = (g2.s0 & permute_word(g1.r0, g2.perm)).bit_count() & 1
-    sign = g1.sign * g2.sign * (-1 if parity else 1)
-    return GroupElement(perm, r0, s0, sign)
-
-
-def inverse(g: GroupElement) -> GroupElement:
-    inv_perm = tuple(g.perm.index(j) for j in range(g.n))
-    r0 = permute_word(g.r0, inv_perm)
-    s0 = permute_word(g.s0, inv_perm)
-    parity = (g.s0 & g.r0).bit_count() & 1
-    return GroupElement(inv_perm, r0, s0, g.sign * (-1 if parity else 1))
-
-
-def random_element(n: int, rng: np.random.Generator) -> GroupElement:
-    perm = tuple(int(p) for p in rng.permutation(n))
-    r0 = int(rng.integers(0, 1 << n))
-    s0 = int(rng.integers(0, 1 << n))
-    sign = 1 if rng.integers(0, 2) == 0 else -1
-    return GroupElement(perm, r0, s0, sign)
-
-
 def apply(g: GroupElement, f: SignTable) -> SignTable:
     """Transform a sign table; the group law and inverses hold exactly."""
     if g.n != f.n:
@@ -144,12 +106,8 @@ def apply(g: GroupElement, f: SignTable) -> SignTable:
 @lru_cache(maxsize=8)
 def _perm_maps(n: int) -> np.ndarray:
     """(n!, 2^n) gather maps: row p holds pi_p(r) for each r."""
-    size = 1 << n
-    perms = list(itertools.permutations(range(n)))
-    maps = np.empty((len(perms), size), dtype=np.uint16)
-    for i, p in enumerate(perms):
-        maps[i] = [permute_word(r, p) for r in range(size)]
-    return maps
+    targets = np.left_shift(1, list(itertools.permutations(range(n))))  # 2^perm[j]
+    return (targets @ bit_matrix(n).T).astype(np.uint16)
 
 
 @lru_cache(maxsize=8)
@@ -164,16 +122,11 @@ def _action_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     shifts = np.arange(size, dtype=np.uint16)
     gather = (pmaps[:, None, :] ^ shifts[None, :, None]).reshape(-1, size)
     weights = np.left_shift(np.uint64(1), np.arange(size, dtype=np.uint64))
-    words = np.arange(size, dtype=np.uint32)
-    parities = (np.bitwise_count(words[:, None] & words[None, :]) & 1).astype(np.uint64)
-    linear = parities @ weights
-    full = np.uint64((1 << size) - 1) if size < 64 else np.uint64(0xFFFFFFFFFFFFFFFF)
+    bits = bit_matrix(n)
+    linear = ((bits @ bits.T) % 2).astype(np.uint64) @ weights
+    full = np.uint64((1 << size) - 1)
     masks = np.concatenate([linear, linear ^ full])
     return gather, weights, masks
-
-
-def _unpack_bits(n: int, table_id: int) -> np.ndarray:
-    return np.array([(table_id >> r) & 1 for r in range(1 << n)], dtype=np.uint64)
 
 
 def _sorted_unique(words: np.ndarray) -> np.ndarray:
@@ -189,7 +142,8 @@ def _sorted_unique(words: np.ndarray) -> np.ndarray:
 def _orbit_ids(n: int, table_id: int) -> np.ndarray:
     """Sorted unique ids of the full G-orbit of one packed table."""
     gather, weights, masks = _action_tables(n)
-    bits = _unpack_bits(n, table_id)
+    # uint64 before the gather, or the matmul casts all n! 2^n gathered rows
+    bits = np.frombuffer(word_bits(1 << n, table_id), np.uint8).astype(np.uint64)
     packed = _sorted_unique(bits[gather] @ weights)
     return _sorted_unique(np.bitwise_xor.outer(packed, masks).ravel())
 
@@ -222,13 +176,11 @@ class OrbitRecord:
 
 def orbit(f: SignTable) -> Orbit:
     """Sweep the whole group over one table (feasible up to n = 6)."""
-    if f.n > MAX_ORBIT_SITES:
-        raise ValueError(f"orbit sweeps are limited to n <= {MAX_ORBIT_SITES}")
     return orbit_of_id(f.n, signs_to_id(f))
 
 
 def orbit_of_id(n: int, table_id: int) -> Orbit:
-    if n > MAX_ORBIT_SITES:
+    if site_count(n) > MAX_ORBIT_SITES:
         raise ValueError(f"orbit sweeps are limited to n <= {MAX_ORBIT_SITES}")
     ids = _orbit_ids(n, table_id)
     ids.flags.writeable = False
@@ -244,17 +196,13 @@ def _orbit_flags(n: int, member_ids: np.ndarray) -> tuple[bool, bool]:
     cuts to cuts; XOR shifts and sign characters factor over any cut), so
     the second flag is decided by one member.
     """
-    shells = [0] * (n + 1)
-    for r in range(1 << n):
-        shells[r.bit_count()] |= 1 << r
-    symmetric = np.array(
-        [sum(s for w, s in enumerate(shells) if pick >> w & 1) for pick in range(2 << n)],
-        dtype=np.uint64,
-    )
+    _, weights, _ = _action_tables(n)
+    weight = bit_matrix(n).sum(axis=1).astype(int)
+    symmetric = bit_matrix(n + 1)[:, weight].astype(np.uint64) @ weights
     idx = np.minimum(np.searchsorted(member_ids, symmetric), len(member_ids) - 1)
     perm_invariant = bool((member_ids[idx] == symmetric).any())
 
-    bits = _unpack_bits(n, int(member_ids[0]))
+    bits = np.frombuffer(word_bits(1 << n, int(member_ids[0])), np.uint8)
     size = 1 << n
     words = np.arange(size)
     for t in range(1, size - 1, 2):  # cuts with site 1 on the left (complements match)
@@ -270,7 +218,7 @@ def classify_all(n: int) -> list[OrbitRecord]:
 
     Returns records sorted by canonical id; sizes add up to 2^(2^n).
     """
-    if n > MAX_CENSUS_SITES:
+    if site_count(n) > MAX_CENSUS_SITES:
         raise ValueError(f"the exhaustive census is limited to n <= {MAX_CENSUS_SITES}")
     total = 1 << (1 << n)
     seen = np.zeros(total, dtype=bool)

@@ -1,22 +1,31 @@
-"""The exact Walsh-Hadamard transform over Z_2^n and dyadic coefficient vectors.
+"""The bit layout, the exact Walsh-Hadamard transform over Z_2^n, and dyadic vectors.
 
-Every table in this package is indexed by n-bit words, with the entry for
-site k stored in bit k-1 (site 1 is least significant).  The transform
-kernel is (-1)^<r,s> with <r,s> = sum_k r_k s_k mod 2.  walsh_hadamard is
-exact integer arithmetic; its butterfly is the package's only transform and
-also computes the float spectrum of a correlation vector.
+This module alone fixes the bit layout: every table is indexed by n-bit
+words r or s with site k in bit k-1 (site 1 least significant), and bit r of
+an inequality id is set exactly when f(r) = -1; bit_matrix and word_bits are
+its two views.  The one deliberate exception is the basis index of a qubit
+state, which puts site 1 in the most significant bit, as np.kron does
+(simulate_correlations, partial_transpose).  The transform kernel is
+(-1)^<r,s> with <r,s> = sum_k r_k s_k mod 2.  walsh_hadamard is exact integer
+arithmetic; its butterfly is the package's only transform and also computes
+the float spectrum of a correlation vector.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
+
+import numpy as np
 
 __all__ = [
     "DimensionMismatchError",
     "DyadicVector",
+    "bit_matrix",
     "walsh_hadamard",
+    "word_bits",
 ]
 
 MAX_SITES = 31
@@ -32,6 +41,22 @@ def site_count(n: int) -> int:
     if not 1 <= n <= MAX_SITES:
         raise ValueError(f"site count must be in 1..{MAX_SITES}, got {n}")
     return n
+
+
+@lru_cache(maxsize=16)
+def bit_matrix(n: int) -> np.ndarray:
+    """Read-only (2^n, n) float table whose row s holds (s_1, ..., s_n); n may be 0."""
+    bits = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(float)
+    bits.flags.writeable = False
+    return bits
+
+
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def word_bits(m: int, word: int) -> bytes:
+    """Bits 0..m-1 of a word >= 0, low bit first, as bytes of 0s and 1s (ints when iterated)."""
+    return f"{word:0{m}b}"[: -m - 1 : -1].encode().translate(_DIGIT_VALUES)
 
 
 def walsh_hadamard(values: Sequence[int]) -> list[int]:

@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 
 from bellpoly.classical import (
+    BOUNDARY_TOL,
     CorrelationVector,
     correlation_vector_from_json,
     correlation_vector_to_json,
     correlation_vectors_from_csv,
     extreme_point,
-    is_member,
     l1_margin,
     lp_membership,
     spectrum,
@@ -85,7 +85,7 @@ def test_margin_examples():
     assert l1_margin(extreme_point(3, 5, -1)) == pytest.approx(1.0, abs=1e-14)
     assert l1_margin(GHZ_MERMIN) == pytest.approx(2.0, abs=1e-14)
     assert l1_margin(CorrelationVector(2, (0, 0, 0, 0))) == 0.0
-    assert not is_member(GHZ_MERMIN)
+    assert l1_margin(GHZ_MERMIN) > 1.0 + BOUNDARY_TOL
 
 
 def test_margin_homogeneity():

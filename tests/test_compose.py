@@ -22,6 +22,7 @@ from bellpoly.inequality import (
     signs_to_id,
     signs_from_coefficients,
 )
+from bellpoly.transform import DyadicVector
 
 MERMIN3 = BellTable.from_numerators(3, (0, 1, 1, 0, 1, 0, 0, -1), 1)
 A1 = BellTable.from_numerators(1, (1, 0), 0)
@@ -42,6 +43,35 @@ def reference_nesting(beta: BellTable):
         return SINGLE_SITE_LEAVES[beta]
     b0, b1 = chsh_decompose(beta)
     return NestingNode(a0=reference_nesting(b0), a1=reference_nesting(b1))
+
+
+def expanded_substitute(outer: BellTable, inner: list[BellTable]) -> BellTable:
+    """substitute by expanding the coefficient products, the independent oracle.
+
+    Each slot pair is lifted to a common power-of-two denominator; every
+    nonzero outer term beta(s) then multiplies out the tables in its slots.
+    Assumes valid, extremal inputs.
+    """
+    k_sites = outer.n
+    lifted, log_den = [], outer.coefficients.log_denominator
+    for k in range(k_sites):
+        a, b = inner[2 * k].coefficients, inner[2 * k + 1].coefficients
+        d = max(a.log_denominator, b.log_denominator)
+        lifted.append(tuple(v << (d - a.log_denominator) for v in a.numerators))
+        lifted.append(tuple(v << (d - b.log_denominator) for v in b.numerators))
+        log_den += d
+    n_total = sum(table.n for table in inner[::2])
+    out = [0] * (1 << n_total)
+    for s, coeff in enumerate(outer.coefficients.numerators):
+        if coeff == 0:
+            continue
+        part = [coeff]
+        for k in range(k_sites):
+            slot = lifted[2 * k + ((s >> k) & 1)]
+            part = [p * q for q in slot for p in part]
+        for t, v in enumerate(part):
+            out[t] += v
+    return BellTable(DyadicVector(n_total, tuple(out), log_den))
 
 
 def chsh_shell(b0: BellTable, b1: BellTable) -> BellTable:
@@ -120,6 +150,41 @@ def test_substitution_extremality_closure_random():
                     bell_table_from_id(size, int(rng.integers(0, 1 << (1 << size))))
                 )
         assert is_extremal(substitute(outer, inner))
+
+
+def test_substitute_matches_the_coefficient_expansion():
+    """Sign-space substitution against the product expansion on 2,400 seeded cases."""
+    rng = np.random.default_rng(2024)
+    checked = 0
+    while checked < 2400:
+        outer_sites = int(rng.integers(1, 4))
+        sizes = [int(rng.integers(1, 4)) for _ in range(outer_sites)]
+        if sum(sizes) > 8:
+            continue
+        outer = bell_table_from_id(outer_sites, int(rng.integers(0, 1 << (1 << outer_sites))))
+        inner = [
+            bell_table_from_id(size, int(rng.integers(0, 1 << (1 << size))))
+            for size in sizes
+            for _ in range(2)
+        ]
+        assert substitute(outer, inner) == expanded_substitute(outer, inner)
+        checked += 1
+
+
+def test_chsh_decompose_matches_the_coefficient_halves():
+    """Sign-table halves against beta(., 0) +- beta(., 1) on every n=2..3 table and n=4..8 samples."""
+    rng = np.random.default_rng(11)
+    cases = [(n, v) for n in (2, 3) for v in range(1 << (1 << n))]
+    cases += [(n, int.from_bytes(rng.bytes(1 << (n - 3)), "little")) for n in range(4, 9) for _ in range(40)]
+    for n, value in cases:
+        beta = bell_table_from_id(n, value)
+        c, half = beta.coefficients, 1 << (n - 1)
+        low, high = c.numerators[:half], c.numerators[half:]
+        expected = tuple(
+            BellTable(DyadicVector(n - 1, tuple(op(x, y) for x, y in zip(low, high)), c.log_denominator))
+            for op in (int.__add__, int.__sub__)
+        )
+        assert chsh_decompose(beta) == expected
 
 
 def test_full_nesting_chsh_depth_one():

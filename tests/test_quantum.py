@@ -27,7 +27,6 @@ from bellpoly.quantum import (
     sample_separable,
     simulate_correlations,
     squared_modulus_and_gradient,
-    violation_value,
     xy_observable,
 )
 from bellpoly import quantum
@@ -39,11 +38,19 @@ from bellpoly.quantum import (
     _seed_last_angle,
 )
 from bellpoly.symmetry import classify_all
-from bellpoly.transform import DimensionMismatchError
+from bellpoly.transform import DimensionMismatchError, bit_matrix
 
 CHSH = BellTable.from_numerators(2, (1, 1, 1, -1), 1)
 MERMIN3 = BellTable.from_numerators(3, (0, 1, 1, 0, 1, 0, 0, -1), 1)
 HALF_PI = math.pi / 2
+
+
+def violation_value(beta: BellTable, phases: PhaseVector) -> float:
+    """|sum_s beta(s) prod_k e^(i phi_k s_k)|; the global phase drops out."""
+    if phases.n != beta.n:
+        raise DimensionMismatchError(f"site counts differ: {phases.n} vs {beta.n}")
+    total = _coefficient_array(beta) @ np.exp(1j * (bit_matrix(beta.n) @ np.asarray(phases.phi)))
+    return float(abs(total))
 
 
 def random_extremal(rng, n):
@@ -160,8 +167,11 @@ def test_mermin_bound_values():
     assert mermin_bound(2) == pytest.approx(math.sqrt(2))
     assert mermin_bound(3) == pytest.approx(2.0)
     assert mermin_bound(6) == pytest.approx(2.0**2.5)
-    with pytest.raises(ValueError):
-        mermin_bound(0)
+    for n in (0, 32):
+        with pytest.raises(ValueError, match="site count must be in 1..31"):
+            mermin_bound(n)
+    with pytest.raises(TypeError):
+        mermin_bound(2.5)
 
 
 @pytest.mark.parametrize(
@@ -294,8 +304,8 @@ def test_ascent_hessian_matches_finite_differences(n):
 
 
 def test_max_violation_reports_its_search():
-    result = max_violation(MERMIN3, seed=3, random_starts=10)
-    assert result.starts == 4**2 + 10
+    result = max_violation(MERMIN3, seed=3)
+    assert result.starts == 4**2 + 32
     assert 1 <= result.starts_at_best <= result.starts
     assert result.iterations > 0
     # the search counters default, so older constructions still work
@@ -304,16 +314,16 @@ def test_max_violation_reports_its_search():
 
 
 def test_max_violation_n1_tables():
-    """No grid sites at n = 1: one empty grid point plus the random starts.
+    """No grid sites at n = 1: one empty grid point plus the 32 random starts.
 
     The four extremal tables have A or B zero; (1/2, -1/2) has both nonzero.
     """
     tables = [bell_table_from_id(1, i) for i in range(4)]
     for beta in tables + [BellTable.from_numerators(1, (1, -1), 1)]:
-        result = max_violation(beta, seed=4, random_starts=5)
+        result = max_violation(beta, seed=4)
         assert result.value == pytest.approx(1.0, abs=1e-12)
         assert result.converged
-        assert result.starts == 1 + 5
+        assert result.starts == 1 + 32
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

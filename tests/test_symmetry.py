@@ -16,30 +16,75 @@ from bellpoly.inequality import (
 )
 from bellpoly.symmetry import (
     GroupElement,
+    _perm_maps,
     apply,
     classify_all,
-    compose,
     group_order,
-    identity,
-    inverse,
     orbit,
     orbit_of_id,
     permute_word,
-    random_element,
 )
 from bellpoly.transform import DimensionMismatchError
 
 
+# The group algebra: the law and inverses that apply must obey.
+
+
+def identity(n: int) -> GroupElement:
+    return GroupElement(tuple(range(n)), 0, 0, 1)
+
+
+def compose(g1: GroupElement, g2: GroupElement) -> GroupElement:
+    """The element acting as g2 first, then g1: apply(compose(g1, g2), f) ==
+    apply(g1, apply(g2, f))."""
+    if g1.n != g2.n:
+        raise DimensionMismatchError(f"site counts differ: {g1.n} vs {g2.n}")
+    perm = tuple(g2.perm[p] for p in g1.perm)
+    r0 = permute_word(g1.r0, g2.perm) ^ g2.r0
+    s0 = permute_word(g1.s0, g2.perm) ^ g2.s0
+    parity = (g2.s0 & permute_word(g1.r0, g2.perm)).bit_count() & 1
+    sign = g1.sign * g2.sign * (-1 if parity else 1)
+    return GroupElement(perm, r0, s0, sign)
+
+
+def inverse(g: GroupElement) -> GroupElement:
+    inv_perm = tuple(g.perm.index(j) for j in range(g.n))
+    r0 = permute_word(g.r0, inv_perm)
+    s0 = permute_word(g.s0, inv_perm)
+    parity = (g.s0 & g.r0).bit_count() & 1
+    return GroupElement(inv_perm, r0, s0, g.sign * (-1 if parity else 1))
+
+
+def random_element(n: int, rng: np.random.Generator) -> GroupElement:
+    perm = tuple(int(p) for p in rng.permutation(n))
+    r0 = int(rng.integers(0, 1 << n))
+    s0 = int(rng.integers(0, 1 << n))
+    sign = 1 if rng.integers(0, 2) == 0 else -1
+    return GroupElement(perm, r0, s0, sign)
+
+
 def test_group_order_table():
     assert [group_order(n) for n in (2, 3, 4, 5)] == [64, 768, 12288, 245760]
-    with pytest.raises(ValueError):
-        group_order(0)
+    for n in (0, 32):
+        with pytest.raises(ValueError, match="site count must be in 1..31"):
+            group_order(n)
+    with pytest.raises(TypeError):
+        group_order(2.5)
 
 
 def test_permute_word_routes_bits():
     # send bit 0 to bit 2, bit 1 to bit 0, bit 2 to bit 1
     assert permute_word(0b001, (2, 0, 1)) == 0b100
     assert permute_word(0b110, (2, 0, 1)) == 0b011
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_perm_maps_match_permute_word(n):
+    maps = _perm_maps(n)
+    perms = list(itertools.permutations(range(n)))
+    assert maps.shape == (len(perms), 1 << n)
+    for row, perm in zip(maps, perms):
+        assert row.tolist() == [permute_word(r, perm) for r in range(1 << n)]
 
 
 def test_group_element_validation():
@@ -119,8 +164,15 @@ def test_orbit_of_mermin_n4():
 def test_orbit_rejects_large_n():
     with pytest.raises(ValueError):
         orbit_of_id(7, 0)
+    with pytest.raises(ValueError, match="limited to n <= 6"):
+        orbit(id_to_signs(7, 0))
     with pytest.raises(ValueError):
         classify_all(5)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="site count must be in 1..31"):
+            orbit_of_id(n, 0)
+        with pytest.raises(ValueError, match="site count must be in 1..31"):
+            classify_all(n)
 
 
 def test_census_n2():

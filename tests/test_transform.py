@@ -1,10 +1,18 @@
-"""Transform layer: the exact butterfly and dyadic vectors."""
+"""Transform layer: the bit layout, the exact butterfly and dyadic vectors."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellpoly.transform import DimensionMismatchError, DyadicVector, walsh_hadamard
+from bellpoly.inequality import SignTable, id_to_signs, signs_to_id
+from bellpoly.transform import (
+    DimensionMismatchError,
+    DyadicVector,
+    bit_matrix,
+    walsh_hadamard,
+    word_bits,
+)
 
 
 def naive_transform(values):
@@ -86,3 +94,39 @@ def test_dyadic_validation():
         DyadicVector(2, (1, 2, 3, 4), -1)
     with pytest.raises(TypeError):
         DyadicVector(1, (0.5, 1), 1)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_bit_matrix_matches_a_per_bit_loop(n):
+    bits = bit_matrix(n)
+    expected = [[float((s >> k) & 1) for k in range(n)] for s in range(1 << n)]
+    assert bits.shape == (1 << n, n) and bits.dtype == float
+    assert bits.tolist() == expected
+    assert not bits.flags.writeable
+    with pytest.raises(ValueError):
+        bits[...] = 0.0
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_word_bits_match_a_per_bit_loop(n):
+    rng = np.random.default_rng(n)
+    words = [0, (1 << n) - 1, *(int(w) for w in rng.integers(0, 1 << n, size=20))]
+    for word in words:
+        assert list(word_bits(n, word)) == [(word >> k) & 1 for k in range(n)]
+    # wider words keep only their low bits, and row s of bit_matrix is word_bits(n, s)
+    assert word_bits(n, (5 << n) | 1) == word_bits(n, 1)
+    assert bit_matrix(n).tolist() == [list(map(float, word_bits(n, s))) for s in range(1 << n)]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_word_bits_agree_with_signs_to_id(n):
+    """Bit r of an id is set exactly where f(r) = -1, in both directions."""
+    rng = np.random.default_rng(100 + n)
+    m = 1 << n
+    for _ in range(25):
+        value = int.from_bytes(rng.bytes((m + 7) // 8), "little") & ((1 << m) - 1)
+        bits = word_bits(m, value)
+        assert signs_to_id(SignTable(n, tuple(1 - 2 * b for b in bits))) == value
+        assert id_to_signs(n, value).signs == tuple(1 - 2 * b for b in bits)
+        signs = tuple(int(v) for v in rng.choice((-1, 1), size=m))
+        assert list(word_bits(m, signs_to_id(SignTable(n, signs)))) == [int(v < 0) for v in signs]
