@@ -2,20 +2,18 @@
 
 The group combines observable swaps (XOR shifts of the argument), outcome
 sign flips (linear sign characters), site permutations and a global sign;
-its order is n! * 2^(2n+1).  On packed table words the action is a bit
-permutation followed by an XOR mask, which lets a full group sweep over one
-table run as a handful of numpy gathers even at n=6 (5.9 million elements).
-The image words are deduplicated by sorting them and comparing neighbours:
-the orbit of a generic n=6 table (all 5.9 million images distinct) takes
-about 0.25 s and 90 MB on one core of a shared 2-core x86 host.  The census
-flags come from orbit invariants, not from a scan of every member: the
-permutation-invariant tables are looked up among the sorted member ids, and
-factorizing is tested on one member, since the group preserves product form.
+its order is n! * 2^(2n+1).  On packed table words a site transposition is
+one delta swap and an XOR shift one block swap, so the n! 2^n images of a
+word take n(n+1)/2 array passes.  The sign flips XOR in a codeword of the
+Reed-Muller code RM(1, n), which every element maps onto itself: an orbit is
+a disjoint union of its cosets, found by deduplicating the images' coset
+minima.  The census flags come from orbit invariants, not a scan of every
+member: the permutation-invariant tables are looked up among the sorted
+members, and factorizing is tested on one, as the group keeps product form.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -75,10 +73,9 @@ class GroupElement:
         n = len(perm)
         if sorted(perm) != list(range(n)):
             raise ValueError(f"{perm} is not a permutation of 0..{n - 1}")
-        if not 0 <= self.r0 < 1 << n:
-            raise ValueError(f"r0={self.r0} out of range for n={n}")
-        if not 0 <= self.s0 < 1 << n:
-            raise ValueError(f"s0={self.s0} out of range for n={n}")
+        for name, word in (("r0", self.r0), ("s0", self.s0)):
+            if not 0 <= word < 1 << n:
+                raise ValueError(f"{name}={word} out of range for n={n}")
         if self.sign not in (-1, 1):
             raise ValueError("global sign must be -1 or +1")
         object.__setattr__(self, "perm", perm)
@@ -92,60 +89,70 @@ def apply(g: GroupElement, f: SignTable) -> SignTable:
     """Transform a sign table; the group law and inverses hold exactly."""
     if g.n != f.n:
         raise DimensionMismatchError(f"site counts differ: {g.n} vs {f.n}")
-    size = 1 << f.n
-    out = []
-    for r in range(size):
-        pr = permute_word(r, g.perm)
-        v = f.signs[pr ^ g.r0]
-        if (g.s0 & pr).bit_count() & 1:
-            v = -v
-        out.append(g.sign * v)
+    s0, r0, sign, signs = g.s0, g.r0, g.sign, f.signs
+    pr = [permute_word(r, g.perm) for r in range(1 << f.n)]
+    out = ((-sign if (s0 & p).bit_count() & 1 else sign) * signs[p ^ r0] for p in pr)
     return SignTable(f.n, tuple(out))
 
 
 @lru_cache(maxsize=8)
-def _perm_maps(n: int) -> np.ndarray:
-    """(n!, 2^n) gather maps: row p holds pi_p(r) for each r."""
-    targets = np.left_shift(1, list(itertools.permutations(range(n))))  # 2^perm[j]
-    return (targets @ bit_matrix(n).T).astype(np.uint16)
+def _sign_code(n: int) -> tuple[tuple[int, ...], tuple[int, ...], np.ndarray]:
+    """The site characters (word k has bit r set iff bit k of r is) and the code they
+    span with the all-ones word, RM(1, n): the XOR masks of the outcome flips and the
+    global sign.  Returns the characters, a reduced echelon basis (each leading bit
+    clear in the other words) and all codewords, in the least unsigned dtype that
+    holds a 2^n-bit word."""
+    x = tuple(sum(1 << r for r in range(1 << n) if r >> k & 1) for k in range(n))
+    basis: list[int] = []
+    for v in ((1 << (1 << n)) - 1, *x):
+        for b in basis:
+            v = min(v, v ^ b)
+        basis = [min(b, b ^ v) for b in basis] + [v]
+    codewords = np.zeros(1, dtype=f"u{max(1, (1 << n) >> 3)}")
+    for b in basis:
+        codewords = np.concatenate([codewords, codewords ^ b])
+    codewords.flags.writeable = False
+    return x, tuple(basis), codewords
 
 
-@lru_cache(maxsize=8)
-def _action_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gather maps (one per (perm, r0)) and XOR masks (one per (s0, sign)).
-
-    Together they realize the full group action on packed table words: the
-    image ids of table b are {pack(b o idx) ^ mask}.
-    """
-    size = 1 << n
-    pmaps = _perm_maps(n)
-    shifts = np.arange(size, dtype=np.uint16)
-    gather = (pmaps[:, None, :] ^ shifts[None, :, None]).reshape(-1, size)
-    weights = np.left_shift(np.uint64(1), np.arange(size, dtype=np.uint64))
-    bits = bit_matrix(n)
-    linear = ((bits @ bits.T) % 2).astype(np.uint64) @ weights
-    full = np.uint64((1 << size) - 1)
-    masks = np.concatenate([linear, linear ^ full])
-    return gather, weights, masks
+def _swap_sites(words: np.ndarray, n: int, i: int, j: int) -> np.ndarray:
+    """Images under the transposition of site bits i < j, as one delta swap."""
+    x, delta = _sign_code(n)[0], (1 << j) - (1 << i)
+    t = ((words >> delta) ^ words) & (x[i] & ~x[j])  # bit r with r_i = 1, r_j = 0
+    return words ^ t ^ (t << delta)
 
 
-def _sorted_unique(words: np.ndarray) -> np.ndarray:
-    """Sort words in place and keep each one that differs from its predecessor."""
-    # Not np.unique: numpy 2.4 dedupes uint64 through a hash table, ~40x slower here.
-    words.sort()
-    keep = np.empty(len(words), dtype=bool)
-    keep[0] = True
-    np.not_equal(words[1:], words[:-1], out=keep[1:])
-    return words[keep]
+def _shift_site(words: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Images under the XOR shift r -> r ^ 2^k, as a swap of 2^k-bit blocks."""
+    low = ((1 << (1 << n)) - 1) ^ _sign_code(n)[0][k]
+    return ((words >> (1 << k)) & low) | ((words & low) << (1 << k))
+
+
+def _coset_minima(words: np.ndarray, basis: tuple[int, ...]) -> np.ndarray:
+    """The least element of each word's coset: every basis leading bit cleared."""
+    for b in basis:
+        words = words ^ ((words >> (b.bit_length() - 1)) & 1) * b
+    return words
 
 
 def _orbit_ids(n: int, table_id: int) -> np.ndarray:
-    """Sorted unique ids of the full G-orbit of one packed table."""
-    gather, weights, masks = _action_tables(n)
-    # uint64 before the gather, or the matmul casts all n! 2^n gathered rows
-    bits = np.frombuffer(word_bits(1 << n, table_id), np.uint8).astype(np.uint64)
-    packed = _sorted_unique(bits[gather] @ weights)
-    return _sorted_unique(np.bitwise_xor.outer(packed, masks).ravel())
+    """Sorted unique ids of the full G-orbit of one packed table.
+
+    Every element maps the sign code onto itself, so an orbit is a disjoint union of its
+    cosets: the images w(pi(r) ^ r0) are reduced to coset minima, deduped, then expanded.
+    """
+    _, basis, codewords = _sign_code(n)
+    words = np.array([table_id], dtype=codewords.dtype)
+    for m in range(1, n):  # S_(m+1) is the union of the cosets S_m (k m), k <= m
+        words = np.concatenate([words] + [_swap_sites(words, n, k, m) for k in range(m)])
+    for k in range(n):
+        words = np.concatenate([words, _shift_site(words, n, k)])
+    # sort and compare, not np.unique (numpy 2.4 hashes uint64, ~40x slower here)
+    minima = np.sort(_coset_minima(words, basis))
+    minima = minima[np.append(True, minima[1:] != minima[:-1])]
+    ids = np.bitwise_xor.outer(minima, codewords).ravel()
+    ids.sort()
+    return ids.astype(np.uint64, copy=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,6 +165,8 @@ class Orbit:
     member_ids: np.ndarray = field(repr=False)
 
     def __contains__(self, table_id: int) -> bool:
+        if not 0 <= table_id < 1 << (1 << self.n):
+            return False
         idx = int(np.searchsorted(self.member_ids, np.uint64(table_id)))
         return idx < self.size and int(self.member_ids[idx]) == int(table_id)
 
@@ -182,6 +191,8 @@ def orbit(f: SignTable) -> Orbit:
 def orbit_of_id(n: int, table_id: int) -> Orbit:
     if site_count(n) > MAX_ORBIT_SITES:
         raise ValueError(f"orbit sweeps are limited to n <= {MAX_ORBIT_SITES}")
+    if not 0 <= operator.index(table_id) < 1 << (1 << n):
+        raise ValueError(f"id {table_id} out of range for n={n}")
     ids = _orbit_ids(n, table_id)
     ids.flags.writeable = False
     return Orbit(n=n, canonical_id=int(ids[0]), size=len(ids), member_ids=ids)
@@ -196,7 +207,7 @@ def _orbit_flags(n: int, member_ids: np.ndarray) -> tuple[bool, bool]:
     cuts to cuts; XOR shifts and sign characters factor over any cut), so
     the second flag is decided by one member.
     """
-    _, weights, _ = _action_tables(n)
+    weights = np.left_shift(np.uint64(1), np.arange(1 << n, dtype=np.uint64))
     weight = bit_matrix(n).sum(axis=1).astype(int)
     symmetric = bit_matrix(n + 1)[:, weight].astype(np.uint64) @ weights
     idx = np.minimum(np.searchsorted(member_ids, symmetric), len(member_ids) - 1)
@@ -220,23 +231,12 @@ def classify_all(n: int) -> list[OrbitRecord]:
     """
     if site_count(n) > MAX_CENSUS_SITES:
         raise ValueError(f"the exhaustive census is limited to n <= {MAX_CENSUS_SITES}")
-    total = 1 << (1 << n)
-    seen = np.zeros(total, dtype=bool)
+    seen = np.zeros(1 << (1 << n), dtype=bool)
     records: list[OrbitRecord] = []
     seed = 0
-    while seed < total:
+    while not seen[seed]:  # seed is the least unseen id, or 0 once all are seen
         ids = _orbit_ids(n, seed)
         seen[ids] = True
-        perm_inv, factor = _orbit_flags(n, ids)
-        records.append(
-            OrbitRecord(
-                n=n,
-                canonical_id=seed,
-                size=len(ids),
-                permutation_invariant=perm_inv,
-                factorizing=factor,
-            )
-        )
-        while seed < total and seen[seed]:
-            seed += 1
+        records.append(OrbitRecord(n, seed, len(ids), *_orbit_flags(n, ids)))
+        seed = int(seen.argmin())
     return records

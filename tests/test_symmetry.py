@@ -16,7 +16,10 @@ from bellpoly.inequality import (
 )
 from bellpoly.symmetry import (
     GroupElement,
-    _perm_maps,
+    _coset_minima,
+    _shift_site,
+    _sign_code,
+    _swap_sites,
     apply,
     classify_all,
     group_order,
@@ -24,7 +27,7 @@ from bellpoly.symmetry import (
     orbit_of_id,
     permute_word,
 )
-from bellpoly.transform import DimensionMismatchError
+from bellpoly.transform import DimensionMismatchError, bit_matrix, word_bits
 
 
 # The group algebra: the law and inverses that apply must obey.
@@ -78,13 +81,63 @@ def test_permute_word_routes_bits():
     assert permute_word(0b110, (2, 0, 1)) == 0b011
 
 
+def _seeded_words(n, count, seed):
+    rng = np.random.default_rng(seed)
+    full = (1 << (1 << n)) - 1
+    drawn = rng.integers(0, full, size=count, dtype=np.uint64, endpoint=True)
+    return [0, full] + [int(v) for v in drawn]
+
+
 @pytest.mark.parametrize("n", range(1, 7))
-def test_perm_maps_match_permute_word(n):
-    maps = _perm_maps(n)
-    perms = list(itertools.permutations(range(n)))
-    assert maps.shape == (len(perms), 1 << n)
-    for row, perm in zip(maps, perms):
-        assert row.tolist() == [permute_word(r, perm) for r in range(1 << n)]
+def test_bit_moves_match_group_elements(n):
+    words = _seeded_words(n, 12, 40 + n)
+    packed = np.array(words, dtype=_sign_code(n)[2].dtype)  # the dtype the sweep uses
+    for i, j in itertools.combinations(range(n), 2):
+        perm = list(range(n))
+        perm[i], perm[j] = j, i
+        g = GroupElement(tuple(perm), 0, 0, 1)
+        expected = [signs_to_id(apply(g, id_to_signs(n, w))) for w in words]
+        assert _swap_sites(packed, n, i, j).tolist() == expected
+        # bit r of the image is bit pi(r) of the word
+        for w, image in zip(words, expected):
+            assert all((image >> r & 1) == (w >> permute_word(r, perm) & 1) for r in range(1 << n))
+    for k in range(n):
+        g = GroupElement(tuple(range(n)), 1 << k, 0, 1)
+        expected = [signs_to_id(apply(g, id_to_signs(n, w))) for w in words]
+        assert _shift_site(packed, n, k).tolist() == expected
+
+
+def _sign_character_masks(n):
+    """Every XOR mask of the outcome flips and the global sign: bit r is <s, r> ^ c."""
+    size = 1 << n
+    masks = set()
+    for s0, c in itertools.product(range(size), (0, 1)):
+        masks.add(sum((((s0 & r).bit_count() + c) & 1) << r for r in range(size)))
+    return masks
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_sign_code_is_the_sign_character_masks(n):
+    _, basis, codewords = _sign_code(n)
+    # the least unsigned dtype that holds a 2^n-bit word
+    assert codewords.dtype.kind == "u" and codewords.dtype.itemsize == max(1, (1 << n) // 8)
+    assert not codewords.flags.writeable
+    assert len(basis) == n + 1
+    assert len(set(codewords.tolist())) == len(codewords) == 1 << (n + 1)
+    assert set(codewords.tolist()) == _sign_character_masks(n)
+    # reduced echelon: each leading bit is set in its own basis word only
+    leads = [b.bit_length() - 1 for b in basis]
+    assert len(set(leads)) == len(basis)
+    for lead in leads:
+        assert sum(b >> lead & 1 for b in basis) == 1
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_coset_minima_are_brute_force_minima(n):
+    words = _seeded_words(n, 40, 70 + n)
+    _, basis, codewords = _sign_code(n)
+    got = _coset_minima(np.array(words, dtype=codewords.dtype), basis).tolist()
+    assert got == [min(w ^ c for c in codewords.tolist()) for w in words]
 
 
 def test_group_element_validation():
@@ -159,6 +212,15 @@ def test_orbit_of_mermin_n4():
     orb = orbit(mermin_sign_table(4))
     assert orb.canonical_id == 6014
     assert orb.size == 32
+
+
+def test_orbit_rejects_ids_out_of_range():
+    for table_id in (256, -1, 2**64):
+        with pytest.raises(ValueError, match=f"id {table_id} out of range for n=3"):
+            orbit_of_id(3, table_id)
+    with pytest.raises(TypeError):
+        orbit_of_id(3, 2.0)
+    assert orbit_of_id(3, np.uint64(255)).canonical_id == 0
 
 
 def test_orbit_rejects_large_n():
@@ -318,6 +380,57 @@ def test_orbit_contains():
     assert 0 in orb
     assert 255 in orb  # global sign flip of the all-plus table
     assert 23 not in orb
+    for outside in (-1, 256, 2**64, -(2**64)):
+        assert outside not in orb
+    assert (1 << 64) - 1 in orbit_of_id(6, 0)
+
+
+# The gather route the bit moves replaced, kept as the reference sweep: every
+# (perm, r0) reads the table through a gather map, a 2^r weighted sum packs
+# the image, and each packed image is XORed with all 2^(n+1) sign masks.
+
+
+def _perm_maps(n):
+    """(n!, 2^n) gather maps: row p holds pi_p(r) for each r."""
+    targets = np.left_shift(1, list(itertools.permutations(range(n))))  # 2^perm[j]
+    return (targets @ bit_matrix(n).T).astype(np.uint16)
+
+
+def _sort_unique(words):
+    words.sort()
+    return words[np.append(True, words[1:] != words[:-1])]
+
+
+def _gather_orbit_ids(n, table_id):
+    size = 1 << n
+    shifts = np.arange(size, dtype=np.uint16)
+    gather = (_perm_maps(n)[:, None, :] ^ shifts[None, :, None]).reshape(-1, size)
+    weights = np.left_shift(np.uint64(1), np.arange(size, dtype=np.uint64))
+    bits = bit_matrix(n)
+    linear = ((bits @ bits.T) % 2).astype(np.uint64) @ weights
+    masks = np.concatenate([linear, linear ^ np.uint64((1 << size) - 1)])
+    table = np.frombuffer(word_bits(size, table_id), np.uint8).astype(np.uint64)
+    packed = _sort_unique(table[gather] @ weights)
+    return _sort_unique(np.bitwise_xor.outer(packed, masks).ravel())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_orbit_matches_gather_reference_on_every_table(n):
+    for table_id in range(1 << (1 << n)):
+        expected = _gather_orbit_ids(n, table_id)
+        assert orbit_of_id(n, table_id).member_ids.tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("n, count", [(4, 24), (5, 6), (6, 1)])
+def test_orbit_matches_gather_reference_on_seeded_tables(n, count):
+    rng = np.random.default_rng(500 + n)
+    mermin = mermin_sign_table(n)
+    images = [signs_to_id(apply(random_element(n, rng), mermin)) for _ in range(2)]
+    for table_id in _seeded_words(n, count, 600 + n) + [signs_to_id(mermin)] + images:
+        orb = orbit_of_id(n, table_id)
+        _assert_well_formed(orb)
+        assert table_id in orb
+        assert np.array_equal(orb.member_ids, _gather_orbit_ids(n, table_id))
 
 
 def test_violations_constant_on_orbits_via_table_structure():
