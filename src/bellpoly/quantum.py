@@ -146,10 +146,13 @@ class DensityMatrix:
 
 
 @lru_cache(maxsize=16)
-def _bit_pair_matrix(n: int) -> np.ndarray:
-    """(2^n, n*n) matrix: row s holds s_j s_k at column j*n + k."""
+def _moment_matrix(n: int) -> np.ndarray:
+    """(2^n, 1 + n + n*n) complex matrix: row s is [1 | s_k | s_j s_k at n + 1 + j*n + k]."""
     bits = bit_matrix(n)
-    return (bits[:, :, None] * bits[:, None, :]).reshape(1 << n, n * n)
+    pairs = (bits[:, :, None] * bits[:, None, :]).reshape(1 << n, n * n)
+    moments = np.hstack([np.ones((1 << n, 1)), bits, pairs]).astype(complex)
+    moments.flags.writeable = False
+    return moments
 
 
 def _coefficient_array(beta: BellTable) -> np.ndarray:
@@ -174,9 +177,9 @@ def squared_modulus_and_gradient(
 class ViolationResult:
     """The best value found, its phases, and what the search did.
 
-    `starts` counts the start points, `starts_at_best` those that ended
-    within 1e-9 of the best value, and `iterations` the Newton steps taken
-    over all starts.
+    `starts` counts the starts, 4^(n-1) + 32 (a kept grid point also counts its
+    dropped mirror), `starts_at_best` those that ended within 1e-9 of the best
+    value, counted the same way, and `iterations` the steps actually taken.
     """
 
     value: float
@@ -194,12 +197,19 @@ def mermin_bound(n: int) -> float:
     return 2.0 ** ((n - 1) / 2)
 
 
-def _start_points(n: int, seed: int) -> np.ndarray:
-    """Grid {0, pi/2, pi, 3pi/2}^(n-1) and random points over sites 1..n-1."""
-    grid = 0.5 * math.pi * np.indices((4,) * (n - 1)).reshape(n - 1, 4 ** (n - 1)).T
-    rng = np.random.default_rng(seed)
-    extra = rng.uniform(0.0, TWO_PI, size=(_RANDOM_STARTS, n))[:, : n - 1]
-    return np.vstack([grid, extra])
+def _start_points(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Start points over sites 1..n-1, and the number of starts each stands for.
+
+    beta is real, so T(-phi) = conj T(phi), and grid points c and -c climb
+    mirrored paths: the grid {0, pi/2, pi, 3pi/2}^(n-1) keeps the first of each
+    pair, weight 2 (1 where c = -c), then `_RANDOM_STARTS` seeded random points.
+    """
+    codes = np.indices((4,) * (n - 1)).reshape(n - 1, 4 ** (n - 1))
+    mirror = np.ravel_multi_index(-codes % 4, (4,) * (n - 1))
+    index = np.arange(4 ** (n - 1))
+    extra = np.random.default_rng(seed).uniform(0.0, TWO_PI, (_RANDOM_STARTS, n))[:, : n - 1]
+    weights = np.append(np.where(index == mirror, 1, 2)[index <= mirror], [1] * _RANDOM_STARTS)
+    return np.vstack([0.5 * math.pi * codes[:, index <= mirror].T, extra]), weights
 
 
 def _seed_last_angle(coeffs: np.ndarray, head: np.ndarray) -> np.ndarray:
@@ -221,11 +231,10 @@ def _ascent_terms(
     2 Re(conj(P_j) P_k) - 2 Re(conj(T) sum_s W_s s_j s_k).
     """
     starts, n = phi.shape
-    bits = bit_matrix(n)
-    weighted = coeffs * np.exp(1j * (phi @ bits.T))
-    total = weighted.sum(axis=1)
-    partials = weighted @ bits
-    second = (weighted @ _bit_pair_matrix(n)).reshape(starts, n, n)
+    weighted = coeffs * np.exp(1j * (phi @ bit_matrix(n).T))
+    moments = weighted @ _moment_matrix(n)
+    total, partials = moments[:, 0], moments[:, 1 : n + 1]
+    second = moments[:, n + 1 :].reshape(starts, n, n)
     value = total.real**2 + total.imag**2
     grad = -2.0 * (total.conj()[:, None] * partials).imag
     hess = 2.0 * (partials.conj()[:, :, None] * partials[:, None, :]).real
@@ -238,44 +247,44 @@ def _newton_ascent(coeffs: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.
 
     The step is |H|^-1 g, with the Hessian's eigenvalues taken by absolute
     value (floored at 1e-8 of the largest), so it climbs out of saddles.  It
-    is halved until |T|^2 rises, or until |T|^2 holds within rounding and the
-    gradient shrinks.  A start stops at its gradient tolerance, when no
-    halving is accepted, or after _MAX_ITERATIONS steps.  Returns the final
-    |T|^2, the final angles and the number of steps taken over all starts.
+    is halved until |T|^2 rises, or holds within rounding as the gradient
+    shrinks.  Each round evaluates every live start's trial point in one
+    batch, halves or accepts per start, and takes one stacked eigh for the
+    starts that moved.  A start stops at its gradient tolerance, after
+    _MAX_ITERATIONS steps or _MAX_HALVINGS rejected trials in a row, or when
+    its trial point equals its current one.  Returns the final |T|^2, the
+    final angles and the number of steps taken over all starts.
     """
     phi = phi.copy()
     value, grad, hess = _ascent_terms(coeffs, phi)
     grad_norm = np.linalg.norm(grad, axis=1)
-    active = np.flatnonzero(grad_norm > _GRADIENT_TOL)
-    steps = 0
-    for _ in range(_MAX_ITERATIONS):
-        if not active.size:
-            break
-        eigvals, eigvecs = np.linalg.eigh(hess[active])
+    delta, length, steps = np.empty_like(phi), np.ones(len(phi)), np.zeros(len(phi), int)
+    moved, retry = np.arange(len(phi)), np.arange(0)
+    while True:
+        go = (grad_norm[moved] > _GRADIENT_TOL) & (steps[moved] < _MAX_ITERATIONS)
+        moved = moved[go]
+        eigvals, eigvecs = np.linalg.eigh(hess[go])
         scale = np.abs(eigvals)
         floor = np.maximum(1e-8 * scale.max(axis=1, keepdims=True), np.finfo(float).tiny)
         scale = np.maximum(scale, floor)
-        along = np.einsum("mji,mj->mi", eigvecs, grad[active]) / scale
-        delta = np.einsum("mij,mj->mi", eigvecs, along)
-        pending, accepted, length = active, [], 1.0
-        for _ in range(_MAX_HALVINGS):
-            trial = np.mod(phi[pending] + length * delta, TWO_PI)
-            t_value, t_grad, t_hess = _ascent_terms(coeffs, trial)
-            t_norm = np.linalg.norm(t_grad, axis=1)
-            before = value[pending]
-            held = np.abs(t_value - before) <= _HOLD_EPS * np.maximum(before, 1.0)
-            ok = (t_value > before) | (held & (t_norm < grad_norm[pending]))
-            took = pending[ok]
-            phi[took], value[took], grad[took] = trial[ok], t_value[ok], t_grad[ok]
-            hess[took], grad_norm[took] = t_hess[ok], t_norm[ok]
-            accepted.append(took)
-            pending, delta, length = pending[~ok], delta[~ok], 0.5 * length
-            if not pending.size:
-                break
-        moved = np.concatenate(accepted)
-        steps += moved.size
-        active = moved[grad_norm[moved] > _GRADIENT_TOL]
-    return value, phi, steps
+        along = np.einsum("mji,mj->mi", eigvecs, grad[go]) / scale
+        delta[moved], length[moved] = np.einsum("mij,mj->mi", eigvecs, along), 1.0
+        live = np.concatenate([moved, retry])
+        if not live.size:
+            break
+        trial = np.mod(phi[live] + length[live, None] * delta[live], TWO_PI)
+        t_value, grad, hess = _ascent_terms(coeffs, trial)
+        t_norm = np.linalg.norm(grad, axis=1)
+        before = value[live]
+        held = np.abs(t_value - before) <= _HOLD_EPS * np.maximum(before, 1.0)
+        ok = (t_value > before) | (held & (t_norm < grad_norm[live]))
+        moved, missed, grad, hess = live[ok], live[~ok], grad[ok], hess[ok]
+        stuck = (trial[~ok] == phi[missed]).all(axis=1)  # so would every shorter step
+        phi[moved], value[moved], grad_norm[moved] = trial[ok], t_value[ok], t_norm[ok]
+        steps[moved] += 1
+        length[missed] *= 0.5  # exact: 2^-k after k rejected trials
+        retry = missed[(length[missed] > 0.5**_MAX_HALVINGS) & ~stuck]
+    return value, phi, int(steps.sum())
 
 
 def max_violation(beta: BellTable, *, seed: int = 0) -> ViolationResult:
@@ -284,7 +293,8 @@ def max_violation(beta: BellTable, *, seed: int = 0) -> ViolationResult:
     Multi-start saddle-free Newton ascent on the squared modulus |T|^2: the
     starts are the grid {0, pi/2, pi, 3pi/2}^(n-1) plus `_RANDOM_STARTS`
     seeded random points over sites 1..n-1, each with the phi_n that
-    maximizes |T| given them (`_seed_last_angle`).  All of them climb over
+    maximizes |T| given them (`_seed_last_angle`); of each mirror pair of
+    grid points one climbs, for two (`_start_points`).  All of them climb over
     all n angles at once in blocks of `_START_BLOCK`, using the exact
     gradient and Hessian (see `_newton_ascent`).  The best start wins, with
     phi0 = -arg T so that extreme_point_q(result.phases) attains the value;
@@ -295,14 +305,12 @@ def max_violation(beta: BellTable, *, seed: int = 0) -> ViolationResult:
     if not any(beta.coefficients.numerators):
         raise ValueError("the zero table has no violation to maximize")
     coeffs = _coefficient_array(beta)
-    starts = _start_points(beta.n, seed)
-    values, phis, iterations = [], [], 0
-    for lo in range(0, len(starts), _START_BLOCK):
-        block = _seed_last_angle(coeffs, starts[lo : lo + _START_BLOCK])
-        value, phi, steps = _newton_ascent(coeffs, block)
-        values.append(value)
-        phis.append(phi)
-        iterations += steps
+    starts, weights = _start_points(beta.n, seed)
+    runs = [
+        _newton_ascent(coeffs, _seed_last_angle(coeffs, starts[lo : lo + _START_BLOCK]))
+        for lo in range(0, len(starts), _START_BLOCK)
+    ]
+    values, phis, steps = zip(*runs)
     moduli = np.sqrt(np.concatenate(values))
     best = int(np.argmax(moduli))
     best_phi = np.concatenate(phis)[best]
@@ -314,9 +322,9 @@ def max_violation(beta: BellTable, *, seed: int = 0) -> ViolationResult:
         phases=PhaseVector(-float(np.angle(total)), tuple(best_phi)),
         converged=bool(gradient_norm <= 1e-8),
         gradient_norm=gradient_norm,
-        starts=len(starts),
-        starts_at_best=int(np.count_nonzero(moduli >= moduli[best] - 1e-9)),
-        iterations=iterations,
+        starts=int(weights.sum()),
+        starts_at_best=int(weights[moduli >= moduli[best] - 1e-9].sum()),
+        iterations=sum(steps),
     )
 
 

@@ -165,9 +165,9 @@ class Orbit:
     member_ids: np.ndarray = field(repr=False)
 
     def __contains__(self, table_id: int) -> bool:
-        if not 0 <= table_id < 1 << (1 << self.n):
-            return False
-        idx = int(np.searchsorted(self.member_ids, np.uint64(table_id)))
+        if not 0 <= table_id < 1 << (1 << self.n) or table_id != int(table_id):
+            return False  # out of range, or not integral (np.uint64(2.5) is 2)
+        idx = int(np.searchsorted(self.member_ids, np.uint64(int(table_id))))
         return idx < self.size and int(self.member_ids[idx]) == int(table_id)
 
 
@@ -198,6 +198,15 @@ def orbit_of_id(n: int, table_id: int) -> Orbit:
     return Orbit(n=n, canonical_id=int(ids[0]), size=len(ids), member_ids=ids)
 
 
+@lru_cache(maxsize=8)
+def _symmetric_ids(n: int) -> np.ndarray:
+    """The 2^(n+1) ids of the tables whose f(r) depends only on weight(r), read-only."""
+    weight = bit_matrix(n).sum(axis=1).astype(int)
+    ids = bit_matrix(n + 1)[:, weight].astype(np.uint64) @ 2 ** np.arange(1 << n, dtype=np.uint64)
+    ids.flags.writeable = False
+    return ids
+
+
 def _orbit_flags(n: int, member_ids: np.ndarray) -> tuple[bool, bool]:
     """(has permutation-invariant member, has factorizing member).
 
@@ -207,9 +216,7 @@ def _orbit_flags(n: int, member_ids: np.ndarray) -> tuple[bool, bool]:
     cuts to cuts; XOR shifts and sign characters factor over any cut), so
     the second flag is decided by one member.
     """
-    weights = np.left_shift(np.uint64(1), np.arange(1 << n, dtype=np.uint64))
-    weight = bit_matrix(n).sum(axis=1).astype(int)
-    symmetric = bit_matrix(n + 1)[:, weight].astype(np.uint64) @ weights
+    symmetric = _symmetric_ids(n)
     idx = np.minimum(np.searchsorted(member_ids, symmetric), len(member_ids) - 1)
     perm_invariant = bool((member_ids[idx] == symmetric).any())
 

@@ -1,5 +1,6 @@
 """Quantum layer: variational maxima, GHZ realizations, simulator, PPT."""
 
+import itertools
 import math
 
 import numpy as np
@@ -35,7 +36,9 @@ from bellpoly.quantum import (
     _ascent_terms,
     _coefficient_array,
     _dense_bell_operator,
+    _newton_ascent,
     _seed_last_angle,
+    _start_points,
 )
 from bellpoly.symmetry import classify_all
 from bellpoly.transform import DimensionMismatchError, bit_matrix
@@ -308,6 +311,13 @@ def test_max_violation_reports_its_search():
     assert result.starts == 4**2 + 32
     assert 1 <= result.starts_at_best <= result.starts
     assert result.iterations > 0
+    # starts_at_best adds the weights of the starts that reached the best value
+    coeffs = _coefficient_array(MERMIN3)
+    points, weights = _start_points(3, 3)
+    value, _, steps = _newton_ascent(coeffs, _seed_last_angle(coeffs, points))
+    at_best = np.sqrt(value) >= result.value - 1e-9
+    assert result.starts_at_best == weights[at_best].sum() > np.count_nonzero(at_best)
+    assert result.iterations == steps
     # the search counters default, so older constructions still work
     bare = ViolationResult(2.0, PhaseVector(0.0, (HALF_PI,) * 3), True, 0.0)
     assert (bare.starts, bare.starts_at_best, bare.iterations) == (0, 0, 0)
@@ -359,6 +369,115 @@ def test_max_violation_blocks_do_not_change_the_result(monkeypatch):
     assert split.value == pytest.approx(whole.value, abs=1e-12)
     assert split.starts == whole.starts
     assert split.starts_at_best == whole.starts_at_best
+
+
+def halving_loop_ascent(coeffs, phi):
+    """The ascent before rounds: per Newton iteration, a nested loop halves the
+    step of the starts still pending and re-evaluates just those.  Returns the
+    final |T|^2, the final angles and the number of steps taken."""
+    phi = phi.copy()
+    value, grad, hess = quantum._ascent_terms(coeffs, phi)
+    grad_norm = np.linalg.norm(grad, axis=1)
+    active = np.flatnonzero(grad_norm > quantum._GRADIENT_TOL)
+    steps = 0
+    for _ in range(quantum._MAX_ITERATIONS):
+        if not active.size:
+            break
+        eigvals, eigvecs = np.linalg.eigh(hess[active])
+        scale = np.abs(eigvals)
+        floor = np.maximum(1e-8 * scale.max(axis=1, keepdims=True), np.finfo(float).tiny)
+        scale = np.maximum(scale, floor)
+        along = np.einsum("mji,mj->mi", eigvecs, grad[active]) / scale
+        delta = np.einsum("mij,mj->mi", eigvecs, along)
+        pending, accepted, length = active, [], 1.0
+        for _ in range(quantum._MAX_HALVINGS):
+            trial = np.mod(phi[pending] + length * delta, quantum.TWO_PI)
+            t_value, t_grad, t_hess = quantum._ascent_terms(coeffs, trial)
+            t_norm = np.linalg.norm(t_grad, axis=1)
+            before = value[pending]
+            held = np.abs(t_value - before) <= quantum._HOLD_EPS * np.maximum(before, 1.0)
+            ok = (t_value > before) | (held & (t_norm < grad_norm[pending]))
+            took = pending[ok]
+            phi[took], value[took], grad[took] = trial[ok], t_value[ok], t_grad[ok]
+            hess[took], grad_norm[took] = t_hess[ok], t_norm[ok]
+            accepted.append(took)
+            pending, delta, length = pending[~ok], delta[~ok], 0.5 * length
+            if not pending.size:
+                break
+        moved = np.concatenate(accepted)
+        steps += moved.size
+        active = moved[grad_norm[moved] > quantum._GRADIENT_TOL]
+    return value, phi, steps
+
+
+def _one_row_at_a_time(monkeypatch):
+    """Evaluate _ascent_terms row by row, so that each row's rounding is its own.
+
+    A BLAS matmul may round a row differently with other rows beside it, and a
+    start near a saddle can then leave it another way; one row per call makes a
+    start's arithmetic independent of which other starts share its batch.
+    """
+    terms = quantum._ascent_terms
+
+    def by_row(coeffs, phi):
+        rows = [terms(coeffs, phi[i : i + 1]) for i in range(len(phi))]
+        return tuple(np.concatenate(part) for part in zip(*rows))
+
+    monkeypatch.setattr(quantum, "_ascent_terms", by_row)
+
+
+def test_round_ascent_matches_the_halving_loop(monkeypatch):
+    """Per start, the rounds reach the |T|^2 of the nested halving loop, in as many steps."""
+    rng = np.random.default_rng(131)
+    tables = [bell_table_from_id(n, rec.canonical_id) for n in (3, 4) for rec in classify_all(n)]
+    tables += [random_extremal(rng, n) for n in (2, 3, 4, 5) for _ in range(3)]
+    _one_row_at_a_time(monkeypatch)
+    for beta in tables:
+        coeffs = _coefficient_array(beta)
+        block = _seed_last_angle(coeffs, _start_points(beta.n, 0)[0])
+        value, _, steps = _newton_ascent(coeffs, block)
+        ref_value, _, ref_steps = halving_loop_ascent(coeffs, block)
+        assert np.abs(value - ref_value).max() <= 1e-12, beta
+        assert steps == ref_steps
+
+
+def test_start_points_pair_grid_mirrors():
+    for n in range(1, 6):
+        points, weights = _start_points(n, 5)
+        assert weights.sum() == 4 ** (n - 1) + 32
+        grid = set(itertools.product(range(4), repeat=n - 1))
+        kept = np.rint(points[: len(points) - 32] / HALF_PI).astype(int)
+        assert np.array_equal(points[: len(kept)], HALF_PI * kept)
+        kept_set = {tuple(c) for c in kept}
+        assert len(kept_set) == len(kept) and [tuple(c) for c in kept] == sorted(kept_set)
+        covered = set()
+        for c, w in zip(kept, weights):
+            mirror = tuple(-c % 4)
+            assert w == (1 if mirror == tuple(c) else 2)
+            if w == 2:
+                assert mirror in grid and mirror not in kept_set and tuple(c) < mirror
+            covered |= {tuple(c), mirror}
+        assert covered == grid
+        extra = np.random.default_rng(5).uniform(0.0, 2 * math.pi, size=(32, n))[:, : n - 1]
+        assert np.array_equal(points[len(kept) :], extra)
+        assert np.array_equal(weights[len(kept) :], np.ones(32))
+    assert [len(_start_points(n, 0)[0]) - 32 for n in (4, 5)] == [36, 136]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_mirrored_starts_reach_the_same_modulus(n):
+    """T(-phi) = conj T(phi) for real beta, so a start and its mirror climb to the same |T|."""
+    rng = np.random.default_rng(70 + n)
+    for _ in range(4):
+        coeffs = _coefficient_array(random_extremal(rng, n))
+        head = rng.uniform(0, 2 * math.pi, size=(8, n - 1))
+        start = _seed_last_angle(coeffs, head)
+        mirror = _seed_last_angle(coeffs, np.mod(-head, 2 * math.pi))
+        turn = np.mod(start[:, -1] + mirror[:, -1] + math.pi, 2 * math.pi) - math.pi
+        assert np.abs(turn).max() <= 1e-12  # the closed-form last angle mirrors too
+        value, _, _ = halving_loop_ascent(coeffs, start)
+        mirror_value, _, _ = halving_loop_ascent(coeffs, mirror)
+        assert np.abs(np.sqrt(value) - np.sqrt(mirror_value)).max() <= 1e-12
 
 
 def test_exhaustive_n3_upper_bound(exhaustive_n3_values):

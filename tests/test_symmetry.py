@@ -385,6 +385,16 @@ def test_orbit_contains():
     assert (1 << 64) - 1 in orbit_of_id(6, 0)
 
 
+def test_orbit_contains_rejects_non_integral_values():
+    """np.uint64(2.5) is 2, so a non-integral value must not reach the lookup."""
+    orb = orbit_of_id(3, 1)
+    for member in (1, 2, np.uint64(1), np.uint64(2), np.int64(2)):
+        assert member in orb
+    for value in (2.5, 1.5, np.float64(2.5), 1 + 1e-9, float("nan"), float("inf")):
+        assert value not in orb
+    assert 2.0 in orb  # an integral float equals the id, as in a list of ints
+
+
 # The gather route the bit moves replaced, kept as the reference sweep: every
 # (perm, r0) reads the table through a gather map, a 2^r weighted sum packs
 # the image, and each packed image is XORed with all 2^(n+1) sign masks.
