@@ -1,4 +1,4 @@
-"""Quantum violations, GHZ realizations, and a qubit cross-check layer.
+"""Quantum violations, GHZ realizations, and a qubit simulator.
 
 The maximal quantum value of an inequality reduces to maximizing
 |sum_s beta(s) prod_k e^(i phi_k s_k)| over one angle per site, which
@@ -8,8 +8,9 @@ last angle is set in closed form.  Every extreme point of the quantum body
 has the cosine form xi(s) = cos(phi0 + sum_k phi_k s_k) and is realized by
 the generalized GHZ state with observables in the x-y plane of the Bloch
 sphere.  A simulator of x-y-plane correlations (read off the state's
-anti-diagonal), an operator-norm cross-check and partial-transpose
-utilities keep the variational formula honest.
+anti-diagonal), the Bell operator's norm from the eigenvalues of
+C_k = A_k(1) A_k(0), and partial-transpose utilities keep the variational
+formula honest.
 """
 
 from __future__ import annotations
@@ -24,11 +25,10 @@ import numpy as np
 
 from .classical import CorrelationVector
 from .inequality import BellTable
-from .transform import MAX_SITES, DimensionMismatchError, bit_matrix, site_count
+from .transform import DimensionMismatchError, bit_matrix, site_count
 
 __all__ = [
     "DensityMatrix",
-    "NormCrossCheckError",
     "ObservableSpec",
     "PhaseVector",
     "ViolationResult",
@@ -41,13 +41,11 @@ __all__ = [
     "partial_transpose",
     "sample_separable",
     "simulate_correlations",
-    "squared_modulus_and_gradient",
     "xy_observable",
 ]
 
 TWO_PI = 2.0 * math.pi
 MAX_SIMULATOR_QUBITS = 12
-_MAX_NORM_QUBITS = 10
 _HERMITIAN_TOL = 1e-12
 _TRACE_TOL = 1e-12
 _EIGENVALUE_TOL = 1e-10
@@ -63,8 +61,12 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 
 
-class NormCrossCheckError(RuntimeError):
-    """The two norm routes disagree; signals an implementation bug."""
+def _qubit_count(n: int) -> int:
+    """n as an int, checked to lie in 1..MAX_SIMULATOR_QUBITS before any 2^n array exists."""
+    n = operator.index(n)
+    if not 1 <= n <= MAX_SIMULATOR_QUBITS:
+        raise ValueError(f"qubit count must be 1..{MAX_SIMULATOR_QUBITS}, got {n}")
+    return n
 
 
 def _reduce_angle(v: float) -> float:
@@ -82,8 +84,7 @@ class PhaseVector:
 
     def __post_init__(self) -> None:
         phi = tuple(_reduce_angle(v) for v in self.phi)
-        if not 1 <= len(phi) <= MAX_SITES:
-            raise ValueError(f"need 1..{MAX_SITES} site angles, got {len(phi)}")
+        site_count(len(phi))
         object.__setattr__(self, "phi0", _reduce_angle(self.phi0))
         object.__setattr__(self, "phi", phi)
 
@@ -105,8 +106,7 @@ class ObservableSpec:
 
     def __post_init__(self) -> None:
         angles = tuple((float(a), float(b)) for a, b in self.angles)
-        if not 1 <= len(angles) <= MAX_SITES:
-            raise ValueError(f"need 1..{MAX_SITES} sites, got {len(angles)}")
+        site_count(len(angles))
         object.__setattr__(self, "angles", angles)
 
     @property
@@ -127,9 +127,7 @@ class DensityMatrix:
     entries: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        n = operator.index(self.n)
-        if not 1 <= n <= MAX_SIMULATOR_QUBITS:
-            raise ValueError(f"qubit count must be 1..{MAX_SIMULATOR_QUBITS}, got {n}")
+        n = _qubit_count(self.n)
         rho = np.array(self.entries, dtype=complex)
         dim = 1 << n
         if rho.shape != (dim, dim):
@@ -158,19 +156,6 @@ def _moment_matrix(n: int) -> np.ndarray:
 def _coefficient_array(beta: BellTable) -> np.ndarray:
     c = beta.coefficients
     return np.asarray(c.numerators, dtype=float) / (1 << c.log_denominator)
-
-
-def squared_modulus_and_gradient(
-    beta: BellTable, phi: Sequence[float]
-) -> tuple[float, np.ndarray]:
-    """Value and analytic gradient of |T(phi)|^2, T = sum_s beta(s) e^(i phi.s)."""
-    bits = bit_matrix(beta.n)
-    weighted = _coefficient_array(beta) * np.exp(1j * (bits @ np.asarray(phi, float)))
-    total = weighted.sum()
-    partials = bits.T @ weighted  # dT/dphi_k = i * partials[k]
-    value = float((total * total.conjugate()).real)
-    grad = -2.0 * (total.conjugate() * partials).imag
-    return value, grad
 
 
 @dataclass(frozen=True)
@@ -223,8 +208,8 @@ def _seed_last_angle(coeffs: np.ndarray, head: np.ndarray) -> np.ndarray:
 
 def _ascent_terms(
     coeffs: np.ndarray, phi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """|T|^2, its gradient and its exact Hessian at every row of phi.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """|T|^2, its gradient, its exact Hessian and T itself at every row of phi.
 
     With W_s = beta(s) e^(i phi.s), T = sum_s W_s and P_k = sum_s W_s s_k:
     the gradient is -2 Im(conj(T) P) and the Hessian is
@@ -239,7 +224,7 @@ def _ascent_terms(
     grad = -2.0 * (total.conj()[:, None] * partials).imag
     hess = 2.0 * (partials.conj()[:, :, None] * partials[:, None, :]).real
     hess -= 2.0 * (total.conj()[:, None, None] * second).real
-    return value, grad, hess
+    return value, grad, hess, total
 
 
 def _newton_ascent(coeffs: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
@@ -256,7 +241,7 @@ def _newton_ascent(coeffs: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.
     final angles and the number of steps taken over all starts.
     """
     phi = phi.copy()
-    value, grad, hess = _ascent_terms(coeffs, phi)
+    value, grad, hess, _ = _ascent_terms(coeffs, phi)
     grad_norm = np.linalg.norm(grad, axis=1)
     delta, length, steps = np.empty_like(phi), np.ones(len(phi)), np.zeros(len(phi), int)
     moved, retry = np.arange(len(phi)), np.arange(0)
@@ -273,7 +258,7 @@ def _newton_ascent(coeffs: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.
         if not live.size:
             break
         trial = np.mod(phi[live] + length[live, None] * delta[live], TWO_PI)
-        t_value, grad, hess = _ascent_terms(coeffs, trial)
+        t_value, grad, hess, _ = _ascent_terms(coeffs, trial)
         t_norm = np.linalg.norm(grad, axis=1)
         before = value[live]
         held = np.abs(t_value - before) <= _HOLD_EPS * np.maximum(before, 1.0)
@@ -298,9 +283,10 @@ def max_violation(beta: BellTable, *, seed: int = 0) -> ViolationResult:
     all n angles at once in blocks of `_START_BLOCK`, using the exact
     gradient and Hessian (see `_newton_ascent`).  The best start wins, with
     phi0 = -arg T so that extreme_point_q(result.phases) attains the value;
-    `converged` says its gradient norm, recomputed with
-    `squared_modulus_and_gradient`, is at most 1e-8.  Deterministic for a
-    given seed.  Nonconvergence is reported via the flag, never raised.
+    `converged` says its gradient norm is at most 1e-8.  The value, gradient
+    and T all come from one more `_ascent_terms` call at the best point.
+    Deterministic for a given seed.  Nonconvergence is reported via the
+    flag, never raised.
     """
     if not any(beta.coefficients.numerators):
         raise ValueError("the zero table has no violation to maximize")
@@ -313,13 +299,12 @@ def max_violation(beta: BellTable, *, seed: int = 0) -> ViolationResult:
     values, phis, steps = zip(*runs)
     moduli = np.sqrt(np.concatenate(values))
     best = int(np.argmax(moduli))
-    best_phi = np.concatenate(phis)[best]
-    best_value, grad = squared_modulus_and_gradient(beta, best_phi)
+    best_phi = np.concatenate(phis)[best : best + 1]
+    best_value, grad, _, total = _ascent_terms(coeffs, best_phi)
     gradient_norm = float(np.linalg.norm(grad))
-    total = coeffs @ np.exp(1j * (bit_matrix(beta.n) @ best_phi))
     return ViolationResult(
-        value=float(math.sqrt(max(best_value, 0.0))),
-        phases=PhaseVector(-float(np.angle(total)), tuple(best_phi)),
+        value=float(math.sqrt(best_value[0])),
+        phases=PhaseVector(-float(np.angle(total[0])), tuple(best_phi[0])),
         converged=bool(gradient_norm <= 1e-8),
         gradient_norm=gradient_norm,
         starts=int(weights.sum()),
@@ -346,9 +331,7 @@ def ghz_observables(phases: PhaseVector) -> ObservableSpec:
 
 def ghz_state(n: int) -> np.ndarray:
     """(|0...0> + |1...1>)/sqrt(2) in the computational basis."""
-    if not 1 <= n <= MAX_SIMULATOR_QUBITS:
-        raise ValueError(f"qubit count must be 1..{MAX_SIMULATOR_QUBITS}, got {n}")
-    psi = np.zeros(1 << n, dtype=complex)
+    psi = np.zeros(1 << _qubit_count(n), dtype=complex)
     psi[0] = psi[-1] = 1.0 / math.sqrt(2.0)
     return psi
 
@@ -364,9 +347,7 @@ def simulate_correlations(
     is the most significant bit of the basis index j; s_k is bit k-1 of s.
     Accepts a state vector or a density matrix.
     """
-    n = obs.n
-    if n > MAX_SIMULATOR_QUBITS:
-        raise ValueError(f"simulator is limited to {MAX_SIMULATOR_QUBITS} qubits")
+    n = _qubit_count(obs.n)
     dim = 1 << n
 
     if isinstance(state, DensityMatrix):
@@ -393,58 +374,28 @@ def simulate_correlations(
     return CorrelationVector(n, xi.tolist())
 
 
-def _dense_bell_operator(
-    coeffs: np.ndarray, pairs: Sequence[tuple[np.ndarray, np.ndarray]]
-) -> np.ndarray:
-    """sum_s beta(s) A_1(s_1) x ... x A_n(s_n), built by halving recursion."""
-    if len(pairs) == 1:
-        return coeffs[0] * pairs[0][0] + coeffs[1] * pairs[0][1]
-    half = len(coeffs) // 2
-    low = _dense_bell_operator(coeffs[:half], pairs[:-1])
-    high = _dense_bell_operator(coeffs[half:], pairs[:-1])
-    # site 1 is the leftmost tensor factor (most significant basis bit), as in
-    # simulate_correlations and partial_transpose, so the last site goes last
-    return np.kron(low, pairs[-1][0]) + np.kron(high, pairs[-1][1])
-
-
 def bell_operator_norm_exact(
     beta: BellTable,
     observables: Union[ObservableSpec, Sequence[tuple[np.ndarray, np.ndarray]]],
 ) -> float:
-    """Operator norm of the Bell operator, computed two ways and cross-checked.
+    """Operator norm of sum_s beta(s) A_1(s_1) x ... x A_n(s_n), in O(n 2^n).
 
-    Route (a): largest singular value of the dense operator.  Route (b):
-    maximum over the eigenvalue tuples of C_k = A_k(1) A_k(0) of
-    |sum_s beta(s) prod_k gamma_k^(s_k)|.  Disagreement beyond 1e-8 raises
-    NormCrossCheckError.
+    For +-1-valued qubit observables it is the maximum, over the eigenvalue
+    tuples of C_k = A_k(1) A_k(0), of |sum_s beta(s) prod_k gamma_k^(s_k)|.
     """
     if isinstance(observables, ObservableSpec):
         pairs = observables.matrix_pairs()
     else:
         pairs = [(np.asarray(a, complex), np.asarray(b, complex)) for a, b in observables]
-    n = beta.n
-    if len(pairs) != n:
-        raise DimensionMismatchError(f"{len(pairs)} observable pairs for {n} sites")
-    if n > _MAX_NORM_QUBITS:
-        raise ValueError(f"dense norm check is limited to {_MAX_NORM_QUBITS} qubits")
-
-    coeffs = _coefficient_array(beta)
-    dense = _dense_bell_operator(coeffs, pairs)
-    norm_dense = float(np.linalg.svd(dense, compute_uv=False)[0])
-
+    if len(pairs) != beta.n:
+        raise DimensionMismatchError(f"{len(pairs)} observable pairs for {beta.n} sites")
     # values[p] = sum_s beta(s) prod_k gamma_k(p_k)^(s_k), one site at a time:
     # contract the low bit (s_k) with [1, gamma_k], then put p_k on top
-    values = coeffs.astype(complex)
+    values = _coefficient_array(beta).astype(complex)
     for a, b in pairs:
         powers = np.stack([np.ones(2), np.linalg.eigvals(b @ a)])
         values = (values.reshape(-1, 2) @ powers).T.ravel()
-    best = float(np.abs(values).max())
-
-    if abs(best - norm_dense) > 1e-8:
-        raise NormCrossCheckError(
-            f"eigenvalue route {best!r} vs dense route {norm_dense!r}"
-        )
-    return norm_dense
+    return float(np.abs(values).max())
 
 
 def partial_transpose(
@@ -473,11 +424,11 @@ def sample_separable(
     n: int, terms: int, seed: int | np.random.Generator = 0
 ) -> DensityMatrix:
     """A random convex mixture of random pure product states (PPT for all tau)."""
+    dim = 1 << _qubit_count(n)
     if terms < 1:
         raise ValueError(f"need at least one term, got {terms}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     weights = rng.dirichlet(np.ones(terms))
-    dim = 1 << n
     rho = np.zeros((dim, dim), dtype=complex)
     for w in weights:
         psi = np.ones(1, dtype=complex)

@@ -2,10 +2,12 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from bellpoly import cli
 from bellpoly.classical import l1_margin
 from bellpoly.inequality import (
     BellTable,
@@ -27,7 +29,6 @@ from bellpoly.quantum import (
     partial_transpose,
     sample_separable,
     simulate_correlations,
-    squared_modulus_and_gradient,
     xy_observable,
 )
 from bellpoly import quantum
@@ -35,7 +36,6 @@ from bellpoly.quantum import (
     ViolationResult,
     _ascent_terms,
     _coefficient_array,
-    _dense_bell_operator,
     _newton_ascent,
     _seed_last_angle,
     _start_points,
@@ -54,6 +54,52 @@ def violation_value(beta: BellTable, phases: PhaseVector) -> float:
         raise DimensionMismatchError(f"site counts differ: {phases.n} vs {beta.n}")
     total = _coefficient_array(beta) @ np.exp(1j * (bit_matrix(beta.n) @ np.asarray(phases.phi)))
     return float(abs(total))
+
+
+def squared_modulus_and_gradient(beta: BellTable, phi) -> tuple[float, np.ndarray]:
+    """Value and analytic gradient of |T(phi)|^2, T = sum_s beta(s) e^(i phi.s)."""
+    bits = bit_matrix(beta.n)
+    weighted = _coefficient_array(beta) * np.exp(1j * (bits @ np.asarray(phi, float)))
+    total = weighted.sum()
+    partials = bits.T @ weighted  # dT/dphi_k = i * partials[k]
+    value = float((total * total.conjugate()).real)
+    grad = -2.0 * (total.conjugate() * partials).imag
+    return value, grad
+
+
+def dense_bell_operator(coeffs: np.ndarray, pairs) -> np.ndarray:
+    """sum_s beta(s) A_1(s_1) x ... x A_n(s_n), built by halving recursion."""
+    if len(pairs) == 1:
+        return coeffs[0] * pairs[0][0] + coeffs[1] * pairs[0][1]
+    half = len(coeffs) // 2
+    low = dense_bell_operator(coeffs[:half], pairs[:-1])
+    high = dense_bell_operator(coeffs[half:], pairs[:-1])
+    # site 1 is the leftmost tensor factor (most significant basis bit), as in
+    # simulate_correlations and partial_transpose, so the last site goes last
+    return np.kron(low, pairs[-1][0]) + np.kron(high, pairs[-1][1])
+
+
+def dense_norm(beta: BellTable, pairs) -> float:
+    """Largest singular value of the dense Bell operator."""
+    dense = dense_bell_operator(_coefficient_array(beta), pairs)
+    return float(np.linalg.svd(dense, compute_uv=False)[0])
+
+
+def ascent_gradient_and_differences(beta: BellTable, phi, step: float):
+    """_ascent_terms' gradient at phi, and central differences of its |T|^2."""
+    coeffs = _coefficient_array(beta)
+
+    def modulus_squared(point):
+        return _ascent_terms(coeffs, point[None])[0][0]
+
+    grad = _ascent_terms(coeffs, phi[None])[1][0]
+    fd = np.empty(len(phi))
+    for k in range(len(phi)):
+        up, down = phi.copy(), phi.copy()
+        up[k] += step
+        down[k] -= step
+        fd[k] = (modulus_squared(up) - modulus_squared(down)) / (2 * step)
+    return grad, fd
 
 
 def random_extremal(rng, n):
@@ -288,11 +334,14 @@ def test_ascent_hessian_matches_finite_differences(n):
     for _ in range(10):
         beta = random_extremal(rng, n)
         phi = rng.uniform(0, 2 * math.pi, size=(3, n))
-        value, grad, hess = _ascent_terms(_coefficient_array(beta), phi)
+        coeffs = _coefficient_array(beta)
+        value, grad, hess, total = _ascent_terms(coeffs, phi)
         for row in range(3):
             ref_value, ref_grad = squared_modulus_and_gradient(beta, phi[row])
             assert value[row] == pytest.approx(ref_value, abs=1e-12)
             assert np.allclose(grad[row], ref_grad, atol=1e-12)
+            ref_total = coeffs @ np.exp(1j * (bit_matrix(n) @ phi[row]))
+            assert abs(total[row] - ref_total) <= 1e-12
             fd = np.empty((n, n))
             for k in range(n):
                 up, down = phi[row].copy(), phi[row].copy()
@@ -376,7 +425,7 @@ def halving_loop_ascent(coeffs, phi):
     step of the starts still pending and re-evaluates just those.  Returns the
     final |T|^2, the final angles and the number of steps taken."""
     phi = phi.copy()
-    value, grad, hess = quantum._ascent_terms(coeffs, phi)
+    value, grad, hess, _ = quantum._ascent_terms(coeffs, phi)
     grad_norm = np.linalg.norm(grad, axis=1)
     active = np.flatnonzero(grad_norm > quantum._GRADIENT_TOL)
     steps = 0
@@ -392,7 +441,7 @@ def halving_loop_ascent(coeffs, phi):
         pending, accepted, length = active, [], 1.0
         for _ in range(quantum._MAX_HALVINGS):
             trial = np.mod(phi[pending] + length * delta, quantum.TWO_PI)
-            t_value, t_grad, t_hess = quantum._ascent_terms(coeffs, trial)
+            t_value, t_grad, t_hess, _ = quantum._ascent_terms(coeffs, trial)
             t_norm = np.linalg.norm(t_grad, axis=1)
             before = value[pending]
             held = np.abs(t_value - before) <= quantum._HOLD_EPS * np.maximum(before, 1.0)
@@ -638,8 +687,17 @@ def test_bell_norm_routes_agree_on_random_inputs():
                 (random_bloch_observable(rng), random_bloch_observable(rng))
                 for _ in range(n)
             ]
-            value = bell_operator_norm_exact(beta, pairs)  # raises on mismatch
+            value = bell_operator_norm_exact(beta, pairs)
+            assert abs(value - dense_norm(beta, pairs)) <= 1e-8
             assert value <= mermin_bound(n) + 1e-8
+
+
+@pytest.mark.parametrize("n", [11, 12])
+def test_bell_norm_beyond_the_dense_operator(n):
+    """The Mermin observables (phi_k = 3pi/2 on the GHZ state) reach 2^((n-1)/2)."""
+    beta = coefficients_from_signs(mermin_sign_table(n))
+    spec = ghz_observables(PhaseVector(0.0, (1.5 * math.pi,) * n))
+    assert bell_operator_norm_exact(beta, spec) == pytest.approx(mermin_bound(n), abs=1e-9)
 
 
 def test_partial_transpose_involution_and_trace():
@@ -672,6 +730,20 @@ def test_sample_separable_is_ppt():
             assert eigs.min() >= -1e-10
 
 
+def test_too_many_qubits_are_rejected_before_allocating(capsys):
+    """The qubit count is checked before the 4^n density matrix exists."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"qubit count must be 1\.\.12, got 13"):
+            sample_separable(13, 1)
+        assert cli.main(["ppt-check", "-n", "13"]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert capsys.readouterr().err == "error: qubit count must be 1..12, got 13\n"
+
+
 def test_sample_separable_single_term_is_pure():
     rho = sample_separable(2, 1, seed=9).entries
     assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=1e-12)
@@ -694,16 +766,7 @@ def test_gradient_matches_finite_differences():
         n = int(rng.integers(2, 5))
         beta = random_extremal(rng, n)
         phi = rng.uniform(0, 2 * math.pi, n)
-        _, grad = squared_modulus_and_gradient(beta, phi)
-        fd = np.empty(n)
-        for k in range(n):
-            up, down = phi.copy(), phi.copy()
-            up[k] += step
-            down[k] -= step
-            fd[k] = (
-                squared_modulus_and_gradient(beta, up)[0]
-                - squared_modulus_and_gradient(beta, down)[0]
-            ) / (2 * step)
+        grad, fd = ascent_gradient_and_differences(beta, phi, step)
         assert np.linalg.norm(grad - fd) <= 1e-5 * max(1.0, np.linalg.norm(fd))
 
 
@@ -715,7 +778,7 @@ def test_dense_bell_operator_shares_the_simulator_qubit_order(n):
         beta = random_extremal(rng, n)
         obs = ObservableSpec(tuple(tuple(rng.uniform(0, 2 * math.pi, 2)) for _ in range(n)))
         rho = sample_separable(n, 3, rng)
-        dense = _dense_bell_operator(_coefficient_array(beta), obs.matrix_pairs())
+        dense = dense_bell_operator(_coefficient_array(beta), obs.matrix_pairs())
         expected = evaluate(beta, simulate_correlations(rho, obs))
         assert np.trace(rho.entries @ dense).real == pytest.approx(expected, abs=1e-12)
 
