@@ -193,6 +193,9 @@ def cmd_id(args: argparse.Namespace) -> int:
 
 
 def cmd_ppt_check(args: argparse.Namespace) -> int:
+    for flag, count in (("--states", args.states), ("--specs", args.specs)):
+        if count < 1:
+            raise ValueError(f"{flag} must be at least 1, got {count}")
     rng = np.random.default_rng(args.seed)
     threshold = 1.0 + 1e-9
     worst, worst_state, worst_spec = 0.0, None, None

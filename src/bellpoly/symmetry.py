@@ -180,7 +180,6 @@ class OrbitRecord:
     size: int
     permutation_invariant: bool
     factorizing: bool
-    max_violation: float | None = None
 
 
 def orbit(f: SignTable) -> Orbit:

@@ -230,7 +230,7 @@ def test_criterion_07_lp_oracle_agreement():
     ok = not disagreements
     report(
         7,
-        "LP oracle vs l1 criterion",
+        "NNLS membership oracle vs l1 criterion",
         ok,
         f"{checked} vectors checked ({excluded} boundary-excluded) in {elapsed:.1f}s, "
         f"{len(disagreements)} disagreements",

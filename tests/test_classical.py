@@ -1,4 +1,4 @@
-"""Classical region: extreme points, spectrum, margin, witness, LP oracle."""
+"""Classical region: extreme points, spectrum, margin, witness, membership oracle."""
 
 import io
 import os
@@ -23,6 +23,7 @@ from bellpoly.classical import (
 )
 import bellpoly
 from bellpoly.inequality import bell_table_from_id, coefficients_from_signs, evaluate, id_to_signs, signs_to_id
+from bellpoly.transform import bit_matrix
 
 GHZ_MERMIN = CorrelationVector(3, (0, 1, 1, 0, 1, 0, 0, -1))
 
@@ -167,8 +168,55 @@ def test_lp_agrees_with_margin_on_samples():
             assert lp_membership(xi) == (margin <= 1.0)
 
 
+def linprog_membership(xi):
+    """Reference oracle: LP feasibility of xi as a convex combination of extreme points."""
+    from scipy.optimize import linprog
+
+    bits = bit_matrix(xi.n)
+    signs = 1.0 - 2.0 * ((bits @ bits.T) % 2)  # column r is the extreme point (+r)
+    a_eq = np.vstack([np.hstack([signs, -signs]), np.ones((1, 2 << xi.n))])
+    b_eq = np.append(xi.as_array(), 1.0)
+    res = linprog(c=np.zeros(2 << xi.n), A_eq=a_eq, b_eq=b_eq, bounds=(0.0, None), method="highs")
+    assert res.status in (0, 2), res.message  # feasible or infeasible, nothing else
+    return res.status == 0
+
+
+def scaled_to_margin(rng, n, target):
+    """A seeded vector with l1 margin `target` and every entry in [-1, 1]."""
+    while True:
+        v = rng.uniform(-1, 1, 1 << n)
+        v *= target / l1_margin(CorrelationVector(n, tuple(v)))
+        if np.abs(v).max() <= 1.0:
+            return CorrelationVector(n, tuple(v))
+
+
+def test_lp_membership_matches_the_linprog_reference():
+    """Away from the boundary, where the LP's own tolerance decides nothing."""
+    rng = np.random.default_rng(15)
+    for n in (2, 3, 4):
+        verdicts = set()
+        for _ in range(60):
+            xi = scaled_to_margin(rng, n, rng.uniform(0.5, 1.5))
+            if abs(l1_margin(xi) - 1.0) < 1e-6:
+                continue
+            verdicts.add(lp_membership(xi))
+            assert lp_membership(xi) == linprog_membership(xi)
+        assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_lp_membership_resolves_the_boundary(n):
+    """Margins 1 +- 1e-9, 1e-7, 1e-5 land on the side the l1 criterion puts them."""
+    rng = np.random.default_rng(100 + n)
+    for gap in (1e-9, 1e-7, 1e-5):
+        for target in (1.0 - gap, 1.0 + gap):
+            for _ in range(10):
+                xi = scaled_to_margin(rng, n, target)
+                assert lp_membership(xi) == (l1_margin(xi) <= 1.0), (gap, l1_margin(xi))
+
+
 def test_import_loads_no_scipy():
-    """scipy loads only when the LP oracle runs, not at `import bellpoly`."""
+    """scipy loads only when the membership oracle runs, not at `import bellpoly`."""
     src = str(Path(bellpoly.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     probe = "import sys, bellpoly; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"

@@ -294,3 +294,11 @@ def test_ppt_check_names_a_replayable_worst_case(capsys):
     spec = quantum.ObservableSpec(tuple(map(tuple, pairs[report["worst_spec"]])))
     margin = classical.l1_margin(quantum.simulate_correlations(rho, spec))
     assert round(margin, 12) == report["max_value"]
+
+
+@pytest.mark.parametrize("flag, count", [("--states", "0"), ("--states", "-5"), ("--specs", "0"), ("--specs", "-3")])
+def test_ppt_check_rejects_counts_below_one(capsys, flag, count):
+    """A run that would check nothing is invalid input, not a pass."""
+    code, out, err = run(capsys, "ppt-check", flag, count)
+    assert code == EXIT_INVALID and out == ""
+    assert err == f"error: {flag} must be at least 1, got {count}\n"
