@@ -19,7 +19,6 @@ from .compose import (
     NestingLeaf,
     NestingNode,
     chsh_decompose,
-    chsh_prototype,
     evaluate_nesting,
     full_nesting,
     substitute,
@@ -32,7 +31,6 @@ from .inequality import (
     coefficients_from_signs,
     evaluate,
     id_to_signs,
-    is_extremal,
     mermin_sign_table,
     parse_polynomial,
     polynomial_string,
@@ -60,7 +58,6 @@ from .symmetry import (
     apply,
     classify_all,
     group_order,
-    orbit,
     orbit_of_id,
 )
 from .transform import DimensionMismatchError, DyadicVector, walsh_hadamard

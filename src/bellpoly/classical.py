@@ -25,7 +25,6 @@ __all__ = [
     "BOUNDARY_TOL",
     "CorrelationVector",
     "correlation_vector_from_json",
-    "correlation_vector_to_json",
     "correlation_vectors_from_csv",
     "extreme_point",
     "l1_margin",
@@ -53,7 +52,7 @@ class CorrelationVector:
             raise DimensionMismatchError(
                 f"expected {1 << n} entries for n={n}, got {len(xi)}"
             )
-        if any(abs(v) > 1.0 + _ENTRY_TOL for v in xi):
+        if not all(abs(v) <= 1.0 + _ENTRY_TOL for v in xi):  # NaN fails too
             raise ValueError("correlation entries must lie in [-1, 1]")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "xi", xi)
@@ -121,10 +120,6 @@ def lp_membership(xi: CorrelationVector) -> bool:
     signs = 1.0 - 2.0 * ((bits @ bits.T) % 2)  # column r is the extreme point (+r)
     a = np.vstack([np.hstack([signs, -signs]), np.ones((1, 2 << n))])
     return nnls(a, np.append(xi.as_array(), 1.0))[1] <= 1e-12
-
-
-def correlation_vector_to_json(xi: CorrelationVector) -> dict:
-    return {"n": xi.n, "xi": list(xi.xi)}
 
 
 def correlation_vector_from_json(obj: dict) -> CorrelationVector:

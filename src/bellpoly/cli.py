@@ -137,7 +137,8 @@ def cmd_membership(args: argparse.Namespace) -> int:
 
 
 def cmd_violation(args: argparse.Namespace) -> int:
-    beta = inequality.bell_table_from_id(args.n, args.id)
+    # the value is realized on the n-qubit GHZ state; check n before any table or grid exists
+    beta = inequality.bell_table_from_id(quantum._qubit_count(args.n), args.id)
     result = quantum.max_violation(beta, seed=args.seed)
     bound = quantum.mermin_bound(args.n)
     report = {

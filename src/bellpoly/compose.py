@@ -1,11 +1,12 @@
 """Substitution of inequalities into inequalities, and its inverse.
 
-Substituting an extremal polynomial for each observable slot of an extremal
-polynomial yields an extremal polynomial on the combined sites.  Running
-the construction backwards splits off the last site as a CHSH shell around
-two tables on one site fewer: the coefficient tables of f(., 0) and
-f(., 1), the two halves of the sign table.  Halving down to sign pairs
-decomposes every inequality into nested CHSH form with single-site leaves.
+Both act on sign tables, so extremality holds by construction.  Substituting
+an extremal polynomial for each observable slot of an extremal polynomial
+yields an extremal polynomial on the combined sites.  Running the
+construction backwards splits off the last site as a CHSH shell around the
+two halves of the sign table, f(., 0) and f(., 1), on one site fewer.
+Halving down to sign pairs decomposes every inequality into nested CHSH
+form with single-site leaves.
 """
 
 from __future__ import annotations
@@ -13,20 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .inequality import (
-    BellTable,
-    NotExtremalError,
-    SignTable,
-    coefficients_from_signs,
-    signs_from_coefficients,
-)
+from .inequality import BellTable, SignTable, signs_from_coefficients
 from .transform import MAX_SITES, DyadicVector
 
 __all__ = [
     "NestingLeaf",
     "NestingNode",
     "chsh_decompose",
-    "chsh_prototype",
     "evaluate_nesting",
     "full_nesting",
     "nesting_from_json",
@@ -35,39 +29,22 @@ __all__ = [
 ]
 
 
-def chsh_prototype() -> BellTable:
-    """The CHSH table (1/2, 1/2, 1/2, -1/2)."""
-    return BellTable.from_numerators(2, (1, 1, 1, -1), 1)
-
-
-def _require_extremal(beta: BellTable, role: str) -> tuple[int, ...]:
-    """The sign table of beta, which must be extremal."""
-    try:
-        return signs_from_coefficients(beta).signs
-    except NotExtremalError as exc:
-        raise NotExtremalError(f"{role} table is not extremal: {exc}") from exc
-
-
-def substitute(outer: BellTable, inner: Sequence[BellTable]) -> BellTable:
+def substitute(outer: SignTable, inner: Sequence[SignTable]) -> SignTable:
     """Fill each observable slot of the outer polynomial with an inner one.
 
     inner holds one table per (outer site, choice) slot in the order
     (site1/choice0, site1/choice1, site2/choice0, ...); the two tables of
     one outer site must have the same site count.  Site blocks are laid out
     in outer-site order, so absolute sites 1..n_1 come from outer site 1 and
-    so on.  All inputs must be extremal and the result then is as well: at a
-    deterministic point r = (r_1, ..., r_K) the slots of outer site k read
-    a_k(r_k) and a_k(r_k) (-1)^(r'_k), r'_k = [a_k(r_k) != b_k(r_k)], so the
-    result has the signs F(r) = prod_k a_k(r_k) * f(r').
+    so on.  At a deterministic point r = (r_1, ..., r_K) the slots of outer
+    site k read a_k(r_k) and a_k(r_k) (-1)^(r'_k), r'_k = [a_k(r_k) != b_k(r_k)],
+    so the result has the signs F(r) = prod_k a_k(r_k) * f(r').
     """
     k_sites = outer.n
     if len(inner) != 2 * k_sites:
         raise ValueError(
             f"expected {2 * k_sites} inner tables (two per outer site), got {len(inner)}"
         )
-    f = _require_extremal(outer, "outer")
-    slots = [_require_extremal(table, f"inner slot {i}") for i, table in enumerate(inner)]
-
     for k in range(k_sites):
         a, b = inner[2 * k], inner[2 * k + 1]
         if a.n != b.n:
@@ -81,26 +58,21 @@ def substitute(outer: BellTable, inner: Sequence[BellTable]) -> BellTable:
     # (prod_k a_k(r_k), r') for every r over the blocks placed so far
     pairs = [(1, 0)]
     for k in range(k_sites):
-        a, b = slots[2 * k], slots[2 * k + 1]
+        a, b = inner[2 * k].signs, inner[2 * k + 1].signs
         pairs = [(x * sign, word | (x != y) << k) for x, y in zip(a, b) for sign, word in pairs]
-    return coefficients_from_signs(SignTable(n_total, tuple(sign * f[word] for sign, word in pairs)))
+    return SignTable(n_total, tuple(sign * outer.signs[word] for sign, word in pairs))
 
 
-def chsh_decompose(beta: BellTable) -> tuple[BellTable, BellTable]:
-    """Split off the last site: (beta(.,0) + beta(.,1), beta(.,0) - beta(.,1)).
+def chsh_decompose(f: SignTable) -> tuple[SignTable, SignTable]:
+    """Split off the last site: the halves f(., 0) and f(., 1) on n-1 sites.
 
-    These are the coefficient tables of the two halves of the sign table
-    (last site 0 and 1), so both are extremal on n-1 sites, and wiring them
-    into the two slots of one CHSH site reconstructs beta exactly.
+    Their coefficient tables are beta(., 0) +- beta(., 1), and wiring them
+    into the two slots of one CHSH site reconstructs f exactly.
     """
-    if beta.n < 2:
+    if f.n < 2:
         raise ValueError("need at least two sites to split one off")
-    f = _require_extremal(beta, "input")
-    half = len(f) // 2
-    return (
-        coefficients_from_signs(SignTable(beta.n - 1, f[:half])),
-        coefficients_from_signs(SignTable(beta.n - 1, f[half:])),
-    )
+    half = len(f.signs) // 2
+    return SignTable(f.n - 1, f.signs[:half]), SignTable(f.n - 1, f.signs[half:])
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from typing import Sequence
 from .transform import (
     DimensionMismatchError,
     DyadicVector,
+    bits_word,
     site_count,
     walsh_hadamard,
     word_bits,
@@ -34,7 +35,6 @@ __all__ = [
     "coefficients_from_signs",
     "evaluate",
     "id_to_signs",
-    "is_extremal",
     "mermin_sign_table",
     "parse_polynomial",
     "polynomial_string",
@@ -104,14 +104,6 @@ def signs_from_coefficients(beta: BellTable) -> SignTable:
     return SignTable(beta.n, tuple(signs))
 
 
-def is_extremal(beta: BellTable) -> bool:
-    try:
-        signs_from_coefficients(beta)
-    except NotExtremalError:
-        return False
-    return True
-
-
 def id_to_signs(n: int, value: int) -> SignTable:
     """Decode an inequality number: bit r set means f(r) = -1."""
     value, n = operator.index(value), site_count(n)
@@ -122,11 +114,7 @@ def id_to_signs(n: int, value: int) -> SignTable:
 
 def signs_to_id(f: SignTable) -> int:
     """Encode a sign table as its inequality number (unbounded int)."""
-    value = 0
-    for r, v in enumerate(f.signs):
-        if v < 0:
-            value |= 1 << r
-    return value
+    return bits_word(bytes(v < 0 for v in f.signs))
 
 
 def bell_table_from_id(n: int, value: int) -> BellTable:

@@ -71,7 +71,9 @@ def _qubit_count(n: int) -> int:
 
 def _reduce_angle(v: float) -> float:
     """v mod 2pi in [0, 2pi); a tiny negative v rounds to 2pi itself, which is 0."""
-    v = float(v) % TWO_PI
+    if not math.isfinite(v := float(v)):
+        raise ValueError(f"angles must be finite, got {v}")
+    v %= TWO_PI
     return 0.0 if v == TWO_PI else v
 
 
@@ -286,12 +288,13 @@ def max_violation(beta: BellTable, *, seed: int = 0) -> ViolationResult:
     `converged` says its gradient norm is at most 1e-8.  The value, gradient
     and T all come from one more `_ascent_terms` call at the best point.
     Deterministic for a given seed.  Nonconvergence is reported via the
-    flag, never raised.
+    flag, never raised.  n must be 1..12, as for the GHZ state that realizes
+    the value; it is checked before the grid is sized.
     """
     if not any(beta.coefficients.numerators):
         raise ValueError("the zero table has no violation to maximize")
     coeffs = _coefficient_array(beta)
-    starts, weights = _start_points(beta.n, seed)
+    starts, weights = _start_points(_qubit_count(beta.n), seed)
     runs = [
         _newton_ascent(coeffs, _seed_last_angle(coeffs, starts[lo : lo + _START_BLOCK]))
         for lo in range(0, len(starts), _START_BLOCK)

@@ -21,8 +21,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .inequality import SignTable, signs_to_id
-from .transform import DimensionMismatchError, bit_matrix, site_count, word_bits
+from .inequality import SignTable
+from .transform import DimensionMismatchError, bit_matrix, bits_word, site_count, word_bits
 
 __all__ = [
     "GroupElement",
@@ -31,7 +31,6 @@ __all__ = [
     "apply",
     "classify_all",
     "group_order",
-    "orbit",
     "orbit_of_id",
     "permute_word",
 ]
@@ -102,7 +101,7 @@ def _sign_code(n: int) -> tuple[tuple[int, ...], tuple[int, ...], np.ndarray]:
     global sign.  Returns the characters, a reduced echelon basis (each leading bit
     clear in the other words) and all codewords, in the least unsigned dtype that
     holds a 2^n-bit word."""
-    x = tuple(sum(1 << r for r in range(1 << n) if r >> k & 1) for k in range(n))
+    x = tuple(bits_word(r >> k & 1 for r in range(1 << n)) for k in range(n))
     basis: list[int] = []
     for v in ((1 << (1 << n)) - 1, *x):
         for b in basis:
@@ -182,12 +181,8 @@ class OrbitRecord:
     factorizing: bool
 
 
-def orbit(f: SignTable) -> Orbit:
-    """Sweep the whole group over one table (feasible up to n = 6)."""
-    return orbit_of_id(f.n, signs_to_id(f))
-
-
 def orbit_of_id(n: int, table_id: int) -> Orbit:
+    """Sweep the whole group over one table (feasible up to n = 6)."""
     if site_count(n) > MAX_ORBIT_SITES:
         raise ValueError(f"orbit sweeps are limited to n <= {MAX_ORBIT_SITES}")
     if not 0 <= operator.index(table_id) < 1 << (1 << n):
@@ -201,7 +196,8 @@ def orbit_of_id(n: int, table_id: int) -> Orbit:
 def _symmetric_ids(n: int) -> np.ndarray:
     """The 2^(n+1) ids of the tables whose f(r) depends only on weight(r), read-only."""
     weight = bit_matrix(n).sum(axis=1).astype(int)
-    ids = bit_matrix(n + 1)[:, weight].astype(np.uint64) @ 2 ** np.arange(1 << n, dtype=np.uint64)
+    tables = bit_matrix(n + 1)[:, weight].astype(np.uint8)  # row c: f(r) from bit weight(r) of c
+    ids = np.array([bits_word(bits.tobytes()) for bits in tables], dtype=np.uint64)
     ids.flags.writeable = False
     return ids
 

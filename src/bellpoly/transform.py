@@ -3,7 +3,7 @@
 This module alone fixes the bit layout: every table is indexed by n-bit
 words r or s with site k in bit k-1 (site 1 least significant), and bit r of
 an inequality id is set exactly when f(r) = -1; bit_matrix and word_bits are
-its two views.  The one deliberate exception is the basis index of a qubit
+its two views, and bits_word, the inverse of word_bits, is the only encoder.  The one deliberate exception is the basis index of a qubit
 state, which puts site 1 in the most significant bit, as np.kron does
 (simulate_correlations, partial_transpose).  The transform kernel is
 (-1)^<r,s> with <r,s> = sum_k r_k s_k mod 2.  walsh_hadamard is exact integer
@@ -16,7 +16,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -24,6 +24,7 @@ __all__ = [
     "DimensionMismatchError",
     "DyadicVector",
     "bit_matrix",
+    "bits_word",
     "walsh_hadamard",
     "word_bits",
 ]
@@ -52,11 +53,17 @@ def bit_matrix(n: int) -> np.ndarray:
 
 
 _DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+_DIGIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def word_bits(m: int, word: int) -> bytes:
     """Bits 0..m-1 of a word >= 0, low bit first, as bytes of 0s and 1s (ints when iterated)."""
     return f"{word:0{m}b}"[: -m - 1 : -1].encode().translate(_DIGIT_VALUES)
+
+
+def bits_word(bits: Iterable[int]) -> int:
+    """The word whose bit k is bits[k]: 0s and 1s, low bit first; inverts word_bits."""
+    return int(b"0" + bytes(bits)[::-1].translate(_DIGIT_CHARS), 2)
 
 
 def walsh_hadamard(values: Sequence[int]) -> list[int]:

@@ -198,7 +198,7 @@ def test_criterion_06_mermin_n6_number():
     f = inequality.mermin_sign_table(6)
     direct = inequality.signs_to_id(f)
     start = time.perf_counter()
-    orb = symmetry.orbit(f)
+    orb = symmetry.orbit_of_id(f.n, direct)
     elapsed = time.perf_counter() - start
     member = MERMIN_N6_ID in orb
     ok = direct == MERMIN_N6_ID and member and elapsed < 60.0

@@ -146,6 +146,15 @@ def test_output_matches_the_recorded_digest(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == RECORDED_DIGESTS[argv]
 
 
+def test_membership_rejects_a_nan_entry(tmp_path, capsys):
+    """abs(nan) > 1 is False; a NaN row once printed '"margin": NaN', which is not JSON."""
+    path = tmp_path / "nan.csv"
+    path.write_text("nan,0,0,0\n")
+    code, out, err = run(capsys, "membership", str(path))
+    assert code == EXIT_INVALID and out == ""
+    assert err == "error: correlation entries must lie in [-1, 1]\n"
+
+
 def test_membership_missing_file(capsys):
     code, _, err = run(capsys, "membership", "/nonexistent/vector.json")
     assert code == EXIT_INVALID and "error:" in err
@@ -191,6 +200,13 @@ def test_ghz_command_reproduces_extreme_point(capsys):
     expected = (0, 1, 1, 0, 1, 0, 0, -1)
     for got, want in zip(report["correlations"], expected):
         assert got == pytest.approx(want, abs=1e-9)
+
+
+@pytest.mark.parametrize("phi0, phi, bad", [("nan", "0,0", "nan"), ("0", "inf,0", "inf")])
+def test_ghz_rejects_non_finite_angles(capsys, phi0, phi, bad):
+    code, out, err = run(capsys, "ghz", "--phi0", phi0, "--phi", phi)
+    assert code == EXIT_INVALID and out == ""
+    assert err == f"error: angles must be finite, got {bad}\n"
 
 
 def test_ghz_site_count_mismatch(capsys):

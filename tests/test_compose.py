@@ -7,7 +7,6 @@ from bellpoly.compose import (
     NestingLeaf,
     NestingNode,
     chsh_decompose,
-    chsh_prototype,
     evaluate_nesting,
     full_nesting,
     nesting_from_json,
@@ -17,16 +16,19 @@ from bellpoly.compose import (
 from bellpoly.inequality import (
     BellTable,
     NotExtremalError,
+    SignTable,
     bell_table_from_id,
-    is_extremal,
+    coefficients_from_signs,
+    id_to_signs,
     signs_to_id,
     signs_from_coefficients,
 )
 from bellpoly.transform import DyadicVector
 
 MERMIN3 = BellTable.from_numerators(3, (0, 1, 1, 0, 1, 0, 0, -1), 1)
-A1 = BellTable.from_numerators(1, (1, 0), 0)
-A2 = BellTable.from_numerators(1, (0, 1), 0)
+CHSH = SignTable(2, (1, 1, 1, -1))  # 1/2 (a1 b1 + a1 b2 + a2 b1 - a2 b2)
+A1 = SignTable(1, (1, 1))  # a1
+A2 = SignTable(1, (1, -1))  # a2
 
 
 SINGLE_SITE_LEAVES = {
@@ -37,11 +39,11 @@ SINGLE_SITE_LEAVES = {
 }
 
 
-def reference_nesting(beta: BellTable):
+def reference_nesting(f: SignTable):
     """The nesting tree by recursing chsh_decompose down to single-site tables."""
-    if beta.n == 1:
-        return SINGLE_SITE_LEAVES[beta]
-    b0, b1 = chsh_decompose(beta)
+    if f.n == 1:
+        return SINGLE_SITE_LEAVES[coefficients_from_signs(f)]
+    b0, b1 = chsh_decompose(f)
     return NestingNode(a0=reference_nesting(b0), a1=reference_nesting(b1))
 
 
@@ -74,82 +76,86 @@ def expanded_substitute(outer: BellTable, inner: list[BellTable]) -> BellTable:
     return BellTable(DyadicVector(n_total, tuple(out), log_den))
 
 
-def chsh_shell(b0: BellTable, b1: BellTable) -> BellTable:
+def expanded_substitute_signs(outer: SignTable, inner: list[SignTable]) -> BellTable:
+    """expanded_substitute on the coefficient tables of sign-table inputs."""
+    return expanded_substitute(
+        coefficients_from_signs(outer), [coefficients_from_signs(f) for f in inner]
+    )
+
+
+def chsh_shell(b0: SignTable, b1: SignTable) -> SignTable:
     """Wire two tables into the two slots of one CHSH site."""
-    return substitute(chsh_prototype(), [b0, b1, A1, A2])
+    return substitute(CHSH, [b0, b1, A1, A2])
 
 
 def test_decompose_mermin_example():
-    b0, b1 = chsh_decompose(MERMIN3)
-    assert b0 == chsh_prototype()
-    assert b1 == BellTable.from_numerators(2, (-1, 1, 1, 1), 1)
+    b0, b1 = chsh_decompose(signs_from_coefficients(MERMIN3))
+    assert b0 == CHSH
+    assert coefficients_from_signs(b0) == BellTable.from_numerators(2, (1, 1, 1, -1), 1)
+    assert coefficients_from_signs(b1) == BellTable.from_numerators(2, (-1, 1, 1, 1), 1)
 
 
 def test_decompose_product_polynomial():
-    product = bell_table_from_id(3, 0)  # a1 b1 c1
-    b0, b1 = chsh_decompose(product)
-    assert b0 == b1 == bell_table_from_id(2, 0)
+    b0, b1 = chsh_decompose(id_to_signs(3, 0))  # a1 b1 c1
+    assert b0 == b1 == id_to_signs(2, 0)
 
 
 def test_decompose_errors():
     with pytest.raises(ValueError):
         chsh_decompose(A1)
-    with pytest.raises(NotExtremalError):
-        chsh_decompose(BellTable.from_numerators(2, (1, 1, 1, 1), 2))
 
 
 def test_substitute_identity_shell():
-    beta = bell_table_from_id(3, 23)
-    other = bell_table_from_id(3, 129)
-    assert substitute(A1, [beta, other]) == beta
-    assert substitute(A2, [other, beta]) == beta
+    f = id_to_signs(3, 23)
+    other = id_to_signs(3, 129)
+    assert substitute(A1, [f, other]) == f
+    assert substitute(A2, [other, f]) == f
 
 
 def test_substitute_product_construction():
-    # trivial two-site product polynomial as the outer shell
-    product_shell = BellTable.from_numerators(2, (1, 0, 0, 0), 0)
-    chsh = chsh_prototype()
-    result = substitute(product_shell, [chsh, chsh, A1, A1])
-    assert result == BellTable.from_numerators(3, (1, 1, 1, -1, 0, 0, 0, 0), 1)
+    # trivial two-site product polynomial a1 b1 as the outer shell
+    product_shell = id_to_signs(2, 0)
+    result = substitute(product_shell, [CHSH, CHSH, A1, A1])
+    assert coefficients_from_signs(result) == BellTable.from_numerators(3, (1, 1, 1, -1, 0, 0, 0, 0), 1)
     # the result sits in the CHSH-extension orbit of the tripartite census
     from bellpoly.symmetry import orbit_of_id
 
-    assert signs_to_id(signs_from_coefficients(result)) in orbit_of_id(3, 3)
+    assert signs_to_id(result) in orbit_of_id(3, 3)
 
 
 def test_substitute_validates_inputs():
     with pytest.raises(ValueError):
-        substitute(chsh_prototype(), [A1, A2])  # needs 2K = 4 tables
-    with pytest.raises(NotExtremalError):
-        substitute(BellTable.from_numerators(1, (0, 0), 0), [A1, A2])
+        substitute(CHSH, [A1, A2])  # needs 2K = 4 tables
     with pytest.raises(ValueError):
-        substitute(A1, [A1, chsh_prototype()])  # slot pair sizes differ
+        substitute(A1, [A1, CHSH])  # slot pair sizes differ
 
 
 def test_shell_roundtrip_exhaustive_n3():
     for value in range(256):
-        beta = bell_table_from_id(3, value)
-        b0, b1 = chsh_decompose(beta)
-        assert chsh_shell(b0, b1) == beta
+        f = id_to_signs(3, value)
+        b0, b1 = chsh_decompose(f)
+        assert chsh_shell(b0, b1) == f
 
 
 def test_substitution_extremality_closure_random():
+    """The product expansion of extremal inputs is extremal, with substitute's signs."""
     rng = np.random.default_rng(101)
     for _ in range(10_000):
         outer_sites = int(rng.integers(1, 3))
         sizes = [int(rng.integers(1, 4)) for _ in range(outer_sites)]
         if sum(sizes) > 5:
             continue
-        outer = bell_table_from_id(
+        outer = id_to_signs(
             outer_sites, int(rng.integers(0, 1 << (1 << outer_sites)))
         )
         inner = []
         for size in sizes:
             for _ in range(2):
                 inner.append(
-                    bell_table_from_id(size, int(rng.integers(0, 1 << (1 << size))))
+                    id_to_signs(size, int(rng.integers(0, 1 << (1 << size))))
                 )
-        assert is_extremal(substitute(outer, inner))
+        expanded = expanded_substitute_signs(outer, inner)
+        assert signs_from_coefficients(expanded) == substitute(outer, inner)
 
 
 def test_substitute_matches_the_coefficient_expansion():
@@ -161,13 +167,14 @@ def test_substitute_matches_the_coefficient_expansion():
         sizes = [int(rng.integers(1, 4)) for _ in range(outer_sites)]
         if sum(sizes) > 8:
             continue
-        outer = bell_table_from_id(outer_sites, int(rng.integers(0, 1 << (1 << outer_sites))))
+        outer = id_to_signs(outer_sites, int(rng.integers(0, 1 << (1 << outer_sites))))
         inner = [
-            bell_table_from_id(size, int(rng.integers(0, 1 << (1 << size))))
+            id_to_signs(size, int(rng.integers(0, 1 << (1 << size))))
             for size in sizes
             for _ in range(2)
         ]
-        assert substitute(outer, inner) == expanded_substitute(outer, inner)
+        result = coefficients_from_signs(substitute(outer, inner))
+        assert result == expanded_substitute_signs(outer, inner)
         checked += 1
 
 
@@ -184,11 +191,11 @@ def test_chsh_decompose_matches_the_coefficient_halves():
             BellTable(DyadicVector(n - 1, tuple(op(x, y) for x, y in zip(low, high)), c.log_denominator))
             for op in (int.__add__, int.__sub__)
         )
-        assert chsh_decompose(beta) == expected
+        assert tuple(map(coefficients_from_signs, chsh_decompose(id_to_signs(n, value)))) == expected
 
 
 def test_full_nesting_chsh_depth_one():
-    tree = full_nesting(chsh_prototype())
+    tree = full_nesting(coefficients_from_signs(CHSH))
     assert tree == NestingNode(
         a0=NestingLeaf(site=1, choice=0, sign=1),
         a1=NestingLeaf(site=1, choice=1, sign=1),
@@ -198,7 +205,7 @@ def test_full_nesting_chsh_depth_one():
 def test_full_nesting_mermin_tree():
     tree = full_nesting(MERMIN3)
     assert isinstance(tree, NestingNode)
-    assert evaluate_nesting(tree.a0) == chsh_prototype()
+    assert evaluate_nesting(tree.a0) == coefficients_from_signs(CHSH)
     assert evaluate_nesting(tree) == MERMIN3
 
 
@@ -214,8 +221,7 @@ def test_full_nesting_matches_chsh_decompose_recursion():
     cases = [(2, v) for v in range(16)] + [(3, v) for v in range(256)]
     cases += [(4, int(rng.integers(0, 1 << 16))) for _ in range(200)]
     for n, value in cases:
-        beta = bell_table_from_id(n, value)
-        assert full_nesting(beta) == reference_nesting(beta)
+        assert full_nesting(bell_table_from_id(n, value)) == reference_nesting(id_to_signs(n, value))
 
 
 def test_full_nesting_rejects_non_extremal():

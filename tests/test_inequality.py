@@ -22,7 +22,6 @@ from bellpoly.inequality import (
     coefficients_from_signs,
     evaluate,
     id_to_signs,
-    is_extremal,
     mermin_sign_table,
     parse_polynomial,
     polynomial_string,
@@ -67,11 +66,11 @@ def test_uniform_quarter_table_is_not_extremal():
     beta = BellTable.from_numerators(2, (1, 1, 1, 1), 2)
     with pytest.raises(NotExtremalError):
         signs_from_coefficients(beta)
-    assert not is_extremal(beta)
 
 
 def test_zero_table_is_not_extremal():
-    assert not is_extremal(BellTable.from_numerators(2, (0, 0, 0, 0), 0))
+    with pytest.raises(NotExtremalError):
+        signs_from_coefficients(BellTable.from_numerators(2, (0, 0, 0, 0), 0))
 
 
 def test_id_codec_bijective_small_n():

@@ -185,6 +185,15 @@ def test_phase_vector_tiny_negative_angle_reduces_to_zero():
     assert p.phi == (0.0, 1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_phase_vector_rejects_non_finite_angles(bad):
+    # nan % 2pi is nan, which would pass as an angle in [0, 2pi)
+    with pytest.raises(ValueError, match="angles must be finite"):
+        PhaseVector(bad, (0.0, 0.0))
+    with pytest.raises(ValueError, match="angles must be finite"):
+        PhaseVector(0.0, (0.0, bad))
+
+
 def test_xy_observables_square_to_identity():
     rng = np.random.default_rng(0)
     for theta in rng.uniform(0, 2 * math.pi, 20):
@@ -742,6 +751,24 @@ def test_too_many_qubits_are_rejected_before_allocating(capsys):
         tracemalloc.stop()
     assert peak < 1 << 20
     assert capsys.readouterr().err == "error: qubit count must be 1..12, got 13\n"
+
+
+def test_violation_qubit_count_is_checked_before_allocating(capsys):
+    """n is checked before the 4^(n-1)-point start grid (6.5 GiB at n=14) or any table exists."""
+    beta = bell_table_from_id(13, 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"qubit count must be 1\.\.12, got 13"):
+            max_violation(beta)
+        for n in ("13", "14", "31"):
+            assert cli.main(["violation", "-n", n, "--id", "1"]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert capsys.readouterr().err == "".join(
+        f"error: qubit count must be 1..12, got {n}\n" for n in (13, 14, 31)
+    )
 
 
 def test_sample_separable_single_term_is_pure():

@@ -10,6 +10,7 @@ from bellpoly.transform import (
     DimensionMismatchError,
     DyadicVector,
     bit_matrix,
+    bits_word,
     walsh_hadamard,
     word_bits,
 )
@@ -118,6 +119,15 @@ def test_word_bits_match_a_per_bit_loop(n):
     assert bit_matrix(n).tolist() == [list(map(float, word_bits(n, s))) for s in range(1 << n)]
 
 
+def loop_signs_to_id(f: SignTable) -> int:
+    """The per-bit encoder signs_to_id used before bits_word, the reference here."""
+    value = 0
+    for r, v in enumerate(f.signs):
+        if v < 0:
+            value |= 1 << r
+    return value
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_word_bits_agree_with_signs_to_id(n):
     """Bit r of an id is set exactly where f(r) = -1, in both directions."""
@@ -126,7 +136,14 @@ def test_word_bits_agree_with_signs_to_id(n):
     for _ in range(25):
         value = int.from_bytes(rng.bytes((m + 7) // 8), "little") & ((1 << m) - 1)
         bits = word_bits(m, value)
+        assert bits_word(bits) == value
         assert signs_to_id(SignTable(n, tuple(1 - 2 * b for b in bits))) == value
         assert id_to_signs(n, value).signs == tuple(1 - 2 * b for b in bits)
         signs = tuple(int(v) for v in rng.choice((-1, 1), size=m))
+        assert signs_to_id(SignTable(n, signs)) == loop_signs_to_id(SignTable(n, signs))
         assert list(word_bits(m, signs_to_id(SignTable(n, signs)))) == [int(v < 0) for v in signs]
+    # every width in between, and the all-zero and all-one words at each end
+    for width in range(m // 2, m + 1):
+        for value in (0, (1 << width) - 1, int.from_bytes(rng.bytes(width // 8 + 1), "little") % (1 << width)):
+            assert bits_word(word_bits(width, value)) == value
+    assert bits_word(b"") == 0 and bits_word([1, 0, 1]) == 5
