@@ -54,7 +54,6 @@ from .quantum import (
 from .symmetry import (
     GroupElement,
     Orbit,
-    OrbitRecord,
     apply,
     classify_all,
     group_order,

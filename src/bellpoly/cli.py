@@ -17,13 +17,15 @@ from pathlib import Path
 import numpy as np
 
 from . import classical, inequality, quantum, symmetry
-from .transform import DimensionMismatchError, site_count
+from .transform import site_count
 
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_NONCONVERGED = 3
 
 _ENUM_ALL_MAX_SITES = 4
+_ID_MAX_SITES = 13  # a 2^14-bit id has up to 4,933 digits, past Python's 4,300-digit int/str limit
+_CENSUS_FIELDS = ("n", "canonical_id", "size", "permutation_invariant", "factorizing")
 
 
 def _signs_string(f: inequality.SignTable) -> str:
@@ -41,6 +43,12 @@ def _signs_from_string(text: str) -> inequality.SignTable:
     return inequality.SignTable(m.bit_length() - 1, values)
 
 
+def _id_site_count(n: int) -> int:
+    if site_count(n) > _ID_MAX_SITES:
+        raise ValueError(f"ids are limited to n <= {_ID_MAX_SITES} (4,300 decimal digits), got {n}")
+    return n
+
+
 def _emit_rows(rows: list[dict], fmt: str, stream) -> None:
     """Write rows as JSON lines or as CSV with a header; no rows print nothing."""
     if fmt == "csv" and rows:
@@ -52,8 +60,8 @@ def _emit_rows(rows: list[dict], fmt: str, stream) -> None:
             stream.write(json.dumps(row) + "\n")
 
 
-def cmd_enumerate(args: argparse.Namespace) -> int:
-    n = site_count(args.n)
+def cmd_enumerate(args: argparse.Namespace) -> tuple[list[dict], int]:
+    n = _id_site_count(args.n)
     if args.id is not None:
         ids = [args.id]
     elif args.range is not None:
@@ -82,33 +90,22 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
                 "signs": _signs_string(f),
             }
         )
-    _emit_rows(rows, args.format, sys.stdout)
-    return EXIT_OK
+    return rows, EXIT_OK
 
 
-def cmd_classify(args: argparse.Namespace) -> int:
-    records = symmetry.classify_all(args.n)
+def cmd_classify(args: argparse.Namespace) -> tuple[list[dict], int]:
     rows = []
-    converged = True
-    for rec in records:
-        row = {
-            "n": rec.n,
-            "canonical_id": rec.canonical_id,
-            "size": rec.size,
-            "permutation_invariant": rec.permutation_invariant,
-            "factorizing": rec.factorizing,
-        }
+    for orb in symmetry.classify_all(args.n):
+        row = {name: getattr(orb, name) for name in _CENSUS_FIELDS}
         if not args.no_violations:
-            beta = inequality.bell_table_from_id(rec.n, rec.canonical_id)
+            beta = inequality.bell_table_from_id(orb.n, orb.canonical_id)
             result = quantum.max_violation(beta, seed=args.seed)
             row["max_violation"] = round(result.value, 9)
             row["seed"] = args.seed
             row["converged"] = result.converged
             row["gradient_norm"] = round(result.gradient_norm, 9)
-            converged &= result.converged
         rows.append(row)
-    _emit_rows(rows, args.format, sys.stdout)
-    return EXIT_OK if converged else EXIT_NONCONVERGED
+    return rows, EXIT_OK if all(row.get("converged", True) for row in rows) else EXIT_NONCONVERGED
 
 
 def _load_vectors(path: Path) -> list[classical.CorrelationVector]:
@@ -118,7 +115,7 @@ def _load_vectors(path: Path) -> list[classical.CorrelationVector]:
     return classical.correlation_vectors_from_csv(text.splitlines())
 
 
-def cmd_membership(args: argparse.Namespace) -> int:
+def cmd_membership(args: argparse.Namespace) -> tuple[list[dict], int]:
     rows = []
     for xi in _load_vectors(Path(args.file)):
         margin = classical.l1_margin(xi)
@@ -132,11 +129,10 @@ def cmd_membership(args: argparse.Namespace) -> int:
                 "witness_signs": _signs_string(wit),
             }
         )
-    _emit_rows(rows, args.format, sys.stdout)
-    return EXIT_OK
+    return rows, EXIT_OK
 
 
-def cmd_violation(args: argparse.Namespace) -> int:
+def cmd_violation(args: argparse.Namespace) -> tuple[list[dict], int]:
     # the value is realized on the n-qubit GHZ state; check n before any table or grid exists
     beta = inequality.bell_table_from_id(quantum._qubit_count(args.n), args.id)
     result = quantum.max_violation(beta, seed=args.seed)
@@ -152,11 +148,10 @@ def cmd_violation(args: argparse.Namespace) -> int:
         "seed": args.seed,
         "converged": result.converged,
     }
-    print(json.dumps(report))
-    return EXIT_OK if result.converged else EXIT_NONCONVERGED
+    return [report], EXIT_OK if result.converged else EXIT_NONCONVERGED
 
 
-def cmd_ghz(args: argparse.Namespace) -> int:
+def cmd_ghz(args: argparse.Namespace) -> tuple[list[dict], int]:
     phi = tuple(float(v) for v in args.phi.split(","))
     if args.n is not None and args.n != len(phi):
         raise ValueError(f"-n {args.n} but {len(phi)} site angles given")
@@ -171,29 +166,28 @@ def cmd_ghz(args: argparse.Namespace) -> int:
         "observable_angles": [list(pair) for pair in obs.angles],
         "correlations": [round(v, 12) for v in xi.xi],
     }
-    print(json.dumps(report))
-    return EXIT_OK
+    return [report], EXIT_OK
 
 
-def cmd_id(args: argparse.Namespace) -> int:
+def cmd_id(args: argparse.Namespace) -> tuple[list[dict], int]:
+    n = None if args.n is None else _id_site_count(args.n)
     if args.mermin:
-        if args.n is None:
+        if n is None:
             raise ValueError("--mermin requires -n")
-        f = inequality.mermin_sign_table(args.n)
+        f = inequality.mermin_sign_table(n)
     elif args.signs is not None:
         f = _signs_from_string(args.signs)
-        if args.n is not None and args.n != f.n:
-            raise ValueError(f"-n {args.n} but {len(f.signs)} signs given (n={f.n})")
+        if n is not None and n != f.n:
+            raise ValueError(f"-n {n} but {len(f.signs)} signs given (n={f.n})")
     elif args.polynomial is not None:
-        beta = inequality.parse_polynomial(args.polynomial, args.n)
+        beta = inequality.parse_polynomial(args.polynomial, n)
         f = inequality.signs_from_coefficients(beta)
     else:
         raise ValueError("one of --mermin, --signs, --polynomial is required")
-    print(json.dumps({"n": f.n, "id": inequality.signs_to_id(f)}))
-    return EXIT_OK
+    return [{"n": _id_site_count(f.n), "id": inequality.signs_to_id(f)}], EXIT_OK
 
 
-def cmd_ppt_check(args: argparse.Namespace) -> int:
+def cmd_ppt_check(args: argparse.Namespace) -> tuple[list[dict], int]:
     for flag, count in (("--states", args.states), ("--specs", args.specs)):
         if count < 1:
             raise ValueError(f"{flag} must be at least 1, got {count}")
@@ -220,8 +214,7 @@ def cmd_ppt_check(args: argparse.Namespace) -> int:
         "worst_state": worst_state,
         "worst_spec": worst_spec,
     }
-    print(json.dumps(report))
-    return EXIT_OK
+    return [report], EXIT_OK
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -285,8 +278,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (ValueError, DimensionMismatchError, OSError, json.JSONDecodeError) as exc:
+        rows, code = args.func(args)
+        _emit_rows(rows, getattr(args, "format", "json"), sys.stdout)
+        return code
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .transform import DimensionMismatchError, bit_matrix, bits_word, site_count
 __all__ = [
     "GroupElement",
     "Orbit",
-    "OrbitRecord",
     "apply",
     "classify_all",
     "group_order",
@@ -156,7 +155,7 @@ def _orbit_ids(n: int, table_id: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Orbit:
-    """One symmetry class: all member ids, their count, and the least id."""
+    """One symmetry class: all member ids, their count, the least id, and the census flags."""
 
     n: int
     canonical_id: int
@@ -169,16 +168,27 @@ class Orbit:
         idx = int(np.searchsorted(self.member_ids, np.uint64(int(table_id))))
         return idx < self.size and int(self.member_ids[idx]) == int(table_id)
 
+    @cached_property
+    def permutation_invariant(self) -> bool:
+        """Some member's f(r) depends only on weight(r): look those 2^(n+1) ids up."""
+        symmetric = _symmetric_ids(self.n)
+        idx = np.minimum(np.searchsorted(self.member_ids, symmetric), self.size - 1)
+        return bool((self.member_ids[idx] == symmetric).any())
 
-@dataclass(frozen=True)
-class OrbitRecord:
-    """Census row: canonical representative, size and structural flags."""
-
-    n: int
-    canonical_id: int
-    size: int
-    permutation_invariant: bool
-    factorizing: bool
+    @cached_property
+    def factorizing(self) -> bool:
+        """Some member is a product over a cut.  Every group element keeps product form
+        (permutations move cuts to cuts; XOR shifts and sign characters factor over any
+        cut), so the least member decides."""
+        size = 1 << self.n
+        bits = np.frombuffer(word_bits(size, self.canonical_id), np.uint8)
+        words = np.arange(size)
+        for t in range(1, size - 1, 2):  # cuts with site 1 on the left (complements match)
+            left = words & t
+            right = words & ~t & (size - 1)
+            if ((bits ^ bits[0]) == (bits[left] ^ bits[right])).all():
+                return True
+        return False
 
 
 def orbit_of_id(n: int, table_id: int) -> Orbit:
@@ -202,43 +212,18 @@ def _symmetric_ids(n: int) -> np.ndarray:
     return ids
 
 
-def _orbit_flags(n: int, member_ids: np.ndarray) -> tuple[bool, bool]:
-    """(has permutation-invariant member, has factorizing member).
-
-    A table is permutation invariant iff f(r) depends only on weight(r), so
-    the first flag looks those 2^(n+1) ids up in the sorted members.  Every
-    group element maps product tables to product tables (permutations move
-    cuts to cuts; XOR shifts and sign characters factor over any cut), so
-    the second flag is decided by one member.
-    """
-    symmetric = _symmetric_ids(n)
-    idx = np.minimum(np.searchsorted(member_ids, symmetric), len(member_ids) - 1)
-    perm_invariant = bool((member_ids[idx] == symmetric).any())
-
-    bits = np.frombuffer(word_bits(1 << n, int(member_ids[0])), np.uint8)
-    size = 1 << n
-    words = np.arange(size)
-    for t in range(1, size - 1, 2):  # cuts with site 1 on the left (complements match)
-        left = words & t
-        right = words & ~t & (size - 1)
-        if ((bits ^ bits[0]) == (bits[left] ^ bits[right])).all():
-            return perm_invariant, True
-    return perm_invariant, False
-
-
-def classify_all(n: int) -> list[OrbitRecord]:
+def classify_all(n: int) -> list[Orbit]:
     """Partition all 2^(2^n) sign tables into orbits (exhaustive, n <= 4).
 
-    Returns records sorted by canonical id; sizes add up to 2^(2^n).
+    Returns the orbits sorted by canonical id; sizes add up to 2^(2^n).
     """
     if site_count(n) > MAX_CENSUS_SITES:
         raise ValueError(f"the exhaustive census is limited to n <= {MAX_CENSUS_SITES}")
     seen = np.zeros(1 << (1 << n), dtype=bool)
-    records: list[OrbitRecord] = []
+    orbits: list[Orbit] = []
     seed = 0
     while not seen[seed]:  # seed is the least unseen id, or 0 once all are seen
-        ids = _orbit_ids(n, seed)
-        seen[ids] = True
-        records.append(OrbitRecord(n, seed, len(ids), *_orbit_flags(n, ids)))
+        orbits.append(orbit_of_id(n, seed))
+        seen[orbits[-1].member_ids] = True
         seed = int(seen.argmin())
-    return records
+    return orbits

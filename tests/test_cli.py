@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -273,6 +274,46 @@ def test_site_count_is_checked_before_anything_is_sized_by_it(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_INVALID and out == ""
     assert err == f"error: site count must be in 1..31, got {n}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "-n", "14", "--id", "1"),
+        ("enumerate", "-n", "24", "--id", "1"),
+        ("enumerate", "-n", "31", "--id", "1"),
+        ("enumerate", "-n", "14", "--range", "0", "1"),
+        ("id", "--mermin", "-n", "14"),
+        ("id", "--mermin", "-n", "31"),
+        ("id", "-n", "31", "--polynomial", "0"),
+    ],
+)
+def test_id_site_count_is_checked_before_any_table_is_sized(capsys, argv):
+    """A 2^14-bit id has up to 4,933 digits, past Python's 4,300-digit int/str limit;
+    n is checked before a 2^n-entry table exists (2^31 entries die with a MemoryError)."""
+    n = argv[argv.index("-n") + 1]
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (EXIT_INVALID, "") and peak < 1 << 20
+    assert err == f"error: ids are limited to n <= 13 (4,300 decimal digits), got {n}\n"
+
+
+def test_id_checks_the_site_count_of_a_long_sign_string(capsys):
+    code, out, err = run(capsys, "id", "--signs=" + "-" * (1 << 14))
+    assert (code, out) == (EXIT_INVALID, "")
+    assert err == "error: ids are limited to n <= 13 (4,300 decimal digits), got 14\n"
+
+
+def test_id_and_enumerate_reach_13_sites(capsys):
+    f = inequality.mermin_sign_table(13)
+    code, out, _ = run(capsys, "id", "--mermin", "-n", "13")
+    assert code == EXIT_OK and json.loads(out) == {"n": 13, "id": inequality.signs_to_id(f)}
+    code, out, _ = run(capsys, "enumerate", "-n", "13", "--id", str(json.loads(out)["id"]))
+    assert code == EXIT_OK and json.loads(out)["signs"] == "".join("+-"[v < 0] for v in f.signs)
 
 
 def test_enumerate_range_bound_is_exact(capsys):

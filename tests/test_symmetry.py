@@ -296,6 +296,33 @@ def test_factorizing_is_an_orbit_invariant(n):
     assert kinds == {True, False}
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_census_orbits_are_the_orbits_of_their_canonical_ids(n):
+    for orb in classify_all(n):
+        direct = orbit_of_id(n, orb.canonical_id)
+        assert np.array_equal(orb.member_ids, direct.member_ids)
+        assert orb.permutation_invariant == direct.permutation_invariant
+        assert orb.factorizing == direct.factorizing
+
+
+def test_orbit_flags_are_computed_on_first_read():
+    orb = orbit_of_id(3, 23)
+    assert not {"permutation_invariant", "factorizing"} & vars(orb).keys()
+    assert (orb.permutation_invariant, orb.factorizing) == (True, False)
+    assert vars(orb)["permutation_invariant"] is True and vars(orb)["factorizing"] is False
+
+
+def test_orbit_flags_outside_the_census():
+    mermin = orbit_of_id(6, 1692930046964590721)
+    assert signs_to_id(mermin_sign_table(6)) in mermin and mermin.size == 128
+    assert mermin.permutation_invariant and not mermin.factorizing
+    # CHSH (id 7) on sites 1-2 times the n=3 maximal-violation table (id 23) on sites 3-5
+    chsh, maximal = id_to_signs(2, 7).signs, id_to_signs(3, 23).signs
+    product = orbit_of_id(5, signs_to_id(SignTable(5, [chsh[r & 3] * maximal[r >> 2] for r in range(32)])))
+    assert product.size == 640
+    assert product.factorizing and not product.permutation_invariant
+
+
 def _all_elements(n):
     for perm in itertools.permutations(range(n)):
         for r0, s0, sign in itertools.product(range(1 << n), range(1 << n), (1, -1)):
