@@ -259,7 +259,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("id", help="number an inequality given signs or polynomial")
     p.add_argument("-n", type=int, default=None)
     p.add_argument("--mermin", action="store_true")
-    p.add_argument("--signs", type=str, help="e.g. '+++-'")
+    p.add_argument("--signs", type=str, help="e.g. '+++-'; give '--signs=-+++' when the first sign is '-'")
     p.add_argument("--polynomial", type=str, help="e.g. '1/2 a1 b1 + ... - 1/2 a2 b2'")
     p.set_defaults(func=cmd_id)
 

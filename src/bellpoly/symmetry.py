@@ -6,10 +6,12 @@ its order is n! * 2^(2n+1).  On packed table words a site transposition is
 one delta swap and an XOR shift one block swap, so the n! 2^n images of a
 word take n(n+1)/2 array passes.  The sign flips XOR in a codeword of the
 Reed-Muller code RM(1, n), which every element maps onto itself: an orbit is
-a disjoint union of its cosets, found by deduplicating the images' coset
-minima.  The census flags come from orbit invariants, not a scan of every
-member: the permutation-invariant tables are looked up among the sorted
-members, and factorizing is tested on one, as the group keeps product form.
+a disjoint union of its cosets, and an Orbit holds only their least elements,
+sorted.  The least id is the first minimum and the size 2^(n+1) per coset; an
+id is a member iff its coset minimum is one, and the sorted member ids are
+expanded on first read.  The census flags are orbit invariants: the
+permutation-invariant tables are looked up by their coset minima, and
+factorizing is tested on one member, as the group keeps product form.
 """
 
 from __future__ import annotations
@@ -126,54 +128,50 @@ def _shift_site(words: np.ndarray, n: int, k: int) -> np.ndarray:
     return ((words >> (1 << k)) & low) | ((words & low) << (1 << k))
 
 
-def _coset_minima(words: np.ndarray, basis: tuple[int, ...]) -> np.ndarray:
+def _coset_minima(words: int | np.ndarray, basis: tuple[int, ...]) -> int | np.ndarray:
     """The least element of each word's coset: every basis leading bit cleared."""
     for b in basis:
         words = words ^ ((words >> (b.bit_length() - 1)) & 1) * b
     return words
 
 
-def _orbit_ids(n: int, table_id: int) -> np.ndarray:
-    """Sorted unique ids of the full G-orbit of one packed table.
-
-    Every element maps the sign code onto itself, so an orbit is a disjoint union of its
-    cosets: the images w(pi(r) ^ r0) are reduced to coset minima, deduped, then expanded.
-    """
-    _, basis, codewords = _sign_code(n)
-    words = np.array([table_id], dtype=codewords.dtype)
-    for m in range(1, n):  # S_(m+1) is the union of the cosets S_m (k m), k <= m
-        words = np.concatenate([words] + [_swap_sites(words, n, k, m) for k in range(m)])
-    for k in range(n):
-        words = np.concatenate([words, _shift_site(words, n, k)])
-    # sort and compare, not np.unique (numpy 2.4 hashes uint64, ~40x slower here)
-    minima = np.sort(_coset_minima(words, basis))
-    minima = minima[np.append(True, minima[1:] != minima[:-1])]
-    ids = np.bitwise_xor.outer(minima, codewords).ravel()
-    ids.sort()
-    return ids.astype(np.uint64, copy=False)
-
-
 @dataclass(frozen=True, eq=False)
 class Orbit:
-    """One symmetry class: all member ids, their count, the least id, and the census flags."""
+    """One symmetry class, held as its sorted coset minima; members and flags come on first read."""
 
     n: int
     canonical_id: int
     size: int
-    member_ids: np.ndarray = field(repr=False)
+    coset_minima: np.ndarray = field(repr=False)
 
     def __contains__(self, table_id: int) -> bool:
         if not 0 <= table_id < 1 << (1 << self.n) or table_id != int(table_id):
             return False  # out of range, or not integral (np.uint64(2.5) is 2)
-        idx = int(np.searchsorted(self.member_ids, np.uint64(int(table_id))))
-        return idx < self.size and int(self.member_ids[idx]) == int(table_id)
+        return bool(self._holds(int(table_id)))  # a Python int reduces faster than an array
+
+    def _holds(self, words: int | np.ndarray) -> np.bool_ | np.ndarray:
+        """Whether each word's coset, so the word itself, lies in the orbit."""
+        words = np.asarray(_coset_minima(words, _sign_code(self.n)[1]), self.coset_minima.dtype)
+        idx = np.minimum(np.searchsorted(self.coset_minima, words), len(self.coset_minima) - 1)
+        return self.coset_minima[idx] == words
+
+    def _members(self) -> np.ndarray:
+        """Every member id, unsorted: each coset minimum XOR each codeword."""
+        return np.bitwise_xor.outer(self.coset_minima, _sign_code(self.n)[2]).ravel()
+
+    @cached_property
+    def member_ids(self) -> np.ndarray:
+        """All member ids: sorted, unique, uint64 and read-only."""
+        ids = self._members()
+        ids.sort()
+        ids = ids.astype(np.uint64, copy=False)
+        ids.flags.writeable = False
+        return ids
 
     @cached_property
     def permutation_invariant(self) -> bool:
-        """Some member's f(r) depends only on weight(r): look those 2^(n+1) ids up."""
-        symmetric = _symmetric_ids(self.n)
-        idx = np.minimum(np.searchsorted(self.member_ids, symmetric), self.size - 1)
-        return bool((self.member_ids[idx] == symmetric).any())
+        """Some member's f(r) depends only on weight(r): look those 2^(n+1) tables up."""
+        return bool(self._holds(_symmetric_ids(self.n)).any())
 
     @cached_property
     def factorizing(self) -> bool:
@@ -192,14 +190,26 @@ class Orbit:
 
 
 def orbit_of_id(n: int, table_id: int) -> Orbit:
-    """Sweep the whole group over one table (feasible up to n = 6)."""
+    """Sweep the whole group over one table (feasible up to n = 6).
+
+    Every element maps the sign code onto itself, so an orbit is a disjoint union of its
+    cosets: the images w(pi(r) ^ r0) are reduced to coset minima and deduped.
+    """
     if site_count(n) > MAX_ORBIT_SITES:
         raise ValueError(f"orbit sweeps are limited to n <= {MAX_ORBIT_SITES}")
     if not 0 <= operator.index(table_id) < 1 << (1 << n):
         raise ValueError(f"id {table_id} out of range for n={n}")
-    ids = _orbit_ids(n, table_id)
-    ids.flags.writeable = False
-    return Orbit(n=n, canonical_id=int(ids[0]), size=len(ids), member_ids=ids)
+    _, basis, codewords = _sign_code(n)
+    words = np.array([table_id], dtype=codewords.dtype)
+    for m in range(1, n):  # S_(m+1) is the union of the cosets S_m (k m), k <= m
+        words = np.concatenate([words] + [_swap_sites(words, n, k, m) for k in range(m)])
+    for k in range(n):
+        words = np.concatenate([words, _shift_site(words, n, k)])
+    # sort and compare, not np.unique (numpy 2.4 hashes uint64, ~40x slower here)
+    minima = np.sort(_coset_minima(words, basis))
+    minima = minima[np.append(True, minima[1:] != minima[:-1])]
+    minima.flags.writeable = False
+    return Orbit(n=n, canonical_id=int(minima[0]), size=len(minima) << (n + 1), coset_minima=minima)
 
 
 @lru_cache(maxsize=8)
@@ -224,6 +234,6 @@ def classify_all(n: int) -> list[Orbit]:
     seed = 0
     while not seen[seed]:  # seed is the least unseen id, or 0 once all are seen
         orbits.append(orbit_of_id(n, seed))
-        seen[orbits[-1].member_ids] = True
+        seen[orbits[-1]._members()] = True
         seed = int(seen.argmin())
     return orbits

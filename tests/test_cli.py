@@ -232,6 +232,13 @@ def test_id_from_signs_and_polynomial(capsys):
     assert code == EXIT_OK and json.loads(out) == {"n": 2, "id": 8}
 
 
+def test_id_takes_signs_that_start_with_minus(capsys):
+    """Every odd id has f(0) = -1; argparse reads a separate '-+++' as an option,
+    so such tables are given as --signs=-+++."""
+    code, out, _ = run(capsys, "id", "--signs=-+++")
+    assert code == EXIT_OK and out == '{"n": 2, "id": 1}\n'
+
+
 def test_id_rejects_non_extremal_polynomial(capsys):
     code, _, _ = run(capsys, "id", "--polynomial", "1/4 a1 b1 + 1/4 a2 b2")
     assert code == EXIT_INVALID

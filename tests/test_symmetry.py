@@ -1,6 +1,7 @@
 """Symmetry group: the action, orbits, and the exhaustive census."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -307,9 +308,32 @@ def test_census_orbits_are_the_orbits_of_their_canonical_ids(n):
 
 def test_orbit_flags_are_computed_on_first_read():
     orb = orbit_of_id(3, 23)
-    assert not {"permutation_invariant", "factorizing"} & vars(orb).keys()
+    assert not {"permutation_invariant", "factorizing", "member_ids"} & vars(orb).keys()
     assert (orb.permutation_invariant, orb.factorizing) == (True, False)
     assert vars(orb)["permutation_invariant"] is True and vars(orb)["factorizing"] is False
+    assert "member_ids" not in vars(orb)  # neither flag expands the member list
+
+
+def test_census_builds_no_member_list():
+    for orb in classify_all(4):
+        assert orb.permutation_invariant in (True, False) and orb.factorizing in (True, False)
+        assert "member_ids" not in vars(orb)
+
+
+def test_orbit_of_a_generic_n6_table_stays_small_until_members_are_read():
+    """A generic n=6 orbit has 5,898,240 members (45 MiB as uint64) in 46,080 cosets."""
+    rng = np.random.default_rng(66)
+    table_id = int.from_bytes(rng.bytes(8), "little")
+    tracemalloc.start()
+    try:
+        orb = orbit_of_id(6, table_id)
+        views = (orb.size, table_id in orb, orb.canonical_id, orb.permutation_invariant, orb.factorizing)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+    assert views[:2] == (group_order(6), True) and views[2] <= table_id
+    assert "member_ids" not in vars(orb)
 
 
 def test_orbit_flags_outside_the_census():
@@ -450,9 +474,23 @@ def _gather_orbit_ids(n, table_id):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_orbit_matches_gather_reference_on_every_table(n):
-    for table_id in range(1 << (1 << n)):
+    """size, least id, flags and membership come from the coset minima alone, before the
+    member list exists; the list, once read, is the reference's."""
+    everything = range(1 << (1 << n))
+    weight = [r.bit_count() for r in range(1 << n)]
+    symmetric = {signs_to_id(SignTable(n, [1 - 2 * (c >> w & 1) for w in weight])) for c in range(2 << n)}
+    products = {signs_to_id(SignTable(n, t)) for t in _product_tables(n)}
+    for table_id in everything:
         expected = _gather_orbit_ids(n, table_id)
-        assert orbit_of_id(n, table_id).member_ids.tolist() == expected.tolist()
+        members = set(expected.tolist())
+        orb = orbit_of_id(n, table_id)
+        assert (orb.size, orb.canonical_id) == (len(expected), int(expected[0]))
+        assert orb.permutation_invariant == bool(symmetric & members)
+        assert orb.factorizing == bool(products & members)
+        assert [x for x in everything if x in orb] == sorted(members)
+        assert "member_ids" not in vars(orb)
+        _assert_well_formed(orb)
+        assert orb.member_ids.tolist() == expected.tolist()
 
 
 @pytest.mark.parametrize("n, count", [(4, 24), (5, 6), (6, 1)])
@@ -461,10 +499,21 @@ def test_orbit_matches_gather_reference_on_seeded_tables(n, count):
     mermin = mermin_sign_table(n)
     images = [signs_to_id(apply(random_element(n, rng), mermin)) for _ in range(2)]
     for table_id in _seeded_words(n, count, 600 + n) + [signs_to_id(mermin)] + images:
+        expected = _gather_orbit_ids(n, table_id)
         orb = orbit_of_id(n, table_id)
+        assert (orb.size, orb.canonical_id) == (len(expected), int(expected[0]))
+        # members, and non-members from other cosets: random ids, and members with one
+        # sign flipped (a single bit is no codeword, so the flip leaves the coset)
+        members = [table_id] + [int(v) for v in rng.choice(expected, size=16)]
+        flipped = [m ^ 1 << int(r) for m, r in zip(members, rng.integers(0, 1 << n, size=len(members)))]
+        drawn = rng.integers(0, (1 << (1 << n)) - 1, size=16, dtype=np.uint64, endpoint=True).tolist()
+        candidates = np.array(members + flipped + drawn, dtype=np.uint64)
+        inside = expected[np.minimum(np.searchsorted(expected, candidates), len(expected) - 1)] == candidates
+        assert not inside.all()
+        assert [int(c) in orb for c in candidates] == inside.tolist()
+        assert "member_ids" not in vars(orb)
         _assert_well_formed(orb)
-        assert table_id in orb
-        assert np.array_equal(orb.member_ids, _gather_orbit_ids(n, table_id))
+        assert np.array_equal(orb.member_ids, expected)
 
 
 def test_violations_constant_on_orbits_via_table_structure():
