@@ -14,9 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import classical, inequality, quantum, symmetry
+from . import inequality
 from .transform import site_count
 
 EXIT_OK = 0
@@ -94,6 +92,7 @@ def cmd_enumerate(args: argparse.Namespace) -> tuple[list[dict], int]:
 
 
 def cmd_classify(args: argparse.Namespace) -> tuple[list[dict], int]:
+    from . import quantum, symmetry
     rows = []
     for orb in symmetry.classify_all(args.n):
         row = {name: getattr(orb, name) for name in _CENSUS_FIELDS}
@@ -108,16 +107,16 @@ def cmd_classify(args: argparse.Namespace) -> tuple[list[dict], int]:
     return rows, EXIT_OK if all(row.get("converged", True) for row in rows) else EXIT_NONCONVERGED
 
 
-def _load_vectors(path: Path) -> list[classical.CorrelationVector]:
+def cmd_membership(args: argparse.Namespace) -> tuple[list[dict], int]:
+    from . import classical
+    path = Path(args.file)
     text = path.read_text()
     if path.suffix.lower() == ".json" or text.lstrip().startswith("{"):
-        return [classical.correlation_vector_from_json(json.loads(text))]
-    return classical.correlation_vectors_from_csv(text.splitlines())
-
-
-def cmd_membership(args: argparse.Namespace) -> tuple[list[dict], int]:
+        vectors = [classical.correlation_vector_from_json(json.loads(text))]
+    else:
+        vectors = classical.correlation_vectors_from_csv(text.splitlines())
     rows = []
-    for xi in _load_vectors(Path(args.file)):
+    for xi in vectors:
         margin = classical.l1_margin(xi)
         wit = classical.witness(xi)
         rows.append(
@@ -133,6 +132,7 @@ def cmd_membership(args: argparse.Namespace) -> tuple[list[dict], int]:
 
 
 def cmd_violation(args: argparse.Namespace) -> tuple[list[dict], int]:
+    from . import quantum
     # the value is realized on the n-qubit GHZ state; check n before any table or grid exists
     beta = inequality.bell_table_from_id(quantum._qubit_count(args.n), args.id)
     result = quantum.max_violation(beta, seed=args.seed)
@@ -152,6 +152,7 @@ def cmd_violation(args: argparse.Namespace) -> tuple[list[dict], int]:
 
 
 def cmd_ghz(args: argparse.Namespace) -> tuple[list[dict], int]:
+    from . import quantum
     phi = tuple(float(v) for v in args.phi.split(","))
     if args.n is not None and args.n != len(phi):
         raise ValueError(f"-n {args.n} but {len(phi)} site angles given")
@@ -188,6 +189,9 @@ def cmd_id(args: argparse.Namespace) -> tuple[list[dict], int]:
 
 
 def cmd_ppt_check(args: argparse.Namespace) -> tuple[list[dict], int]:
+    import numpy as np
+
+    from . import classical, quantum
     for flag, count in (("--states", args.states), ("--specs", args.specs)):
         if count < 1:
             raise ValueError(f"{flag} must be at least 1, got {count}")

@@ -115,23 +115,35 @@ def _sign_code(n: int) -> tuple[tuple[int, ...], tuple[int, ...], np.ndarray]:
     return x, tuple(basis), codewords
 
 
-def _swap_sites(words: np.ndarray, n: int, i: int, j: int) -> np.ndarray:
-    """Images under the transposition of site bits i < j, as one delta swap."""
+def _swap_sites(words: np.ndarray, n: int, i: int, j: int, out=None, scratch=None) -> np.ndarray:
+    """Images under the transposition of site bits i < j, as one delta swap.  Both bit
+    moves write into out and work in scratch (arrays shaped like words) when given them."""
     x, delta = _sign_code(n)[0], (1 << j) - (1 << i)
-    t = ((words >> delta) ^ words) & (x[i] & ~x[j])  # bit r with r_i = 1, r_j = 0
-    return words ^ t ^ (t << delta)
+    t = np.right_shift(words, delta, out=scratch)
+    t ^= words
+    t &= x[i] & ~x[j]  # bit r with r_i = 1, r_j = 0
+    out = np.bitwise_xor(words, t, out=out)
+    out ^= np.left_shift(t, delta, out=t)
+    return out
 
 
-def _shift_site(words: np.ndarray, n: int, k: int) -> np.ndarray:
+def _shift_site(words: np.ndarray, n: int, k: int, out=None, scratch=None) -> np.ndarray:
     """Images under the XOR shift r -> r ^ 2^k, as a swap of 2^k-bit blocks."""
     low = ((1 << (1 << n)) - 1) ^ _sign_code(n)[0][k]
-    return ((words >> (1 << k)) & low) | ((words & low) << (1 << k))
+    out = np.bitwise_and(np.right_shift(words, 1 << k, out=out), low, out=out)
+    out |= np.left_shift(np.bitwise_and(words, low, out=scratch), 1 << k, out=scratch)
+    return out
 
 
-def _coset_minima(words: int | np.ndarray, basis: tuple[int, ...]) -> int | np.ndarray:
-    """The least element of each word's coset: every basis leading bit cleared."""
+def _coset_minima(words: int | np.ndarray, basis: tuple, scratch=None) -> int | np.ndarray:
+    """The least element of each word's coset: every basis leading bit cleared.
+    Given a scratch array, an array of words is reduced in place."""
     for b in basis:
-        words = words ^ ((words >> (b.bit_length() - 1)) & 1) * b
+        if scratch is None:
+            words = words ^ ((words >> (b.bit_length() - 1)) & 1) * b
+        else:
+            np.bitwise_and(np.right_shift(words, b.bit_length() - 1, out=scratch), 1, out=scratch)
+            words ^= np.multiply(scratch, b, out=scratch)
     return words
 
 
@@ -200,14 +212,21 @@ def orbit_of_id(n: int, table_id: int) -> Orbit:
     if not 0 <= operator.index(table_id) < 1 << (1 << n):
         raise ValueError(f"id {table_id} out of range for n={n}")
     _, basis, codewords = _sign_code(n)
-    words = np.array([table_id], dtype=codewords.dtype)
+    # the n! 2^n images fill one array block by block, then are reduced in place
+    words = np.empty(math.factorial(n) << n, codewords.dtype)
+    scratch = np.empty_like(words)
+    words[0], size = table_id, 1
     for m in range(1, n):  # S_(m+1) is the union of the cosets S_m (k m), k <= m
-        words = np.concatenate([words] + [_swap_sites(words, n, k, m) for k in range(m)])
+        for k in range(m):
+            lo = size * (k + 1)
+            _swap_sites(words[:size], n, k, m, words[lo : lo + size], scratch[:size])
+        size *= m + 1
     for k in range(n):
-        words = np.concatenate([words, _shift_site(words, n, k)])
+        _shift_site(words[:size], n, k, words[size : 2 * size], scratch[:size])
+        size *= 2
     # sort and compare, not np.unique (numpy 2.4 hashes uint64, ~40x slower here)
-    minima = np.sort(_coset_minima(words, basis))
-    minima = minima[np.append(True, minima[1:] != minima[:-1])]
+    _coset_minima(words, basis, scratch).sort()
+    minima = words[np.append(True, words[1:] != words[:-1])]
     minima.flags.writeable = False
     return Orbit(n=n, canonical_id=int(minima[0]), size=len(minima) << (n + 1), coset_minima=minima)
 

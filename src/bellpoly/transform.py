@@ -9,6 +9,9 @@ state, which puts site 1 in the most significant bit, as np.kron does
 (-1)^<r,s> with <r,s> = sum_k r_k s_k mod 2.  walsh_hadamard is exact integer
 arithmetic; its butterfly is the package's only transform and also computes
 the float spectrum of a correlation vector.
+
+Only bit_matrix computes with floats: it imports numpy on its first call, so
+the codecs, the transform and DyadicVector load and run without numpy.
 """
 
 from __future__ import annotations
@@ -16,9 +19,10 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DimensionMismatchError",
@@ -47,6 +51,8 @@ def site_count(n: int) -> int:
 @lru_cache(maxsize=16)
 def bit_matrix(n: int) -> np.ndarray:
     """Read-only (2^n, n) float table whose row s holds (s_1, ..., s_n); n may be 0."""
+    import numpy as np
+
     bits = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(float)
     bits.flags.writeable = False
     return bits

@@ -214,19 +214,94 @@ def test_lp_membership_resolves_the_boundary(n):
                 assert lp_membership(xi) == (l1_margin(xi) <= 1.0), (gap, l1_margin(xi))
 
 
-def test_import_loads_no_scipy():
-    """scipy loads only when the membership oracle runs, not at `import bellpoly`."""
+def _fresh_run(*args: str) -> subprocess.CompletedProcess:
+    """Run python with these arguments in a fresh process that imports this bellpoly."""
     src = str(Path(bellpoly.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    probe = "import sys, bellpoly; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    out = subprocess.run(
-        [sys.executable, "-c", probe],
+    return subprocess.run(
+        [sys.executable, *args],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         check=True,
     )
-    assert out.stdout.strip() == "[]"
+
+
+def test_import_loads_no_scipy():
+    """scipy loads only when the membership oracle runs, not at `import bellpoly`."""
+    probe = "import sys, bellpoly; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    assert _fresh_run("-c", probe).stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["enumerate", "-n", "4", "--range", "0", "4"],
+        ["id", "--mermin", "-n", "3"],
+    ],
+    ids=["import", "enumerate", "id"],
+)
+def test_exact_paths_load_no_numpy(argv):
+    """`import bellpoly`, and `python -m bellpoly.cli` on an exact command, load neither
+    numpy nor scipy (the command writes to stdout, the probe to stderr)."""
+    probe = "import runpy, sys, bellpoly\n"
+    if argv:
+        probe += (
+            f"sys.argv = ['bellpoly', *{argv!r}]\n"
+            "try:\n"
+            "    runpy.run_module('bellpoly.cli', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n"
+        )
+    probe += "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')), file=sys.stderr)"
+    assert _fresh_run("-c", probe).stderr.strip() == "[]"
+
+
+# every public name of the package before its float modules were deferred
+_PACKAGE_NAMES = """
+    BOUNDARY_TOL CorrelationVector extreme_point l1_margin lp_membership spectrum witness
+    NestingLeaf NestingNode chsh_decompose evaluate_nesting full_nesting substitute
+    BellTable NotExtremalError SignTable bell_table_from_id coefficients_from_signs evaluate
+    id_to_signs mermin_sign_table parse_polynomial polynomial_string signs_from_coefficients
+    signs_to_id DensityMatrix ObservableSpec PhaseVector bell_operator_norm_exact
+    extreme_point_q ghz_observables ghz_state max_violation mermin_bound partial_transpose
+    sample_separable simulate_correlations GroupElement Orbit apply classify_all group_order
+    orbit_of_id DimensionMismatchError DyadicVector walsh_hadamard
+    classical compose inequality quantum symmetry transform
+""".split()
+
+
+def test_package_names_resolve_lazily():
+    """Each old name is in __all__ and dir(bellpoly) before anything loads numpy, resolves
+    by `from bellpoly import` and as bellpoly.<name> to the object its module defines,
+    and `import *` binds them all; an unknown name still raises AttributeError."""
+    probe = f"""
+import sys, types
+import bellpoly
+names = {_PACKAGE_NAMES!r}
+assert sorted(bellpoly.__all__) == sorted(names), set(bellpoly.__all__) ^ set(names)
+assert set(names) <= set(dir(bellpoly))
+assert 'numpy' not in sys.modules
+assert bellpoly.symmetry.orbit_of_id is bellpoly.orbit_of_id  # a deferred module by attribute
+for name in names:
+    exec(f'from bellpoly import {{name}} as imported', globals())
+    assert getattr(bellpoly, name) is imported, name
+    if not isinstance(imported, types.ModuleType):
+        homes = [getattr(bellpoly, m) for m in ('classical', 'compose', 'inequality', 'quantum', 'symmetry', 'transform')]
+        assert any(getattr(m, name, None) is imported for m in homes), name
+star = {{}}
+exec('from bellpoly import *', star)
+assert set(names) <= set(star), set(names) - set(star)
+try:
+    bellpoly.no_such_name
+except AttributeError as exc:
+    assert "no attribute 'no_such_name'" in str(exc)
+else:
+    raise AssertionError('an unknown name resolved')
+print('ok')
+"""
+    assert _fresh_run("-c", probe).stdout.strip() == "ok"
 
 
 def test_correlation_vector_validation():

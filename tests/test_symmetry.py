@@ -98,6 +98,9 @@ def test_bit_moves_match_group_elements(n):
         g = GroupElement(tuple(perm), 0, 0, 1)
         expected = [signs_to_id(apply(g, id_to_signs(n, w))) for w in words]
         assert _swap_sites(packed, n, i, j).tolist() == expected
+        out = np.empty_like(packed)  # the sweep's form: into out, with scratch
+        assert _swap_sites(packed, n, i, j, out, np.empty_like(packed)) is out
+        assert out.tolist() == expected and packed.tolist() == words
         # bit r of the image is bit pi(r) of the word
         for w, image in zip(words, expected):
             assert all((image >> r & 1) == (w >> permute_word(r, perm) & 1) for r in range(1 << n))
@@ -105,6 +108,9 @@ def test_bit_moves_match_group_elements(n):
         g = GroupElement(tuple(range(n)), 1 << k, 0, 1)
         expected = [signs_to_id(apply(g, id_to_signs(n, w))) for w in words]
         assert _shift_site(packed, n, k).tolist() == expected
+        out = np.empty_like(packed)
+        assert _shift_site(packed, n, k, out, np.empty_like(packed)) is out
+        assert out.tolist() == expected and packed.tolist() == words
 
 
 def _sign_character_masks(n):
@@ -138,6 +144,10 @@ def test_coset_minima_are_brute_force_minima(n):
     _, basis, codewords = _sign_code(n)
     got = _coset_minima(np.array(words, dtype=codewords.dtype), basis).tolist()
     assert got == [min(w ^ c for c in codewords.tolist()) for w in words]
+    assert [_coset_minima(w, basis) for w in words] == got  # Python ints, as `in` reduces them
+    packed = np.array(words, dtype=codewords.dtype)  # in place, as the sweep reduces
+    assert _coset_minima(packed, basis, np.empty_like(packed)) is packed
+    assert packed.tolist() == got
 
 
 def test_group_element_validation():
