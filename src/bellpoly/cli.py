@@ -67,14 +67,12 @@ def cmd_enumerate(args: argparse.Namespace) -> tuple[list[dict], int]:
         if not 0 <= lo <= hi or (hi - 1).bit_length() > 1 << n:  # hi <= 2^(2^n)
             raise ValueError(f"range [{lo}, {hi}) out of bounds for n={n}")
         ids = range(lo, hi)
-    elif args.all:
+    else:
         if n > _ENUM_ALL_MAX_SITES:
             raise ValueError(
                 f"--all would stream 2^(2^{n}) lines; use --range for n > {_ENUM_ALL_MAX_SITES}"
             )
         ids = range(1 << (1 << n))
-    else:
-        raise ValueError("one of --id, --range, --all is required")
 
     rows = []
     for value in ids:
@@ -92,11 +90,12 @@ def cmd_enumerate(args: argparse.Namespace) -> tuple[list[dict], int]:
 
 
 def cmd_classify(args: argparse.Namespace) -> tuple[list[dict], int]:
-    from . import quantum, symmetry
+    from . import symmetry
     rows = []
     for orb in symmetry.classify_all(args.n):
         row = {name: getattr(orb, name) for name in _CENSUS_FIELDS}
         if not args.no_violations:
+            from . import quantum
             beta = inequality.bell_table_from_id(orb.n, orb.canonical_id)
             result = quantum.max_violation(beta, seed=args.seed)
             row["max_violation"] = round(result.value, 9)
@@ -180,11 +179,9 @@ def cmd_id(args: argparse.Namespace) -> tuple[list[dict], int]:
         f = _signs_from_string(args.signs)
         if n is not None and n != f.n:
             raise ValueError(f"-n {n} but {len(f.signs)} signs given (n={f.n})")
-    elif args.polynomial is not None:
+    else:
         beta = inequality.parse_polynomial(args.polynomial, n)
         f = inequality.signs_from_coefficients(beta)
-    else:
-        raise ValueError("one of --mermin, --signs, --polynomial is required")
     return [{"n": _id_site_count(f.n), "id": inequality.signs_to_id(f)}], EXIT_OK
 
 
@@ -230,9 +227,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="emit inequalities by number")
     p.add_argument("-n", type=int, required=True, help="site count")
-    p.add_argument("--id", type=int, help="a single inequality number")
-    p.add_argument("--range", type=int, nargs=2, metavar=("LO", "HI"), help="half-open id range")
-    p.add_argument("--all", action="store_true", help="every id (n <= 4)")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--id", type=int, help="a single inequality number")
+    source.add_argument("--range", type=int, nargs=2, metavar=("LO", "HI"), help="half-open id range")
+    source.add_argument("--all", action="store_true", help="every id (n <= 4)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_enumerate)
 
@@ -262,9 +260,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("id", help="number an inequality given signs or polynomial")
     p.add_argument("-n", type=int, default=None)
-    p.add_argument("--mermin", action="store_true")
-    p.add_argument("--signs", type=str, help="e.g. '+++-'; give '--signs=-+++' when the first sign is '-'")
-    p.add_argument("--polynomial", type=str, help="e.g. '1/2 a1 b1 + ... - 1/2 a2 b2'")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--mermin", action="store_true")
+    source.add_argument("--signs", type=str, help="e.g. '+++-'; give '--signs=-+++' when the first sign is '-'")
+    source.add_argument("--polynomial", type=str, help="e.g. '1/2 a1 b1 + ... - 1/2 a2 b2'")
     p.set_defaults(func=cmd_id)
 
     p = sub.add_parser("ppt-check", help="probabilistic PPT-implies-classical check")

@@ -77,9 +77,8 @@ def chsh_decompose(f: SignTable) -> tuple[SignTable, SignTable]:
 
 @dataclass(frozen=True)
 class NestingLeaf:
-    """A single-site polynomial: sign * A_site(choice)."""
+    """A single-site polynomial: sign * A(choice)."""
 
-    site: int
     choice: int
     sign: int
 
@@ -105,9 +104,7 @@ def full_nesting(beta: BellTable) -> Nesting:
     Raises NotExtremalError when beta has no sign table.
     """
     f = signs_from_coefficients(beta).signs
-    level: list[Nesting] = [
-        NestingLeaf(site=1, choice=int(a != b), sign=a) for a, b in zip(f[::2], f[1::2])
-    ]
+    level: list[Nesting] = [NestingLeaf(choice=int(a != b), sign=a) for a, b in zip(f[::2], f[1::2])]
     while len(level) > 1:
         level = [NestingNode(a0=x, a1=y) for x, y in zip(level[::2], level[1::2])]
     return level[0]
@@ -116,8 +113,6 @@ def full_nesting(beta: BellTable) -> Nesting:
 def _expand(tree: Nesting) -> list[int]:
     """Numerators of a subtree on m sites over its fixed denominator 2^(m-1)."""
     if isinstance(tree, NestingLeaf):
-        if tree.site != 1:
-            raise ValueError("leaves of a full nesting sit on site 1")
         if tree.choice not in (0, 1) or tree.sign not in (-1, 1):
             raise ValueError(f"malformed leaf {tree}")
         return [tree.sign, 0] if tree.choice == 0 else [0, tree.sign]
@@ -144,7 +139,7 @@ def evaluate_nesting(tree: Nesting) -> BellTable:
 
 def nesting_to_json(tree: Nesting) -> dict:
     if isinstance(tree, NestingLeaf):
-        return {"site": tree.site, "choice": tree.choice, "sign": tree.sign}
+        return {"choice": tree.choice, "sign": tree.sign}
     return {
         "op": "chsh",
         "a0": nesting_to_json(tree.a0),
@@ -158,6 +153,6 @@ def nesting_from_json(obj: dict) -> Nesting:
             a0=nesting_from_json(obj["a0"]), a1=nesting_from_json(obj["a1"])
         )
     try:
-        return NestingLeaf(site=obj["site"], choice=obj["choice"], sign=obj["sign"])
+        return NestingLeaf(choice=obj["choice"], sign=obj["sign"])
     except KeyError as exc:
         raise ValueError(f"nesting object is missing key {exc}") from exc

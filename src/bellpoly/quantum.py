@@ -164,9 +164,9 @@ def _coefficient_array(beta: BellTable) -> np.ndarray:
 class ViolationResult:
     """The best value found, its phases, and what the search did.
 
-    `starts` counts the starts, 4^(n-1) + 32 (a kept grid point also counts its
-    dropped mirror), `starts_at_best` those that ended within 1e-9 of the best
-    value, counted the same way, and `iterations` the steps actually taken.
+    `starts` counts the starts that climbed, (4^(n-1) + 2^(n-1))/2 + 32,
+    `starts_at_best` those of them that ended within 1e-9 of the best value, and
+    `iterations` the steps actually taken.
     """
 
     value: float
@@ -184,19 +184,19 @@ def mermin_bound(n: int) -> float:
     return 2.0 ** ((n - 1) / 2)
 
 
-def _start_points(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Start points over sites 1..n-1, and the number of starts each stands for.
+def _start_points(n: int, seed: int) -> np.ndarray:
+    """Start points over sites 1..n-1.
 
-    beta is real, so T(-phi) = conj T(phi), and grid points c and -c climb
+    beta is real, so T(-phi) = conj T(phi), and grid points c and -c start
     mirrored paths: the grid {0, pi/2, pi, 3pi/2}^(n-1) keeps the first of each
-    pair, weight 2 (1 where c = -c), then `_RANDOM_STARTS` seeded random points.
+    pair, then `_RANDOM_STARTS` seeded random points follow.  A dropped mirror
+    is neither climbed nor counted.
     """
     codes = np.indices((4,) * (n - 1)).reshape(n - 1, 4 ** (n - 1))
     mirror = np.ravel_multi_index(-codes % 4, (4,) * (n - 1))
-    index = np.arange(4 ** (n - 1))
+    kept = np.arange(4 ** (n - 1)) <= mirror
     extra = np.random.default_rng(seed).uniform(0.0, TWO_PI, (_RANDOM_STARTS, n))[:, : n - 1]
-    weights = np.append(np.where(index == mirror, 1, 2)[index <= mirror], [1] * _RANDOM_STARTS)
-    return np.vstack([0.5 * math.pi * codes[:, index <= mirror].T, extra]), weights
+    return np.vstack([0.5 * math.pi * codes[:, kept].T, extra])
 
 
 def _seed_last_angle(coeffs: np.ndarray, head: np.ndarray) -> np.ndarray:
@@ -281,7 +281,7 @@ def max_violation(beta: BellTable, *, seed: int = 0) -> ViolationResult:
     starts are the grid {0, pi/2, pi, 3pi/2}^(n-1) plus `_RANDOM_STARTS`
     seeded random points over sites 1..n-1, each with the phi_n that
     maximizes |T| given them (`_seed_last_angle`); of each mirror pair of
-    grid points one climbs, for two (`_start_points`).  All of them climb over
+    grid points only one climbs (`_start_points`).  All of them climb over
     all n angles at once in blocks of `_START_BLOCK`, using the exact
     gradient and Hessian (see `_newton_ascent`).  The best start wins, with
     phi0 = -arg T so that extreme_point_q(result.phases) attains the value;
@@ -294,7 +294,7 @@ def max_violation(beta: BellTable, *, seed: int = 0) -> ViolationResult:
     if not any(beta.coefficients.numerators):
         raise ValueError("the zero table has no violation to maximize")
     coeffs = _coefficient_array(beta)
-    starts, weights = _start_points(_qubit_count(beta.n), seed)
+    starts = _start_points(_qubit_count(beta.n), seed)
     runs = [
         _newton_ascent(coeffs, _seed_last_angle(coeffs, starts[lo : lo + _START_BLOCK]))
         for lo in range(0, len(starts), _START_BLOCK)
@@ -310,8 +310,8 @@ def max_violation(beta: BellTable, *, seed: int = 0) -> ViolationResult:
         phases=PhaseVector(-float(np.angle(total[0])), tuple(best_phi[0])),
         converged=bool(gradient_norm <= 1e-8),
         gradient_norm=gradient_norm,
-        starts=int(weights.sum()),
-        starts_at_best=int(weights[moduli >= moduli[best] - 1e-9].sum()),
+        starts=len(starts),
+        starts_at_best=int(np.count_nonzero(moduli >= moduli[best] - 1e-9)),
         iterations=sum(steps),
     )
 
@@ -347,8 +347,9 @@ def simulate_correlations(
     A(theta) = cos(theta) X + sin(theta) Y maps |j> to e^(i theta (1-2j)) |1-j>,
     so only d_j = rho[j, ~j] (psi_j conj(psi_~j) for a vector) enters, and
     xi = (M_1 x ... x M_n) d with M_k[s, j] = e^(i (1-2j) theta_k(s)).  Site 1
-    is the most significant bit of the basis index j; s_k is bit k-1 of s.
-    Accepts a state vector or a density matrix.
+    is the most significant bit of the basis index j; s_k is bit k-1 of s.  The
+    j and ~j terms are conjugates, so xi is real up to rounding.  Accepts a
+    state vector or a density matrix.
     """
     n = _qubit_count(obs.n)
     dim = 1 << n
@@ -369,8 +370,6 @@ def simulate_correlations(
         values = (np.exp(1j * np.outer(theta, (1.0, -1.0))) @ values.reshape(2, -1)).T
     # the axes are now (s_1, ..., s_n); reverse them so s_1 is the low bit
     values = values.reshape((2,) * n).transpose().reshape(dim)
-    if np.abs(values.imag).max() > 1e-9:
-        raise ValueError("expectations came out complex; observables not Hermitian?")
     if np.abs(values.real).max() > 1.0 + 1e-9:
         raise ValueError("expectation outside [-1, 1]; state not normalized?")
     xi = np.clip(values.real, -1.0, 1.0)

@@ -167,14 +167,10 @@ class Orbit:
         idx = np.minimum(np.searchsorted(self.coset_minima, words), len(self.coset_minima) - 1)
         return self.coset_minima[idx] == words
 
-    def _members(self) -> np.ndarray:
-        """Every member id, unsorted: each coset minimum XOR each codeword."""
-        return np.bitwise_xor.outer(self.coset_minima, _sign_code(self.n)[2]).ravel()
-
     @cached_property
     def member_ids(self) -> np.ndarray:
-        """All member ids: sorted, unique, uint64 and read-only."""
-        ids = self._members()
+        """All member ids (coset minima XOR codewords): sorted, unique, uint64, read-only."""
+        ids = np.bitwise_xor.outer(self.coset_minima, _sign_code(self.n)[2]).ravel()
         ids.sort()
         ids = ids.astype(np.uint64, copy=False)
         ids.flags.writeable = False
@@ -244,15 +240,17 @@ def _symmetric_ids(n: int) -> np.ndarray:
 def classify_all(n: int) -> list[Orbit]:
     """Partition all 2^(2^n) sign tables into orbits (exhaustive, n <= 4).
 
-    Returns the orbits sorted by canonical id; sizes add up to 2^(2^n).
+    Returns the orbits sorted by canonical id; sizes add up to 2^(2^n).  An orbit's
+    least id is a coset minimum, so the other ids start out seen.
     """
     if site_count(n) > MAX_CENSUS_SITES:
         raise ValueError(f"the exhaustive census is limited to n <= {MAX_CENSUS_SITES}")
-    seen = np.zeros(1 << (1 << n), dtype=bool)
+    ids = np.arange(1 << (1 << n), dtype=_sign_code(n)[2].dtype)
+    seen = _coset_minima(ids, _sign_code(n)[1]) != ids
     orbits: list[Orbit] = []
     seed = 0
     while not seen[seed]:  # seed is the least unseen id, or 0 once all are seen
         orbits.append(orbit_of_id(n, seed))
-        seen[orbits[-1]._members()] = True
+        seen[orbits[-1].coset_minima] = True
         seed = int(seen.argmin())
     return orbits

@@ -3,11 +3,16 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bellpoly
 from bellpoly import classical, inequality, quantum
 from bellpoly.cli import EXIT_INVALID, EXIT_NONCONVERGED, EXIT_OK, main
 
@@ -46,12 +51,88 @@ def test_enumerate_range_csv(capsys):
 
 
 def test_enumerate_rejects_bad_input(capsys):
-    code, _, err = run(capsys, "enumerate", "-n", "2")
-    assert code == EXIT_INVALID and "required" in err
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "enumerate", "-n", "2")
+    assert exc.value.code == EXIT_INVALID and "required" in capsys.readouterr().err
     code, _, _ = run(capsys, "enumerate", "-n", "5", "--all")
     assert code == EXIT_INVALID
     code, _, _ = run(capsys, "enumerate", "-n", "2", "--id", "16")
     assert code == EXIT_INVALID
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "-n", "2", "--id", "5", "--range", "0", "2"),
+        ("enumerate", "-n", "2", "--range", "0", "2", "--all"),
+        ("enumerate", "-n", "2", "--all", "--id", "5"),
+        ("id", "--mermin", "-n", "3", "--signs=++++"),
+        ("id", "--signs", "+++-", "--polynomial", "a1 b1"),
+        ("id", "-n", "2", "--polynomial", "a1 b1", "--mermin"),
+    ],
+)
+def test_conflicting_sources_are_invalid(capsys, argv):
+    """Two input sources exit 2 with argparse's message; neither silently wins."""
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, *argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == EXIT_INVALID and captured.out == ""
+    assert "not allowed with argument" in captured.err
+
+
+def test_id_requires_a_source(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "id", "-n", "3")
+    captured = capsys.readouterr()
+    assert exc.value.code == EXIT_INVALID and captured.out == ""
+    assert "one of the arguments --mermin --signs --polynomial is required" in captured.err
+
+
+def _fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """Run python in a fresh process that imports this bellpoly."""
+    src = str(Path(bellpoly.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, check=True)
+
+
+def test_census_only_classify_loads_no_quantum():
+    probe = (
+        "import sys\n"
+        "from bellpoly.cli import main\n"
+        "assert main(['classify', '-n', '3', '--no-violations']) == 0\n"
+        "print('bellpoly.quantum' in sys.modules, file=sys.stderr)"
+    )
+    assert _fresh_python("-c", probe).stderr.strip() == "False"
+
+
+def test_every_command_runs_without_scipy(tmp_path, capsys):
+    """With scipy unimportable, each command exits and prints as it does with it."""
+    path = tmp_path / "vectors.csv"
+    path.write_text("1,1,1,1\n0.9,0.9,0.9,-0.9\n")
+    commands = [
+        ["enumerate", "-n", "2", "--range", "0", "3"],
+        ["classify", "-n", "2", "--seed", "1"],
+        ["membership", str(path)],
+        ["violation", "-n", "3", "--id", "129"],
+        ["ghz", "--phi0", "0.5", "--phi", "0,1.5,3"],
+        ["id", "--mermin", "-n", "3"],
+        ["ppt-check", "-n", "2", "--states", "2", "--specs", "2"],
+    ]
+    probe = (
+        "import contextlib, io, json, sys\n"
+        "sys.modules['scipy'] = None  # any import of scipy now raises ImportError\n"
+        "from bellpoly.cli import main\n"
+        "results = []\n"
+        f"for argv in {commands!r}:\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        code = main(argv)\n"
+        "    results.append([code, out.getvalue()])\n"
+        "print(json.dumps(results))"
+    )
+    blocked = json.loads(_fresh_python("-c", probe).stdout)
+    assert blocked == [list(run(capsys, *argv)[:2]) for argv in commands]
 
 
 def test_classify_n2_with_violations(capsys):

@@ -32,10 +32,10 @@ A2 = SignTable(1, (1, -1))  # a2
 
 
 SINGLE_SITE_LEAVES = {
-    BellTable.from_numerators(1, (1, 0), 0): NestingLeaf(site=1, choice=0, sign=1),
-    BellTable.from_numerators(1, (0, 1), 0): NestingLeaf(site=1, choice=1, sign=1),
-    BellTable.from_numerators(1, (-1, 0), 0): NestingLeaf(site=1, choice=0, sign=-1),
-    BellTable.from_numerators(1, (0, -1), 0): NestingLeaf(site=1, choice=1, sign=-1),
+    BellTable.from_numerators(1, (1, 0), 0): NestingLeaf(choice=0, sign=1),
+    BellTable.from_numerators(1, (0, 1), 0): NestingLeaf(choice=1, sign=1),
+    BellTable.from_numerators(1, (-1, 0), 0): NestingLeaf(choice=0, sign=-1),
+    BellTable.from_numerators(1, (0, -1), 0): NestingLeaf(choice=1, sign=-1),
 }
 
 
@@ -197,8 +197,8 @@ def test_chsh_decompose_matches_the_coefficient_halves():
 def test_full_nesting_chsh_depth_one():
     tree = full_nesting(coefficients_from_signs(CHSH))
     assert tree == NestingNode(
-        a0=NestingLeaf(site=1, choice=0, sign=1),
-        a1=NestingLeaf(site=1, choice=1, sign=1),
+        a0=NestingLeaf(choice=0, sign=1),
+        a1=NestingLeaf(choice=1, sign=1),
     )
 
 
@@ -237,15 +237,23 @@ def test_nesting_json_roundtrip():
     assert obj["op"] == "chsh"
     assert nesting_from_json(obj) == tree
     assert evaluate_nesting(nesting_from_json(obj)) == MERMIN3
+    leaf = obj
+    while "op" in leaf:
+        leaf = leaf["a0"]
+    assert leaf.keys() == {"choice", "sign"}
+    # files written while leaves carried "site": 1 still load
+    assert nesting_from_json({"site": 1, "choice": 1, "sign": -1}) == NestingLeaf(choice=1, sign=-1)
     with pytest.raises(ValueError):
         nesting_from_json({"op": "chsh", "a0": {"site": 1}, "a1": {}})
 
 
 def test_evaluate_nesting_rejects_malformed_leaves_and_nodes():
+    with pytest.raises(TypeError):
+        NestingLeaf(site=2, choice=0, sign=1)  # a leaf is one site and names none
     with pytest.raises(ValueError):
-        evaluate_nesting(NestingLeaf(site=2, choice=0, sign=1))
+        evaluate_nesting(NestingLeaf(choice=3, sign=1))
     with pytest.raises(ValueError):
-        evaluate_nesting(NestingLeaf(site=1, choice=3, sign=1))
-    leaf = NestingLeaf(site=1, choice=0, sign=1)
+        evaluate_nesting(NestingLeaf(choice=0, sign=0))
+    leaf = NestingLeaf(choice=0, sign=1)
     with pytest.raises(ValueError, match="branch site counts differ: 1 vs 2"):
         evaluate_nesting(NestingNode(a0=leaf, a1=NestingNode(a0=leaf, a1=leaf)))

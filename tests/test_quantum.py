@@ -366,15 +366,16 @@ def test_ascent_hessian_matches_finite_differences(n):
 
 def test_max_violation_reports_its_search():
     result = max_violation(MERMIN3, seed=3)
-    assert result.starts == 4**2 + 32
+    assert result.starts == 10 + 32  # the 10 kept grid points of 16, and the random ones
     assert 1 <= result.starts_at_best <= result.starts
     assert result.iterations > 0
-    # starts_at_best adds the weights of the starts that reached the best value
+    # starts_at_best counts the starts that climbed and reached the best value
     coeffs = _coefficient_array(MERMIN3)
-    points, weights = _start_points(3, 3)
+    points = _start_points(3, 3)
     value, _, steps = _newton_ascent(coeffs, _seed_last_angle(coeffs, points))
     at_best = np.sqrt(value) >= result.value - 1e-9
-    assert result.starts_at_best == weights[at_best].sum() > np.count_nonzero(at_best)
+    assert result.starts == len(points)
+    assert result.starts_at_best == np.count_nonzero(at_best)
     assert result.iterations == steps
     # the search counters default, so older constructions still work
     bare = ViolationResult(2.0, PhaseVector(0.0, (HALF_PI,) * 3), True, 0.0)
@@ -492,7 +493,7 @@ def test_round_ascent_matches_the_halving_loop(monkeypatch):
     _one_row_at_a_time(monkeypatch)
     for beta in tables:
         coeffs = _coefficient_array(beta)
-        block = _seed_last_angle(coeffs, _start_points(beta.n, 0)[0])
+        block = _seed_last_angle(coeffs, _start_points(beta.n, 0))
         value, _, steps = _newton_ascent(coeffs, block)
         ref_value, _, ref_steps = halving_loop_ascent(coeffs, block)
         assert np.abs(value - ref_value).max() <= 1e-12, beta
@@ -501,25 +502,23 @@ def test_round_ascent_matches_the_halving_loop(monkeypatch):
 
 def test_start_points_pair_grid_mirrors():
     for n in range(1, 6):
-        points, weights = _start_points(n, 5)
-        assert weights.sum() == 4 ** (n - 1) + 32
+        points = _start_points(n, 5)
+        assert len(points) == (4 ** (n - 1) + 2 ** (n - 1)) // 2 + 32
         grid = set(itertools.product(range(4), repeat=n - 1))
         kept = np.rint(points[: len(points) - 32] / HALF_PI).astype(int)
         assert np.array_equal(points[: len(kept)], HALF_PI * kept)
         kept_set = {tuple(c) for c in kept}
         assert len(kept_set) == len(kept) and [tuple(c) for c in kept] == sorted(kept_set)
         covered = set()
-        for c, w in zip(kept, weights):
+        for c in kept:
             mirror = tuple(-c % 4)
-            assert w == (1 if mirror == tuple(c) else 2)
-            if w == 2:
+            if mirror != tuple(c):
                 assert mirror in grid and mirror not in kept_set and tuple(c) < mirror
             covered |= {tuple(c), mirror}
         assert covered == grid
         extra = np.random.default_rng(5).uniform(0.0, 2 * math.pi, size=(32, n))[:, : n - 1]
         assert np.array_equal(points[len(kept) :], extra)
-        assert np.array_equal(weights[len(kept) :], np.ones(32))
-    assert [len(_start_points(n, 0)[0]) - 32 for n in (4, 5)] == [36, 136]
+    assert [len(_start_points(n, 0)) - 32 for n in (4, 5)] == [36, 136]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
