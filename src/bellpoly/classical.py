@@ -122,11 +122,11 @@ def lp_membership(xi: CorrelationVector) -> bool:
     return nnls(a, np.append(xi.as_array(), 1.0))[1] <= 1e-12
 
 
-def correlation_vector_from_json(obj: dict) -> CorrelationVector:
-    try:
-        return CorrelationVector(obj["n"], tuple(obj["xi"]))
-    except KeyError as exc:
-        raise ValueError(f"correlation vector object is missing key {exc}") from exc
+def correlation_vector_from_json(obj: object) -> CorrelationVector:
+    n, xi = (obj.get("n"), obj.get("xi")) if isinstance(obj, dict) else (None, None)
+    if type(n) is not int or type(xi) is not list or not all(type(v) in (int, float) for v in xi):
+        raise ValueError('expected a correlation vector object {"n": int, "xi": [numbers]}')
+    return CorrelationVector(n, tuple(xi))
 
 
 def correlation_vectors_from_csv(lines: Iterable[str]) -> list[CorrelationVector]:

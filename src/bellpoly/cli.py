@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: enumerate, classify, membership, violation, ghz, id, ppt-check.
-Streams are JSON-lines (or CSV via --format csv); single results are one
-JSON object.  Randomized commands take --seed and echo it in the output.
-Exit codes: 0 success, 2 invalid input, 3 numeric nonconvergence.
+Each command yields its rows, and each row is written as soon as it is made,
+as one JSON line (or a CSV row via --format csv).  Randomized commands take
+--seed and echo it.  Exit codes: 0 success (also when the reader closes
+stdout early), 2 invalid input, 3 a printed row has "converged" false.
 """
 
 from __future__ import annotations
@@ -11,8 +12,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from . import inequality
 from .transform import site_count
@@ -47,18 +50,26 @@ def _id_site_count(n: int) -> int:
     return n
 
 
-def _emit_rows(rows: list[dict], fmt: str, stream) -> None:
-    """Write rows as JSON lines or as CSV with a header; no rows print nothing."""
-    if fmt == "csv" and rows:
-        writer = csv.DictWriter(stream, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
-    else:
-        for row in rows:
+def _emit_rows(rows: Iterable[dict], fmt: str, stream) -> int:
+    """Write each row as it is made: a JSON line, or CSV under the first row's keys.
+
+    Returns EXIT_NONCONVERGED if any row written has "converged" false, else EXIT_OK.
+    """
+    writer, code = None, EXIT_OK
+    for row in rows:
+        if fmt == "json":
             stream.write(json.dumps(row) + "\n")
+        else:
+            if writer is None:
+                writer = csv.DictWriter(stream, fieldnames=list(row))
+                writer.writeheader()
+            writer.writerow(row)
+        if not row.get("converged", True):
+            code = EXIT_NONCONVERGED
+    return code
 
 
-def cmd_enumerate(args: argparse.Namespace) -> tuple[list[dict], int]:
+def cmd_enumerate(args: argparse.Namespace) -> Iterator[dict]:
     n = _id_site_count(args.n)
     if args.id is not None:
         ids = [args.id]
@@ -74,24 +85,19 @@ def cmd_enumerate(args: argparse.Namespace) -> tuple[list[dict], int]:
             )
         ids = range(1 << (1 << n))
 
-    rows = []
     for value in ids:
         f = inequality.id_to_signs(n, value)
         beta = inequality.coefficients_from_signs(f)
-        rows.append(
-            {
-                "n": n,
-                "id": value,
-                "polynomial": inequality.polynomial_string(beta),
-                "signs": _signs_string(f),
-            }
-        )
-    return rows, EXIT_OK
+        yield {
+            "n": n,
+            "id": value,
+            "polynomial": inequality.polynomial_string(beta),
+            "signs": _signs_string(f),
+        }
 
 
-def cmd_classify(args: argparse.Namespace) -> tuple[list[dict], int]:
+def cmd_classify(args: argparse.Namespace) -> Iterator[dict]:
     from . import symmetry
-    rows = []
     for orb in symmetry.classify_all(args.n):
         row = {name: getattr(orb, name) for name in _CENSUS_FIELDS}
         if not args.no_violations:
@@ -102,11 +108,10 @@ def cmd_classify(args: argparse.Namespace) -> tuple[list[dict], int]:
             row["seed"] = args.seed
             row["converged"] = result.converged
             row["gradient_norm"] = round(result.gradient_norm, 9)
-        rows.append(row)
-    return rows, EXIT_OK if all(row.get("converged", True) for row in rows) else EXIT_NONCONVERGED
+        yield row
 
 
-def cmd_membership(args: argparse.Namespace) -> tuple[list[dict], int]:
+def cmd_membership(args: argparse.Namespace) -> Iterator[dict]:
     from . import classical
     path = Path(args.file)
     text = path.read_text()
@@ -114,29 +119,25 @@ def cmd_membership(args: argparse.Namespace) -> tuple[list[dict], int]:
         vectors = [classical.correlation_vector_from_json(json.loads(text))]
     else:
         vectors = classical.correlation_vectors_from_csv(text.splitlines())
-    rows = []
     for xi in vectors:
         margin = classical.l1_margin(xi)
         wit = classical.witness(xi)
-        rows.append(
-            {
-                "n": xi.n,
-                "margin": round(margin, 12),
-                "member": bool(margin <= 1.0 + classical.BOUNDARY_TOL),
-                "witness_id": inequality.signs_to_id(wit),
-                "witness_signs": _signs_string(wit),
-            }
-        )
-    return rows, EXIT_OK
+        yield {
+            "n": xi.n,
+            "margin": round(margin, 12),
+            "member": bool(margin <= 1.0 + classical.BOUNDARY_TOL),
+            "witness_id": inequality.signs_to_id(wit),
+            "witness_signs": _signs_string(wit),
+        }
 
 
-def cmd_violation(args: argparse.Namespace) -> tuple[list[dict], int]:
+def cmd_violation(args: argparse.Namespace) -> Iterator[dict]:
     from . import quantum
     # the value is realized on the n-qubit GHZ state; check n before any table or grid exists
     beta = inequality.bell_table_from_id(quantum._qubit_count(args.n), args.id)
     result = quantum.max_violation(beta, seed=args.seed)
     bound = quantum.mermin_bound(args.n)
-    report = {
+    yield {
         "n": args.n,
         "id": args.id,
         "value": round(result.value, 9),
@@ -147,10 +148,9 @@ def cmd_violation(args: argparse.Namespace) -> tuple[list[dict], int]:
         "seed": args.seed,
         "converged": result.converged,
     }
-    return [report], EXIT_OK if result.converged else EXIT_NONCONVERGED
 
 
-def cmd_ghz(args: argparse.Namespace) -> tuple[list[dict], int]:
+def cmd_ghz(args: argparse.Namespace) -> Iterator[dict]:
     from . import quantum
     phi = tuple(float(v) for v in args.phi.split(","))
     if args.n is not None and args.n != len(phi):
@@ -158,7 +158,7 @@ def cmd_ghz(args: argparse.Namespace) -> tuple[list[dict], int]:
     phases = quantum.PhaseVector(args.phi0, phi)
     obs = quantum.ghz_observables(phases)
     xi = quantum.simulate_correlations(quantum.ghz_state(phases.n), obs)
-    report = {
+    yield {
         "n": phases.n,
         "phi0": phases.phi0,
         "phi": list(phases.phi),
@@ -166,10 +166,9 @@ def cmd_ghz(args: argparse.Namespace) -> tuple[list[dict], int]:
         "observable_angles": [list(pair) for pair in obs.angles],
         "correlations": [round(v, 12) for v in xi.xi],
     }
-    return [report], EXIT_OK
 
 
-def cmd_id(args: argparse.Namespace) -> tuple[list[dict], int]:
+def cmd_id(args: argparse.Namespace) -> Iterator[dict]:
     n = None if args.n is None else _id_site_count(args.n)
     if args.mermin:
         if n is None:
@@ -182,10 +181,10 @@ def cmd_id(args: argparse.Namespace) -> tuple[list[dict], int]:
     else:
         beta = inequality.parse_polynomial(args.polynomial, n)
         f = inequality.signs_from_coefficients(beta)
-    return [{"n": _id_site_count(f.n), "id": inequality.signs_to_id(f)}], EXIT_OK
+    yield {"n": _id_site_count(f.n), "id": inequality.signs_to_id(f)}
 
 
-def cmd_ppt_check(args: argparse.Namespace) -> tuple[list[dict], int]:
+def cmd_ppt_check(args: argparse.Namespace) -> Iterator[dict]:
     import numpy as np
 
     from . import classical, quantum
@@ -203,7 +202,7 @@ def cmd_ppt_check(args: argparse.Namespace) -> tuple[list[dict], int]:
             margin = classical.l1_margin(quantum.simulate_correlations(rho, spec))
             if margin > worst:
                 worst, worst_state, worst_spec = margin, state_index, spec_index
-    report = {
+    yield {
         "n": args.n,
         "states": args.states,
         "specs": args.specs,
@@ -215,7 +214,6 @@ def cmd_ppt_check(args: argparse.Namespace) -> tuple[list[dict], int]:
         "worst_state": worst_state,
         "worst_spec": worst_spec,
     }
-    return [report], EXIT_OK
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -266,7 +264,7 @@ def _build_parser() -> argparse.ArgumentParser:
     source.add_argument("--polynomial", type=str, help="e.g. '1/2 a1 b1 + ... - 1/2 a2 b2'")
     p.set_defaults(func=cmd_id)
 
-    p = sub.add_parser("ppt-check", help="probabilistic PPT-implies-classical check")
+    p = sub.add_parser("ppt-check", help="l1 margins of sampled separable mixtures (no entangled PPT states yet)")
     p.add_argument("-n", type=int, default=3)
     p.add_argument("--states", type=int, default=20)
     p.add_argument("--specs", type=int, default=10)
@@ -281,9 +279,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        rows, code = args.func(args)
-        _emit_rows(rows, getattr(args, "format", "json"), sys.stdout)
-        return code
+        return _emit_rows(args.func(args), getattr(args, "format", "json"), sys.stdout)
+    except BrokenPipeError:
+        # the reader stopped early; the interpreter's final flush goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

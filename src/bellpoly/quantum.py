@@ -348,8 +348,8 @@ def simulate_correlations(
     so only d_j = rho[j, ~j] (psi_j conj(psi_~j) for a vector) enters, and
     xi = (M_1 x ... x M_n) d with M_k[s, j] = e^(i (1-2j) theta_k(s)).  Site 1
     is the most significant bit of the basis index j; s_k is bit k-1 of s.  The
-    j and ~j terms are conjugates, so xi is real up to rounding.  Accepts a
-    state vector or a density matrix.
+    j and ~j terms are conjugates, so xi is real, and in [-1, 1] for a unit
+    state, up to rounding.  Accepts a unit state vector or a density matrix.
     """
     n = _qubit_count(obs.n)
     dim = 1 << n
@@ -364,14 +364,14 @@ def simulate_correlations(
             raise DimensionMismatchError(
                 f"state vector has shape {psi.shape}, expected ({dim},)"
             )
+        if not abs(np.vdot(psi, psi).real - 1.0) <= _TRACE_TOL:  # NaN fails too
+            raise ValueError("state vector is not normalized")
         values = psi * psi[::-1].conj()
     for theta in obs.angles:
         # M_k[s, j] contracts the leading axis (site k's j); s_k goes last
         values = (np.exp(1j * np.outer(theta, (1.0, -1.0))) @ values.reshape(2, -1)).T
     # the axes are now (s_1, ..., s_n); reverse them so s_1 is the low bit
     values = values.reshape((2,) * n).transpose().reshape(dim)
-    if np.abs(values.real).max() > 1.0 + 1e-9:
-        raise ValueError("expectation outside [-1, 1]; state not normalized?")
     xi = np.clip(values.real, -1.0, 1.0)
     return CorrelationVector(n, xi.tolist())
 

@@ -1,6 +1,7 @@
 """CLI surface: subcommands, formats, exit codes."""
 
 import hashlib
+import io
 import json
 import math
 import os
@@ -88,12 +89,15 @@ def test_id_requires_a_source(capsys):
     assert "one of the arguments --mermin --signs --polynomial is required" in captured.err
 
 
+def _fresh_env() -> dict:
+    """The environment of a fresh python process that imports this bellpoly."""
+    src = str(Path(bellpoly.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def _fresh_python(*args: str) -> subprocess.CompletedProcess:
     """Run python in a fresh process that imports this bellpoly."""
-    src = str(Path(bellpoly.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, check=True)
+    return subprocess.run([sys.executable, *args], env=_fresh_env(), capture_output=True, text=True, check=True)
 
 
 def test_census_only_classify_loads_no_quantum():
@@ -133,6 +137,40 @@ def test_every_command_runs_without_scipy(tmp_path, capsys):
     )
     blocked = json.loads(_fresh_python("-c", probe).stdout)
     assert blocked == [list(run(capsys, *argv)[:2]) for argv in commands]
+
+
+def test_a_reader_that_stops_early_is_not_an_error():
+    """`enumerate -n 4 --all | head -n 1` once exited 2 with "error: [Errno 32] Broken pipe"."""
+    argv = [sys.executable, "-m", "bellpoly.cli", "enumerate", "-n", "4", "--all"]
+    with subprocess.Popen(argv, env=_fresh_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+        first = json.loads(proc.stdout.readline())
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert (first["id"], code, err) == (0, EXIT_OK, "")
+
+
+@pytest.mark.parametrize("fmt, header", [("json", 0), ("csv", 1)])
+@pytest.mark.parametrize(
+    "argv, module, name, count",
+    [
+        (("enumerate", "-n", "2", "--range", "0", "4"), inequality, "polynomial_string", 4),
+        (("classify", "-n", "2"), quantum, "max_violation", 2),
+    ],
+)
+def test_rows_are_written_as_they_are_made(monkeypatch, argv, module, name, count, fmt, header):
+    """Row k >= 1 is made after rows 0..k-1 are written; a CSV header takes its keys from row 0."""
+    stdout = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    real, written = getattr(module, name), []
+
+    def counting(*args, **kwargs):
+        written.append(stdout.getvalue().count("\n"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    assert main([*argv, "--format", fmt]) == EXIT_OK
+    assert written == [0] + [header + k for k in range(1, count)]
 
 
 def test_classify_n2_with_violations(capsys):
@@ -235,6 +273,18 @@ def test_membership_rejects_a_nan_entry(tmp_path, capsys):
     code, out, err = run(capsys, "membership", str(path))
     assert code == EXIT_INVALID and out == ""
     assert err == "error: correlation entries must lie in [-1, 1]\n"
+
+
+@pytest.mark.parametrize(
+    "content", ['[1, 0]', '{"n": 1, "xi": 5}', '{"n": "1", "xi": [1, 0]}', '{"n": 1, "xi": [null, 0]}']
+)
+def test_membership_rejects_a_json_file_of_the_wrong_shape(tmp_path, capsys, content):
+    """Each of these once ended in a TypeError traceback (exit 1)."""
+    path = tmp_path / "vector.json"
+    path.write_text(content)
+    code, out, err = run(capsys, "membership", str(path))
+    assert (code, out) == (EXIT_INVALID, "")
+    assert err == 'error: expected a correlation vector object {"n": int, "xi": [numbers]}\n'
 
 
 def test_membership_missing_file(capsys):

@@ -650,10 +650,12 @@ def test_simulator_matches_dense_oracle(n):
 
 
 def test_simulator_rejects_unnormalized_vector():
-    # xi(0) = cos(0) = 1 on the normalized state, so 2 psi reads 4
+    # xi(0) = cos(0) = 1 on the normalized state, so 2 psi would read 4 and
+    # 0.5 psi a plausible 0.25; the norm of the input is checked, not the output
     spec = ghz_observables(PhaseVector(0.0, (0.0, 0.0, 0.0)))
-    with pytest.raises(ValueError, match="outside"):
-        simulate_correlations(2.0 * ghz_state(3), spec)
+    for scale in (2.0, 0.5):
+        with pytest.raises(ValueError, match="state vector is not normalized"):
+            simulate_correlations(scale * ghz_state(3), spec)
 
 
 def test_density_matrix_validation():
