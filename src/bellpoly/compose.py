@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 from .inequality import BellTable, SignTable, signs_from_coefficients
-from .transform import MAX_SITES, DyadicVector
+from .transform import MAX_SITES, DyadicVector, _butterfly
 
 __all__ = [
     "NestingLeaf",
@@ -93,6 +93,9 @@ class NestingNode:
 
 Nesting = Union[NestingLeaf, NestingNode]
 
+# the leaf of every sign pair (f(2i), f(2i+1)), shared by all trees full_nesting builds
+_LEAVES = {(a, b): NestingLeaf(choice=int(a != b), sign=a) for a in (1, -1) for b in (1, -1)}
+
 
 def full_nesting(beta: BellTable) -> Nesting:
     """Decompose down to single-site leaves by halving the sign table.
@@ -104,37 +107,43 @@ def full_nesting(beta: BellTable) -> Nesting:
     Raises NotExtremalError when beta has no sign table.
     """
     f = signs_from_coefficients(beta).signs
-    level: list[Nesting] = [NestingLeaf(choice=int(a != b), sign=a) for a, b in zip(f[::2], f[1::2])]
+    level: list[Nesting] = list(map(_LEAVES.__getitem__, zip(f[::2], f[1::2])))
     while len(level) > 1:
-        level = [NestingNode(a0=x, a1=y) for x, y in zip(level[::2], level[1::2])]
+        level = list(map(NestingNode, level[::2], level[1::2]))
     return level[0]
 
 
-def _expand(tree: Nesting) -> list[int]:
-    """Numerators of a subtree on m sites over its fixed denominator 2^(m-1)."""
+def _leaf_parts(tree: Nesting, part0: list, part1: list) -> int:
+    """Append each leaf's sign to the part of its choice, 0 to the other; the site count.
+
+    Leaves and branch sizes are checked depth first: a0, then a1, then the node.
+    """
     if isinstance(tree, NestingLeaf):
         if tree.choice not in (0, 1) or tree.sign not in (-1, 1):
             raise ValueError(f"malformed leaf {tree}")
-        return [tree.sign, 0] if tree.choice == 0 else [0, tree.sign]
-    low = _expand(tree.a0)
-    high = _expand(tree.a1)
-    if len(low) != len(high):
-        raise ValueError(
-            f"branch site counts differ: {len(low).bit_length() - 1}"
-            f" vs {len(high).bit_length() - 1}"
-        )
-    return [a + b for a, b in zip(low, high)] + [a - b for a, b in zip(low, high)]
+        part0.append(tree.sign if tree.choice == 0 else 0)
+        part1.append(0 if tree.choice == 0 else tree.sign)
+        return 1
+    low, high = _leaf_parts(tree.a0, part0, part1), _leaf_parts(tree.a1, part0, part1)
+    if low != high:
+        raise ValueError(f"branch site counts differ: {low} vs {high}")
+    return low + 1
 
 
 def evaluate_nesting(tree: Nesting) -> BellTable:
     """Expand a nesting tree back into a flat coefficient table, exactly.
 
     Both branches of a node on m sites share the denominator 2^(m-1), so the
-    expansion runs over plain integers and normalizes once, at the root.
+    expansion runs over plain integers and normalizes once, at the root.  A
+    node's numerators are (low + high, low - high) of its branches', so the
+    entries with s_1 = c are the transform of the choice-c leaves' signs, in
+    leaf order: two half-length butterflies, interleaved on s_1.
     """
-    nums = _expand(tree)
-    n = len(nums).bit_length() - 1
-    return BellTable(DyadicVector(n, tuple(nums), n - 1))
+    part0, part1 = [], []
+    n = _leaf_parts(tree, part0, part1)
+    nums = [0] * (2 * len(part0))
+    nums[0::2], nums[1::2] = _butterfly(part0), _butterfly(part1)
+    return BellTable(DyadicVector(n, nums, n - 1))
 
 
 def nesting_to_json(tree: Nesting) -> dict:

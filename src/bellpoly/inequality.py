@@ -56,12 +56,12 @@ class SignTable:
 
     def __post_init__(self) -> None:
         n = site_count(self.n)
-        signs = tuple(operator.index(v) for v in self.signs)
+        signs = tuple(map(operator.index, self.signs))
         if len(signs) != 1 << n:
             raise DimensionMismatchError(
                 f"expected {1 << n} signs for n={n}, got {len(signs)}"
             )
-        if any(v not in (-1, 1) for v in signs):
+        if not {-1, 1}.issuperset(signs):
             raise ValueError("sign table entries must be exactly -1 or +1")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "signs", signs)
@@ -91,17 +91,14 @@ def coefficients_from_signs(f: SignTable) -> BellTable:
 
 def signs_from_coefficients(beta: BellTable) -> SignTable:
     """Recover f(r) = sum_s beta(s)(-1)^<r,s>, rejecting non-extremal tables."""
-    unit = 1 << beta.coefficients.log_denominator
-    signs = []
-    for r, w in enumerate(walsh_hadamard(beta.coefficients.numerators)):
-        if w == unit:
-            signs.append(1)
-        elif w == -unit:
-            signs.append(-1)
-        else:
-            value = _ratio(w, beta.coefficients.log_denominator)
-            raise NotExtremalError(f"transform value {value} at r={r} is not +-1")
-    return SignTable(beta.n, tuple(signs))
+    d = beta.coefficients.log_denominator
+    w = walsh_hadamard(beta.coefficients.numerators)
+    try:
+        signs = tuple(map({1 << d: 1, -1 << d: -1}.__getitem__, w))
+    except KeyError as exc:  # the first offending value; its first index is the first r
+        (value,) = exc.args
+        raise NotExtremalError(f"transform value {_ratio(value, d)} at r={w.index(value)} is not +-1") from None
+    return SignTable(beta.n, signs)
 
 
 def id_to_signs(n: int, value: int) -> SignTable:
@@ -160,6 +157,7 @@ def _monomials(n: int) -> tuple[tuple[int, str], ...]:
     return tuple((s, " ".join(pair[b] for pair, b in zip(names, bits))) for bits, s in order)
 
 
+@lru_cache(maxsize=1024)
 def _ratio(num: int, d: int) -> str:
     """num / 2^d in lowest terms, written 'p/q', or 'p' when it is an integer."""
     shift = min(d, (num & -num).bit_length() - 1) if num else d

@@ -7,8 +7,8 @@ its two views, and bits_word, the inverse of word_bits, is the only encoder.  Th
 state, which puts site 1 in the most significant bit, as np.kron does
 (simulate_correlations, partial_transpose).  The transform kernel is
 (-1)^<r,s> with <r,s> = sum_k r_k s_k mod 2.  walsh_hadamard is exact integer
-arithmetic; its butterfly is the package's only transform and also computes
-the float spectrum of a correlation vector.
+arithmetic; its constant-geometry butterfly is the package's only transform
+and also computes the float spectrum of a correlation vector.
 
 Only bit_matrix computes with floats: it imports numpy on its first call, so
 the codecs, the transform and DyadicVector load and run without numpy.
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:
@@ -75,30 +75,28 @@ def bits_word(bits: Iterable[int]) -> int:
 def walsh_hadamard(values: Sequence[int]) -> list[int]:
     """Unnormalized transform w[r] = sum_s (-1)^<r,s> v[s], exact over int.
 
-    In-place butterfly recursion, O(m log m) for a table of length m = 2^n.
+    Constant-geometry butterfly, O(m log m) for a table of length m = 2^n.
     The transform is an involution up to scale: applying it twice multiplies
     the input by 2^n.
     """
-    out = [operator.index(v) for v in values]
+    out = list(map(operator.index, values))
     m = len(out)
     if m == 0 or m & (m - 1):
         raise DimensionMismatchError(f"table length {m} is not a power of two")
     return _butterfly(out)
 
 
-def _butterfly(out: list) -> list:
-    """In-place butterfly over a power-of-two list of ints or floats."""
-    m = len(out)
-    step = 1
-    while step < m:
-        for lo in range(0, m, 2 * step):
-            for j in range(lo, lo + step):
-                a = out[j]
-                b = out[j + step]
-                out[j] = a + b
-                out[j + step] = a - b
-        step <<= 1
-    return out
+def _butterfly(v: list) -> list:
+    """Constant-geometry butterfly (M. C. Pease, J. ACM 15, 252 (1968)) over ints or floats.
+
+    Each stage writes v[2j] + v[2j+1] to j and v[2j] - v[2j+1] to j + m/2, so
+    stage k pairs the original indices that differ in bit k, lower one first,
+    as the in-place butterfly does: float results equal its bit for bit.
+    """
+    for _ in range(len(v).bit_length() - 1):
+        a, b = v[0::2], v[1::2]
+        v = [*map(operator.add, a, b), *map(operator.sub, a, b)]
+    return v
 
 
 @dataclass(frozen=True)
@@ -115,7 +113,7 @@ class DyadicVector:
 
     def __post_init__(self) -> None:
         n = site_count(self.n)
-        nums = tuple(operator.index(v) for v in self.numerators)
+        nums = tuple(map(operator.index, self.numerators))
         if len(nums) != 1 << n:
             raise DimensionMismatchError(
                 f"expected {1 << n} numerators for n={n}, got {len(nums)}"
@@ -123,9 +121,10 @@ class DyadicVector:
         d = operator.index(self.log_denominator)
         if d < 0:
             raise ValueError("log_denominator must be non-negative")
-        while d > 0 and not any(v & 1 for v in nums):
-            nums = tuple(v >> 1 for v in nums)
-            d -= 1
+        low = reduce(operator.or_, nums, 0)  # its trailing zeros: those all entries share
+        shift = min(d, (low & -low).bit_length() - 1) if low else d
+        if shift:
+            nums, d = tuple([v >> shift for v in nums]), d - shift
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "numerators", nums)
         object.__setattr__(self, "log_denominator", d)

@@ -1,5 +1,7 @@
 """Substitution, CHSH decomposition, and full nesting trees."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -257,3 +259,61 @@ def test_evaluate_nesting_rejects_malformed_leaves_and_nodes():
     leaf = NestingLeaf(choice=0, sign=1)
     with pytest.raises(ValueError, match="branch site counts differ: 1 vs 2"):
         evaluate_nesting(NestingNode(a0=leaf, a1=NestingNode(a0=leaf, a1=leaf)))
+
+
+def recursive_expand(tree):
+    """The recursive expansion evaluate_nesting used before, the reference for its errors."""
+    if isinstance(tree, NestingLeaf):
+        if tree.choice not in (0, 1) or tree.sign not in (-1, 1):
+            raise ValueError(f"malformed leaf {tree}")
+        return [tree.sign, 0] if tree.choice == 0 else [0, tree.sign]
+    low = recursive_expand(tree.a0)
+    high = recursive_expand(tree.a1)
+    if len(low) != len(high):
+        raise ValueError(
+            f"branch site counts differ: {len(low).bit_length() - 1}"
+            f" vs {len(high).bit_length() - 1}"
+        )
+    return [a + b for a, b in zip(low, high)] + [a - b for a, b in zip(low, high)]
+
+
+def test_evaluate_nesting_reports_the_first_error_depth_first():
+    leaf = NestingLeaf(choice=0, sign=1)
+    bad = NestingLeaf(choice=2, sign=1)
+    # a malformed leaf inside a0 comes before the size mismatch at the root
+    with pytest.raises(ValueError, match=r"^malformed leaf NestingLeaf\(choice=2, sign=1\)$"):
+        evaluate_nesting(NestingNode(a0=NestingNode(a0=bad, a1=leaf), a1=leaf))
+    with pytest.raises(ValueError, match="^branch site counts differ: 2 vs 1$"):
+        evaluate_nesting(NestingNode(a0=NestingNode(a0=leaf, a1=leaf), a1=leaf))
+    # a mismatch inside a0 comes before a malformed leaf inside a1
+    with pytest.raises(ValueError, match="^branch site counts differ: 1 vs 2$"):
+        evaluate_nesting(NestingNode(a0=NestingNode(a0=leaf, a1=NestingNode(a0=leaf, a1=leaf)), a1=bad))
+
+
+def random_tree(rng, depth, p_bad):
+    """A nesting tree of about the given depth, with uneven branches and bad leaves at rate p_bad."""
+    if depth <= 1 or rng.random() < 0.08:
+        if rng.random() < p_bad:
+            return NestingLeaf(choice=rng.choice((0, 1, 2, -1)), sign=rng.choice((1, -1, 0, 2)))
+        return NestingLeaf(choice=rng.choice((0, 1)), sign=rng.choice((1, -1)))
+    return NestingNode(a0=random_tree(rng, depth - 1, p_bad), a1=random_tree(rng, depth - 1, p_bad))
+
+
+def test_evaluate_nesting_matches_the_recursive_expansion():
+    """Same table or same first error as the recursion, on random well- and ill-formed trees."""
+    import random
+
+    rng = random.Random(23)
+    errors = 0
+    for _ in range(400):
+        tree = random_tree(rng, rng.randint(1, 7), rng.choice((0.0, 0.01, 0.1)))
+        try:
+            nums = recursive_expand(tree)
+        except ValueError as exc:
+            errors += 1
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                evaluate_nesting(tree)
+            continue
+        n = len(nums).bit_length() - 1
+        assert evaluate_nesting(tree) == BellTable(DyadicVector(n, tuple(nums), n - 1))
+    assert 100 < errors < 350

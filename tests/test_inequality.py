@@ -29,6 +29,7 @@ from bellpoly.inequality import (
     signs_to_id,
 )
 from bellpoly.transform import DimensionMismatchError, DyadicVector
+from test_transform import naive_transform
 
 MERMIN3 = BellTable.from_numerators(3, (0, 1, 1, 0, 1, 0, 0, -1), 1)
 GHZ_MERMIN_VECTOR = (0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 0.0, -1.0)
@@ -39,6 +40,12 @@ def test_sign_table_rejects_bad_entries():
         SignTable(2, (1, 1, 0, -1))
     with pytest.raises(DimensionMismatchError):
         SignTable(2, (1, 1, 1))
+    for bad in (0, 2, -2):
+        for r in range(4):
+            signs = [1, -1, -1, 1]
+            signs[r] = bad
+            with pytest.raises(ValueError, match="^sign table entries must be exactly -1 or \\+1$"):
+                SignTable(2, tuple(signs))
 
 
 def test_all_plus_signs_give_product_polynomial():
@@ -71,6 +78,32 @@ def test_uniform_quarter_table_is_not_extremal():
 def test_zero_table_is_not_extremal():
     with pytest.raises(NotExtremalError):
         signs_from_coefficients(BellTable.from_numerators(2, (0, 0, 0, 0), 0))
+
+
+def first_offender_message(beta: BellTable) -> str:
+    """The per-entry loop: the first r whose transform value is not +-1, as text."""
+    unit = 1 << beta.coefficients.log_denominator
+    for r, w in enumerate(naive_transform(beta.coefficients.numerators)):
+        if w not in (unit, -unit):
+            return f"transform value {Fraction(w, unit)} at r={r} is not +-1"
+    raise AssertionError("the table is extremal")
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_signs_from_coefficients_names_the_first_offending_r(n):
+    """Several transform values are off; the error names the first, as a per-entry loop does."""
+    rnd = random.Random(600 + n)
+    m = 1 << n
+    for _ in range(40):
+        e = rnd.randrange(4)
+        w = [rnd.choice((1, -1)) << e for _ in range(m)]
+        for r in rnd.sample(range(m), rnd.randint(1, min(m, 4))):
+            w[r] = rnd.choice((0, 0, 3 << e, -(1 << e) // 2 if e else 5, rnd.randint(-9, 9) << e))
+        if all(abs(v) == 1 << e for v in w):
+            continue
+        beta = BellTable(DyadicVector(n, tuple(naive_transform(w)), n + e))
+        with pytest.raises(NotExtremalError, match=f"^{re.escape(first_offender_message(beta))}$"):
+            signs_from_coefficients(beta)
 
 
 def test_id_codec_bijective_small_n():

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bellpoly.classical import CorrelationVector, l1_margin, spectrum, witness
 from bellpoly.inequality import SignTable, id_to_signs, signs_to_id
 from bellpoly.transform import (
     DimensionMismatchError,
     DyadicVector,
+    _butterfly,
     bit_matrix,
     bits_word,
     walsh_hadamard,
@@ -147,3 +149,77 @@ def test_word_bits_agree_with_signs_to_id(n):
         for value in (0, (1 << width) - 1, int.from_bytes(rng.bytes(width // 8 + 1), "little") % (1 << width)):
             assert bits_word(word_bits(width, value)) == value
     assert bits_word(b"") == 0 and bits_word([1, 0, 1]) == 5
+
+
+def in_place_butterfly(out):
+    """The in-place butterfly loop the constant-geometry stages replaced, the reference here."""
+    m = len(out)
+    step = 1
+    while step < m:
+        for lo in range(0, m, 2 * step):
+            for j in range(lo, lo + step):
+                a = out[j]
+                b = out[j + step]
+                out[j] = a + b
+                out[j + step] = a - b
+        step <<= 1
+    return out
+
+
+def random_floats(rng, m):
+    """m floats of either sign with magnitudes spread over 1e-20..1e20."""
+    return [float(v) for v in rng.choice((-1.0, 1.0), size=m) * 10.0 ** rng.uniform(-20, 20, size=m)]
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_butterfly_is_bit_identical_to_the_in_place_loop(n):
+    rng = np.random.default_rng(300 + n)
+    m = 1 << n
+    for _ in range(30 if n < 8 else 5):
+        values = random_floats(rng, m)
+        assert [v.hex() for v in _butterfly(list(values))] == [
+            v.hex() for v in in_place_butterfly(list(values))
+        ]
+        ints = [int(v) for v in rng.integers(-(1 << 62), 1 << 62, size=m)]
+        ints = [v * (1 << 70) + w for v, w in zip(ints, reversed(ints))]  # past 2^64
+        expected = in_place_butterfly(list(ints))
+        assert walsh_hadamard(ints) == expected and _butterfly(list(ints)) == expected
+    assert walsh_hadamard([5]) == [5] and _butterfly([0.5]) == [0.5]
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_float_spectrum_matches_the_in_place_loop(n):
+    rng = np.random.default_rng(400 + n)
+    for _ in range(10 if n < 8 else 3):
+        values = random_floats(rng, 1 << n)
+        peak = max(map(abs, values))
+        xi = CorrelationVector(n, tuple(v / peak for v in values))
+        expected = np.array(in_place_butterfly(list(xi.xi))) / (1 << n)
+        assert spectrum(xi).tobytes() == expected.tobytes()
+        assert l1_margin(xi) == float(np.abs(expected).sum())
+        assert witness(xi).signs == tuple(1 if v >= 0.0 else -1 for v in expected)
+
+
+def halving_lowest_terms(nums, d):
+    """Lowest terms by one halving at a time, the reduction DyadicVector used before."""
+    while d > 0 and not any(v & 1 for v in nums):
+        nums = tuple(v >> 1 for v in nums)
+        d -= 1
+    return nums, d
+
+
+@pytest.mark.parametrize("d", range(13))
+def test_dyadic_lowest_terms_match_one_halving_at_a_time(d):
+    rng = np.random.default_rng(500 + d)
+    for n in (1, 2, 3, 5):
+        m = 1 << n
+        cases = [(0,) * m, (-(1 << 80),) + (0,) * (m - 1)]
+        for _ in range(20):
+            shared = int(rng.integers(0, 15))
+            cases.append(tuple(
+                int(v) << shared
+                for v in rng.integers(-3, 4, size=m) * rng.choice((1, 1 << 66), size=m)
+            ))
+        for nums in cases:
+            v = DyadicVector(n, nums, d)
+            assert (v.numerators, v.log_denominator) == halving_lowest_terms(nums, d)
