@@ -2,9 +2,10 @@
 
 The maximal quantum value of an inequality reduces to maximizing
 |sum_s beta(s) prod_k e^(i phi_k s_k)| over one angle per site, which
-`max_violation` does by one batched saddle-free Newton ascent with the
-exact gradient and Hessian, from starts on a grid over sites 1..n-1 whose
-last angle is set in closed form.  Every extreme point of the quantum body
+`max_violation` does from starts on a grid over sites 1..n-1: closed-form
+per-site coordinate sweeps (the last angle first) bring every start near a
+maximum, and one batched saddle-free Newton ascent with the exact gradient
+and Hessian finishes it.  Every extreme point of the quantum body
 has the cosine form xi(s) = cos(phi0 + sum_k phi_k s_k) and is realized by
 the generalized GHZ state with observables in the x-y plane of the Bloch
 sphere.  A simulator of x-y-plane correlations (read off the state's
@@ -52,6 +53,8 @@ _EIGENVALUE_TOL = 1e-10
 # starts per batched ascent: memory stays O(block * 2^n * n) at every n
 _START_BLOCK = 1024
 _RANDOM_STARTS = 32
+# cycles of closed-form site steps over sites 1..n before the Newton ascent
+_SWEEPS = 3
 _MAX_ITERATIONS = 500
 _GRADIENT_TOL = 1e-12
 _MAX_HALVINGS = 40
@@ -166,7 +169,8 @@ class ViolationResult:
 
     `starts` counts the starts that climbed, (4^(n-1) + 2^(n-1))/2 + 32,
     `starts_at_best` those of them that ended within 1e-9 of the best value, and
-    `iterations` the steps actually taken.
+    `iterations` the Newton steps actually taken; the coordinate sweeps before
+    the ascent are not counted.
     """
 
     value: float
@@ -190,22 +194,60 @@ def _start_points(n: int, seed: int) -> np.ndarray:
     beta is real, so T(-phi) = conj T(phi), and grid points c and -c start
     mirrored paths: the grid {0, pi/2, pi, 3pi/2}^(n-1) keeps the first of each
     pair, then `_RANDOM_STARTS` seeded random points follow.  A dropped mirror
-    is neither climbed nor counted.
+    is neither climbed nor counted.  The grid codes are bytes, and the points
+    are written straight into the returned array.
     """
-    codes = np.indices((4,) * (n - 1)).reshape(n - 1, 4 ** (n - 1))
-    mirror = np.ravel_multi_index(-codes % 4, (4,) * (n - 1))
-    kept = np.arange(4 ** (n - 1)) <= mirror
-    extra = np.random.default_rng(seed).uniform(0.0, TWO_PI, (_RANDOM_STARTS, n))[:, : n - 1]
-    return np.vstack([0.5 * math.pi * codes[:, kept].T, extra])
+    codes = np.indices((4,) * (n - 1), dtype=np.uint8).reshape(n - 1, 4 ** (n - 1))
+    # 0 and 2 are their own negatives mod 4, so c and -c first differ at c's
+    # first odd digit, and c comes first in grid order iff that digit is 1;
+    # the digits are read last to first so that the first odd one is kept
+    first_odd = np.zeros(4 ** (n - 1), np.uint8)
+    for digit in codes[::-1]:
+        np.copyto(first_odd, digit, where=digit % 2 == 1)
+    kept = codes[:, first_odd != 3]
+    points = np.empty((kept.shape[1] + _RANDOM_STARTS, n - 1))
+    np.multiply(kept.T, 0.5 * math.pi, out=points[: kept.shape[1]])
+    extra = np.random.default_rng(seed).uniform(0.0, TWO_PI, (_RANDOM_STARTS, n))
+    points[kept.shape[1] :] = extra[:, : n - 1]
+    return points
 
 
-def _seed_last_angle(coeffs: np.ndarray, head: np.ndarray) -> np.ndarray:
-    """Append to each row phi' of head its best phi_n: split on s_n,
-    T = A(phi') + e^(i phi_n) B(phi'), and |T| = |A| + |B| at arg A - arg B."""
-    half = len(coeffs) // 2
-    waves = np.exp(1j * (head @ bit_matrix(head.shape[1]).T))
-    last = np.angle(waves @ coeffs[:half]) - np.angle(waves @ coeffs[half:])
-    return np.column_stack([head, last])
+def _turn_site(weighted: np.ndarray, k: int) -> np.ndarray:
+    """Turn site k of every start to its best angle; weighted[s] holds
+    W_s = beta(s) e^(i phi.s) with one column per start.
+
+    Split on s_k (bit k-1 of s), T = A + B with B the s_k = 1 half; turning
+    phi_k by arg A - arg B rotates B onto A, so |T| becomes |A| + |B|, the
+    maximum over phi_k.  The s_k = 1 half of W is rotated in place, and the
+    turns are returned.  Where A or B vanishes the turn is the angle of a
+    rounding residue, which leaves |T| as it is.
+    """
+    size, starts = weighted.shape
+    split = weighted.reshape(size >> k, 2, 1 << (k - 1), starts)
+    halves = split.sum(axis=(0, 2))
+    turn = np.angle(halves[0]) - np.angle(halves[1])
+    split[:, 1] *= np.exp(1j * turn)
+    return turn
+
+
+def _coordinate_sweeps(coeffs: np.ndarray, head: np.ndarray) -> np.ndarray:
+    """Append to each row phi' of head its best phi_n, then make `_SWEEPS`
+    cycles of closed-form site steps (`_turn_site`) over sites 1..n.
+
+    W is built once, with phi_n = 0, and each step rotates half of it in
+    place.  Its starts run along the last axis, so every sum and rotation
+    walks contiguous rows of starts whatever the site.  No step lowers |T|,
+    and a start on a saddle steps straight off it, which leaves the Newton
+    ascent only its quadratic endgame.  Angles come back reduced mod 2pi.
+    """
+    n = head.shape[1] + 1
+    waves = np.exp(1j * (bit_matrix(n - 1) @ head.T))
+    weighted = (coeffs.reshape(2, -1, 1) * waves).reshape(len(coeffs), -1)
+    phi = np.column_stack([head, _turn_site(weighted, n)])
+    for _ in range(_SWEEPS):
+        for k in range(1, n + 1):
+            phi[:, k - 1] += _turn_site(weighted, k)
+    return np.mod(phi, TWO_PI)
 
 
 def _ascent_terms(
@@ -277,28 +319,28 @@ def _newton_ascent(coeffs: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.
 def max_violation(beta: BellTable, *, seed: int = 0) -> ViolationResult:
     """Global maximum of |T(phi)| = |sum_s beta(s) e^(i phi.s)| over the torus of site angles.
 
-    Multi-start saddle-free Newton ascent on the squared modulus |T|^2: the
-    starts are the grid {0, pi/2, pi, 3pi/2}^(n-1) plus `_RANDOM_STARTS`
-    seeded random points over sites 1..n-1, each with the phi_n that
-    maximizes |T| given them (`_seed_last_angle`); of each mirror pair of
-    grid points only one climbs (`_start_points`).  All of them climb over
-    all n angles at once in blocks of `_START_BLOCK`, using the exact
-    gradient and Hessian (see `_newton_ascent`).  The best start wins, with
-    phi0 = -arg T so that extreme_point_q(result.phases) attains the value;
-    `converged` says its gradient norm is at most 1e-8.  The value, gradient
-    and T all come from one more `_ascent_terms` call at the best point.
-    Deterministic for a given seed.  Nonconvergence is reported via the
-    flag, never raised.  n must be 1..12, as for the GHZ state that realizes
-    the value; it is checked before the grid is sized.
+    Multi-start ascent on the squared modulus |T|^2: the starts are the grid
+    {0, pi/2, pi, 3pi/2}^(n-1) plus `_RANDOM_STARTS` seeded random points
+    over sites 1..n-1; of each mirror pair of grid points only one climbs
+    (`_start_points`).  Each start first gets the phi_n that maximizes |T|
+    given its other angles, then `_SWEEPS` cycles of closed-form site steps
+    over sites 1..n (`_coordinate_sweeps`); no step lowers |T|.  Then all of
+    them climb over all n angles at once by saddle-free Newton steps with
+    the exact gradient and Hessian (see `_newton_ascent`), in blocks of
+    `_START_BLOCK`.  The best start wins, with phi0 = -arg T so that
+    extreme_point_q(result.phases) attains the value; `converged` says its
+    gradient norm is at most 1e-8.  The value, gradient and T all come from
+    one more `_ascent_terms` call at the best point.  Deterministic for a
+    given seed.  Nonconvergence is reported via the flag, never raised.  n
+    must be 1..12, as for the GHZ state that realizes the value; it is
+    checked before the grid is sized.
     """
     if not any(beta.coefficients.numerators):
         raise ValueError("the zero table has no violation to maximize")
     coeffs = _coefficient_array(beta)
     starts = _start_points(_qubit_count(beta.n), seed)
-    runs = [
-        _newton_ascent(coeffs, _seed_last_angle(coeffs, starts[lo : lo + _START_BLOCK]))
-        for lo in range(0, len(starts), _START_BLOCK)
-    ]
+    blocks = (starts[lo : lo + _START_BLOCK] for lo in range(0, len(starts), _START_BLOCK))
+    runs = [_newton_ascent(coeffs, _coordinate_sweeps(coeffs, b)) for b in blocks]
     values, phis, steps = zip(*runs)
     moduli = np.sqrt(np.concatenate(values))
     best = int(np.argmax(moduli))

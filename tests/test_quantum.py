@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -36,9 +37,10 @@ from bellpoly.quantum import (
     ViolationResult,
     _ascent_terms,
     _coefficient_array,
+    _coordinate_sweeps,
     _newton_ascent,
-    _seed_last_angle,
     _start_points,
+    _turn_site,
 )
 from bellpoly.symmetry import classify_all
 from bellpoly.transform import DimensionMismatchError, bit_matrix
@@ -368,15 +370,19 @@ def test_max_violation_reports_its_search():
     result = max_violation(MERMIN3, seed=3)
     assert result.starts == 10 + 32  # the 10 kept grid points of 16, and the random ones
     assert 1 <= result.starts_at_best <= result.starts
+    # starts_at_best counts the starts that climbed and reached the best value,
+    # and iterations the Newton steps after the coordinate sweeps
+    for beta, seed in ((MERMIN3, 3), (bell_table_from_id(4, 279), 0)):
+        result = max_violation(beta, seed=seed)
+        coeffs = _coefficient_array(beta)
+        points = _start_points(beta.n, seed)
+        value, _, steps = _newton_ascent(coeffs, _coordinate_sweeps(coeffs, points))
+        at_best = np.sqrt(value) >= result.value - 1e-9
+        assert result.starts == len(points)
+        assert result.starts_at_best == np.count_nonzero(at_best)
+        assert result.iterations == steps
+    # the sweeps bring every Mermin start to the maximum; on 279 Newton still steps
     assert result.iterations > 0
-    # starts_at_best counts the starts that climbed and reached the best value
-    coeffs = _coefficient_array(MERMIN3)
-    points = _start_points(3, 3)
-    value, _, steps = _newton_ascent(coeffs, _seed_last_angle(coeffs, points))
-    at_best = np.sqrt(value) >= result.value - 1e-9
-    assert result.starts == len(points)
-    assert result.starts_at_best == np.count_nonzero(at_best)
-    assert result.iterations == steps
     # the search counters default, so older constructions still work
     bare = ViolationResult(2.0, PhaseVector(0.0, (HALF_PI,) * 3), True, 0.0)
     assert (bare.starts, bare.starts_at_best, bare.iterations) == (0, 0, 0)
@@ -395,28 +401,103 @@ def test_max_violation_n1_tables():
         assert result.starts == 1 + 32
 
 
+def moduli(coeffs: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """|T| at every row of phi, by one direct sum over s per row."""
+    return np.abs(np.exp(1j * (phi @ bit_matrix(phi.shape[1]).T)) @ coeffs)
+
+
+def site_halves(coeffs, phi, k: int) -> tuple[complex, complex]:
+    """A_k and B_k, the sums over s_k = 0 and s_k = 1 of T at phi, by a per-entry loop."""
+    halves = [0j, 0j]
+    for s, c in enumerate(coeffs):
+        angle = sum(phi[j] for j in range(len(phi)) if s >> j & 1)
+        halves[s >> (k - 1) & 1] += c * complex(math.cos(angle), math.sin(angle))
+    return halves[0], halves[1]
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_seed_last_angle_attains_the_site_maximum(n):
+def test_seed_last_angle_attains_the_site_maximum(n, monkeypatch):
     """phi_n = arg A - arg B gives |T| = |A| + |B|, the maximum over phi_n."""
+    monkeypatch.setattr(quantum, "_SWEEPS", 0)  # the phi_n step alone
     rng = np.random.default_rng(50 + n)
     grid = np.linspace(0.0, 2 * math.pi, 256, endpoint=False)
     for _ in range(5):
         beta = random_extremal(rng, n)
         coeffs = _coefficient_array(beta)
         head = rng.uniform(0, 2 * math.pi, size=(4, n - 1))
-        seeded = _seed_last_angle(coeffs, head)
+        seeded = _coordinate_sweeps(coeffs, head)
         assert np.array_equal(seeded[:, : n - 1], head)
         for row in range(len(head)):
-            halves = [0j, 0j]
-            for s, c in enumerate(coeffs):
-                angle = sum(head[row, k] for k in range(n - 1) if s >> k & 1)
-                halves[s >> (n - 1)] += c * complex(math.cos(angle), math.sin(angle))
+            a, b = site_halves(coeffs, (*head[row], 0.0), n)
             value = violation_value(beta, PhaseVector(0.0, tuple(seeded[row])))
-            assert value == pytest.approx(abs(halves[0]) + abs(halves[1]), abs=1e-12)
+            assert value == pytest.approx(abs(a) + abs(b), abs=1e-12)
             on_grid = max(
                 violation_value(beta, PhaseVector(0.0, (*head[row], last))) for last in grid
             )
             assert on_grid <= value + 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_each_site_step_reaches_the_site_maximum(n):
+    """Turning phi_k by arg A_k - arg B_k gives |T| = |A_k| + |B_k|, and the
+    rotated table is beta(s) e^(i phi.s) at the turned angles."""
+    rng = np.random.default_rng(90 + n)
+    bits = bit_matrix(n)
+    for _ in range(3):
+        coeffs = _coefficient_array(random_extremal(rng, n))
+        phi = rng.uniform(0, 2 * math.pi, size=(4, n))
+        weighted = coeffs[:, None] * np.exp(1j * (bits @ phi.T))
+        for k in rng.permutation(np.arange(1, n + 1)):
+            halves = [site_halves(coeffs, row, k) for row in phi]
+            phi[:, k - 1] += _turn_site(weighted, k)
+            reached = moduli(coeffs, phi)
+            for row, (a, b) in enumerate(halves):
+                assert reached[row] == pytest.approx(abs(a) + abs(b), abs=1e-12)
+            fresh = coeffs[:, None] * np.exp(1j * (bits @ phi.T))
+            assert np.abs(weighted - fresh).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_coordinate_sweeps_never_lower_the_modulus(n, monkeypatch):
+    """Each added sweep keeps every row's |T|; the site-n step alone beats phi_n = 0."""
+    rng, ids = np.random.default_rng(110 + n), random.Random(110 + n)
+    for _ in range(3):
+        coeffs = _coefficient_array(bell_table_from_id(n, ids.getrandbits(1 << n)))
+        head = rng.uniform(0, 2 * math.pi, size=(16, n - 1))
+        before = moduli(coeffs, np.column_stack([head, np.zeros(len(head))]))
+        for sweeps in range(quantum._SWEEPS + 1):
+            monkeypatch.setattr(quantum, "_SWEEPS", sweeps)
+            phi = _coordinate_sweeps(coeffs, head)
+            assert ((0.0 <= phi) & (phi <= 2 * math.pi)).all()  # np.mod(-1e-17) is 2pi
+            after = moduli(coeffs, phi)
+            assert (after >= before - 1e-12).all()
+            before = after
+
+
+# max_violation(seed=0) values recorded before the coordinate sweeps, when
+# the Newton ascent climbed straight from the grid and its closed-form phi_n;
+# the ids are random.Random(24).getrandbits(32) six times, then (64) three times
+VALUES_BEFORE_THE_SWEEPS = [
+    (5, 3059489832, 2.1439138810992056),
+    (5, 1644374017, 2.2162526387117185),
+    (5, 3606912411, 2.7032739713216447),
+    (5, 2503015641, 2.0782557089908424),
+    (5, 784226196, 2.243287717234837),
+    (5, 937454715, 2.1423283604935546),
+    (6, 3086686845511103324, 2.446736807333943),
+    (6, 3124393730043297237, 2.6908029881758724),
+    (6, 12574244200532360068, 2.640559647589772),
+]
+
+
+def test_max_violation_matches_values_recorded_before_the_sweeps():
+    rng = random.Random(24)
+    ids = [rng.getrandbits(32) for _ in range(6)] + [rng.getrandbits(64) for _ in range(3)]
+    assert [table_id for _, table_id, _ in VALUES_BEFORE_THE_SWEEPS] == ids
+    for n, table_id, value in VALUES_BEFORE_THE_SWEEPS:
+        result = max_violation(bell_table_from_id(n, table_id), seed=0)
+        assert result.converged
+        assert abs(result.value - value) <= 1e-12, (n, table_id)
 
 
 def test_max_violation_blocks_do_not_change_the_result(monkeypatch):
@@ -493,7 +574,7 @@ def test_round_ascent_matches_the_halving_loop(monkeypatch):
     _one_row_at_a_time(monkeypatch)
     for beta in tables:
         coeffs = _coefficient_array(beta)
-        block = _seed_last_angle(coeffs, _start_points(beta.n, 0))
+        block = _coordinate_sweeps(coeffs, _start_points(beta.n, 0))
         value, _, steps = _newton_ascent(coeffs, block)
         ref_value, _, ref_steps = halving_loop_ascent(coeffs, block)
         assert np.abs(value - ref_value).max() <= 1e-12, beta
@@ -521,15 +602,30 @@ def test_start_points_pair_grid_mirrors():
     assert [len(_start_points(n, 0)) - 32 for n in (4, 5)] == [36, 136]
 
 
+@pytest.mark.parametrize("n", [7, 8])
+def test_start_points_peak_memory(n):
+    """The grid is built in bytes and written into the returned array, so the
+    peak stays within 2.5x the points kept."""
+    _start_points(2, 0)  # numpy.random loads its modules on first use; not traced
+    tracemalloc.start()
+    try:
+        points = _start_points(n, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * points.nbytes
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_mirrored_starts_reach_the_same_modulus(n):
+def test_mirrored_starts_reach_the_same_modulus(n, monkeypatch):
     """T(-phi) = conj T(phi) for real beta, so a start and its mirror climb to the same |T|."""
+    monkeypatch.setattr(quantum, "_SWEEPS", 0)  # the closed-form phi_n alone
     rng = np.random.default_rng(70 + n)
     for _ in range(4):
         coeffs = _coefficient_array(random_extremal(rng, n))
         head = rng.uniform(0, 2 * math.pi, size=(8, n - 1))
-        start = _seed_last_angle(coeffs, head)
-        mirror = _seed_last_angle(coeffs, np.mod(-head, 2 * math.pi))
+        start = _coordinate_sweeps(coeffs, head)
+        mirror = _coordinate_sweeps(coeffs, np.mod(-head, 2 * math.pi))
         turn = np.mod(start[:, -1] + mirror[:, -1] + math.pi, 2 * math.pi) - math.pi
         assert np.abs(turn).max() <= 1e-12  # the closed-form last angle mirrors too
         value, _, _ = halving_loop_ascent(coeffs, start)
