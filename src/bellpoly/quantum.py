@@ -2,10 +2,10 @@
 
 The maximal quantum value of an inequality reduces to maximizing
 |sum_s beta(s) prod_k e^(i phi_k s_k)| over one angle per site, which
-`max_violation` does from starts on a grid over sites 1..n-1: closed-form
-per-site coordinate sweeps (the last angle first) bring every start near a
-maximum, and one batched saddle-free Newton ascent with the exact gradient
-and Hessian finishes it.  Every extreme point of the quantum body
+`max_violation` does from grid and random starts at phi_n = 0: closed-form
+per-site coordinate sweeps (site n first) bring every start near a maximum,
+and one batched saddle-free Newton ascent with the exact gradient and
+Hessian finishes it.  Every extreme point of the quantum body
 has the cosine form xi(s) = cos(phi0 + sum_k phi_k s_k) and is realized by
 the generalized GHZ state with observables in the x-y plane of the Bloch
 sphere.  A simulator of x-y-plane correlations (read off the state's
@@ -105,12 +105,14 @@ def xy_observable(theta: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ObservableSpec:
-    """Two x-y-plane observables per site, given by their azimuth angles."""
+    """Two x-y-plane observables per site, given by their finite azimuth angles, unreduced."""
 
     angles: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
         angles = tuple((float(a), float(b)) for a, b in self.angles)
+        if bad := [v for pair in angles for v in pair if not math.isfinite(v)]:
+            raise ValueError(f"angles must be finite, got {bad[0]}")
         site_count(len(angles))
         object.__setattr__(self, "angles", angles)
 
@@ -137,6 +139,8 @@ class DensityMatrix:
         dim = 1 << n
         if rho.shape != (dim, dim):
             raise DimensionMismatchError(f"expected a {dim}x{dim} matrix for n={n}")
+        if not np.isfinite(rho).all():  # NaN passes every comparison below
+            raise ValueError("density matrix has a non-finite entry")
         if np.abs(rho - rho.conj().T).max() > _HERMITIAN_TOL:
             raise ValueError("density matrix is not Hermitian")
         if abs(np.trace(rho).real - 1.0) > _TRACE_TOL or abs(np.trace(rho).imag) > _TRACE_TOL:
@@ -189,15 +193,15 @@ def mermin_bound(n: int) -> float:
 
 
 def _start_points(n: int, seed: int) -> np.ndarray:
-    """Start points over sites 1..n-1.
+    """Start points over sites 1..n, all with phi_n = 0 (the sweeps set it).
 
     beta is real, so T(-phi) = conj T(phi), and grid points c and -c start
-    mirrored paths: the grid {0, pi/2, pi, 3pi/2}^(n-1) keeps the first of each
-    pair, then `_RANDOM_STARTS` seeded random points follow.  A dropped mirror
-    is neither climbed nor counted.  The grid codes are bytes, and the points
-    are written straight into the returned array.
+    mirrored paths: the grid {0, pi/2, pi, 3pi/2}^(n-1) x {0} keeps the first
+    of each pair, then `_RANDOM_STARTS` seeded random points follow.  A dropped
+    mirror is neither climbed nor counted.  The grid codes are bytes, and the
+    points are written straight into the returned array.
     """
-    codes = np.indices((4,) * (n - 1), dtype=np.uint8).reshape(n - 1, 4 ** (n - 1))
+    codes = np.indices((4,) * (n - 1) + (1,), dtype=np.uint8).reshape(n, 4 ** (n - 1))
     # 0 and 2 are their own negatives mod 4, so c and -c first differ at c's
     # first odd digit, and c comes first in grid order iff that digit is 1;
     # the digits are read last to first so that the first odd one is kept
@@ -205,10 +209,10 @@ def _start_points(n: int, seed: int) -> np.ndarray:
     for digit in codes[::-1]:
         np.copyto(first_odd, digit, where=digit % 2 == 1)
     kept = codes[:, first_odd != 3]
-    points = np.empty((kept.shape[1] + _RANDOM_STARTS, n - 1))
+    points = np.empty((kept.shape[1] + _RANDOM_STARTS, n))
     np.multiply(kept.T, 0.5 * math.pi, out=points[: kept.shape[1]])
-    extra = np.random.default_rng(seed).uniform(0.0, TWO_PI, (_RANDOM_STARTS, n))
-    points[kept.shape[1] :] = extra[:, : n - 1]
+    points[kept.shape[1] :] = np.random.default_rng(seed).uniform(0.0, TWO_PI, (_RANDOM_STARTS, n))
+    points[:, n - 1] = 0.0
     return points
 
 
@@ -222,31 +226,28 @@ def _turn_site(weighted: np.ndarray, k: int) -> np.ndarray:
     turns are returned.  Where A or B vanishes the turn is the angle of a
     rounding residue, which leaves |T| as it is.
     """
-    size, starts = weighted.shape
-    split = weighted.reshape(size >> k, 2, 1 << (k - 1), starts)
+    split = weighted.reshape(-1, 2, 1 << (k - 1), weighted.shape[1])
     halves = split.sum(axis=(0, 2))
     turn = np.angle(halves[0]) - np.angle(halves[1])
     split[:, 1] *= np.exp(1j * turn)
     return turn
 
 
-def _coordinate_sweeps(coeffs: np.ndarray, head: np.ndarray) -> np.ndarray:
-    """Append to each row phi' of head its best phi_n, then make `_SWEEPS`
-    cycles of closed-form site steps (`_turn_site`) over sites 1..n.
+def _coordinate_sweeps(coeffs: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Closed-form site steps (`_turn_site`) from every row of phi: site n,
+    then `_SWEEPS` cycles over sites 1..n.
 
-    W is built once, with phi_n = 0, and each step rotates half of it in
-    place.  Its starts run along the last axis, so every sum and rotation
-    walks contiguous rows of starts whatever the site.  No step lowers |T|,
-    and a start on a saddle steps straight off it, which leaves the Newton
-    ascent only its quadratic endgame.  Angles come back reduced mod 2pi.
+    W is built once and each step rotates half of it in place.  Its starts
+    run along the last axis, so every sum and rotation walks contiguous rows
+    of starts whatever the site.  No step lowers |T|, and a start on a saddle
+    steps straight off it, which leaves the Newton ascent only its quadratic
+    endgame.  Angles come back reduced mod 2pi, in a new array.
     """
-    n = head.shape[1] + 1
-    waves = np.exp(1j * (bit_matrix(n - 1) @ head.T))
-    weighted = (coeffs.reshape(2, -1, 1) * waves).reshape(len(coeffs), -1)
-    phi = np.column_stack([head, _turn_site(weighted, n)])
-    for _ in range(_SWEEPS):
-        for k in range(1, n + 1):
-            phi[:, k - 1] += _turn_site(weighted, k)
+    n = phi.shape[1]
+    weighted = coeffs[:, None] * np.exp(1j * (bit_matrix(n) @ phi.T))
+    phi = phi.copy()
+    for k in [n] + [*range(1, n + 1)] * _SWEEPS:
+        phi[:, k - 1] += _turn_site(weighted, k)
     return np.mod(phi, TWO_PI)
 
 
@@ -320,20 +321,19 @@ def max_violation(beta: BellTable, *, seed: int = 0) -> ViolationResult:
     """Global maximum of |T(phi)| = |sum_s beta(s) e^(i phi.s)| over the torus of site angles.
 
     Multi-start ascent on the squared modulus |T|^2: the starts are the grid
-    {0, pi/2, pi, 3pi/2}^(n-1) plus `_RANDOM_STARTS` seeded random points
-    over sites 1..n-1; of each mirror pair of grid points only one climbs
-    (`_start_points`).  Each start first gets the phi_n that maximizes |T|
-    given its other angles, then `_SWEEPS` cycles of closed-form site steps
-    over sites 1..n (`_coordinate_sweeps`); no step lowers |T|.  Then all of
-    them climb over all n angles at once by saddle-free Newton steps with
-    the exact gradient and Hessian (see `_newton_ascent`), in blocks of
-    `_START_BLOCK`.  The best start wins, with phi0 = -arg T so that
-    extreme_point_q(result.phases) attains the value; `converged` says its
-    gradient norm is at most 1e-8.  The value, gradient and T all come from
-    one more `_ascent_terms` call at the best point.  Deterministic for a
-    given seed.  Nonconvergence is reported via the flag, never raised.  n
-    must be 1..12, as for the GHZ state that realizes the value; it is
-    checked before the grid is sized.
+    {0, pi/2, pi, 3pi/2}^(n-1) plus `_RANDOM_STARTS` seeded random points, each
+    with phi_n = 0; of each mirror pair of grid points only one climbs
+    (`_start_points`).  Closed-form site steps, site n first and then `_SWEEPS`
+    cycles over sites 1..n, turn one angle at a time to its best value
+    (`_coordinate_sweeps`); no step lowers |T|.  Then all starts climb over all
+    n angles at once by saddle-free Newton steps with the exact gradient and
+    Hessian (see `_newton_ascent`), in blocks of `_START_BLOCK`.  The best
+    start wins, with phi0 = -arg T so that extreme_point_q(result.phases)
+    attains the value; `converged` says its gradient norm is at most 1e-8.  The
+    value, gradient and T all come from one more `_ascent_terms` call at the
+    best point.  Deterministic for a given seed.  Nonconvergence is reported
+    via the flag, never raised.  n must be 1..12, as for the GHZ state that
+    realizes the value; it is checked before the grid is sized.
     """
     if not any(beta.coefficients.numerators):
         raise ValueError("the zero table has no violation to maximize")
@@ -454,13 +454,12 @@ def partial_transpose(
     if mat.shape != (dim, dim) or dim & (dim - 1):
         raise DimensionMismatchError(f"expected a 2^n x 2^n matrix, got {mat.shape}")
     n = dim.bit_length() - 1
-    subset = sorted(set(int(k) for k in sites))
+    subset = sorted(set(operator.index(k) for k in sites))
     if subset and not (1 <= subset[0] and subset[-1] <= n):
         raise ValueError(f"sites {subset} out of range 1..{n}")
     tensor = mat.reshape((2,) * (2 * n))
-    axes = list(range(2 * n))
-    for k in subset:
-        axes[k - 1], axes[n + k - 1] = axes[n + k - 1], axes[k - 1]
+    # axis a belongs to site a % n + 1, as a row (a < n) or a column index
+    axes = [(a + n) % (2 * n) if a % n + 1 in subset else a for a in range(2 * n)]
     return tensor.transpose(axes).reshape(dim, dim).copy()
 
 

@@ -256,6 +256,8 @@ RECORDED_DIGESTS = {
     ("classify", "-n", "3"): "a2cb013afd1e3d065462d65b36f52170c753f51dd78d8150d2cfd64314bfce84",
     # recorded before the orbit sweep moved from gather tables to bit moves and cosets
     ("classify", "-n", "4", "--no-violations"): "fd85e6178481ddd2025e1755d15e2a899267d4b5b5e78473a821e98514f9b033",
+    # recorded before the starts carried phi_n = 0 into the sweeps' first site step
+    ("classify", "-n", "4"): "af9b1190a38dcada10e2e16dd1108ab316add7e1f64bc7950beb1951cc04c285",
 }
 
 

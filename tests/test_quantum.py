@@ -196,6 +196,17 @@ def test_phase_vector_rejects_non_finite_angles(bad):
         PhaseVector(0.0, (0.0, bad))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_observable_spec_rejects_non_finite_angles(bad):
+    """A NaN angle was once accepted, to fail later in the simulator as an
+    out-of-range correlation or in eigvals as an array of NaNs."""
+    for angles in (((bad, 0.0), (0.0, 1.0)), ((0.0, 0.0), (0.0, bad))):
+        with pytest.raises(ValueError, match=f"^angles must be finite, got {bad}$"):
+            ObservableSpec(angles)
+    # finite angles are kept as given, unreduced
+    assert ObservableSpec(((7.0, -1), (0, 1))).angles == ((7.0, -1.0), (0.0, 1.0))
+
+
 def test_xy_observables_square_to_identity():
     rng = np.random.default_rng(0)
     for theta in rng.uniform(0, 2 * math.pi, 20):
@@ -415,34 +426,22 @@ def site_halves(coeffs, phi, k: int) -> tuple[complex, complex]:
     return halves[0], halves[1]
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_seed_last_angle_attains_the_site_maximum(n, monkeypatch):
-    """phi_n = arg A - arg B gives |T| = |A| + |B|, the maximum over phi_n."""
-    monkeypatch.setattr(quantum, "_SWEEPS", 0)  # the phi_n step alone
-    rng = np.random.default_rng(50 + n)
-    grid = np.linspace(0.0, 2 * math.pi, 256, endpoint=False)
-    for _ in range(5):
-        beta = random_extremal(rng, n)
-        coeffs = _coefficient_array(beta)
-        head = rng.uniform(0, 2 * math.pi, size=(4, n - 1))
-        seeded = _coordinate_sweeps(coeffs, head)
-        assert np.array_equal(seeded[:, : n - 1], head)
-        for row in range(len(head)):
-            a, b = site_halves(coeffs, (*head[row], 0.0), n)
-            value = violation_value(beta, PhaseVector(0.0, tuple(seeded[row])))
-            assert value == pytest.approx(abs(a) + abs(b), abs=1e-12)
-            on_grid = max(
-                violation_value(beta, PhaseVector(0.0, (*head[row], last))) for last in grid
-            )
-            assert on_grid <= value + 1e-12
+def site_n_step(coeffs: np.ndarray, head: np.ndarray) -> np.ndarray:
+    """The rows (head, 0) with phi_n turned by one closed-form site-n step, mod 2pi."""
+    phi = np.column_stack([head, np.zeros(len(head))])
+    weighted = coeffs[:, None] * np.exp(1j * (bit_matrix(phi.shape[1]) @ phi.T))
+    phi[:, -1] += _turn_site(weighted, phi.shape[1])
+    return np.mod(phi, 2 * math.pi)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_each_site_step_reaches_the_site_maximum(n):
-    """Turning phi_k by arg A_k - arg B_k gives |T| = |A_k| + |B_k|, and the
-    rotated table is beta(s) e^(i phi.s) at the turned angles."""
+    """Turning phi_k by arg A_k - arg B_k gives |T| = |A_k| + |B_k|, the
+    maximum over phi_k, and the rotated table is beta(s) e^(i phi.s) at the
+    turned angles."""
     rng = np.random.default_rng(90 + n)
     bits = bit_matrix(n)
+    grid = np.linspace(0.0, 2 * math.pi, 256, endpoint=False)
     for _ in range(3):
         coeffs = _coefficient_array(random_extremal(rng, n))
         phi = rng.uniform(0, 2 * math.pi, size=(4, n))
@@ -453,25 +452,35 @@ def test_each_site_step_reaches_the_site_maximum(n):
             reached = moduli(coeffs, phi)
             for row, (a, b) in enumerate(halves):
                 assert reached[row] == pytest.approx(abs(a) + abs(b), abs=1e-12)
+                if k == n:  # no phi_n on a 256-point grid does better
+                    on_grid = np.tile(phi[row], (len(grid), 1))
+                    on_grid[:, n - 1] = grid
+                    assert moduli(coeffs, on_grid).max() <= reached[row] + 1e-12
             fresh = coeffs[:, None] * np.exp(1j * (bits @ phi.T))
             assert np.abs(weighted - fresh).max() <= 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-def test_coordinate_sweeps_never_lower_the_modulus(n, monkeypatch):
-    """Each added sweep keeps every row's |T|; the site-n step alone beats phi_n = 0."""
+def test_coordinate_sweeps_never_lower_the_modulus(n):
+    """No site step lowers any row's |T|, the site-n step first, from phi_n = 0;
+    `_coordinate_sweeps` is exactly that sequence of steps."""
     rng, ids = np.random.default_rng(110 + n), random.Random(110 + n)
+    order = [n] + [*range(1, n + 1)] * quantum._SWEEPS
     for _ in range(3):
         coeffs = _coefficient_array(bell_table_from_id(n, ids.getrandbits(1 << n)))
-        head = rng.uniform(0, 2 * math.pi, size=(16, n - 1))
-        before = moduli(coeffs, np.column_stack([head, np.zeros(len(head))]))
-        for sweeps in range(quantum._SWEEPS + 1):
-            monkeypatch.setattr(quantum, "_SWEEPS", sweeps)
-            phi = _coordinate_sweeps(coeffs, head)
-            assert ((0.0 <= phi) & (phi <= 2 * math.pi)).all()  # np.mod(-1e-17) is 2pi
+        start = np.column_stack([rng.uniform(0, 2 * math.pi, size=(16, n - 1)), np.zeros(16)])
+        swept = _coordinate_sweeps(coeffs, start)
+        assert not start[:, -1].any()  # the start itself is not turned
+        assert ((0.0 <= swept) & (swept <= 2 * math.pi)).all()  # np.mod(-1e-17) is 2pi
+        phi = start.copy()
+        weighted = coeffs[:, None] * np.exp(1j * (bit_matrix(n) @ phi.T))
+        before = moduli(coeffs, phi)
+        for k in order:
+            phi[:, k - 1] += _turn_site(weighted, k)
             after = moduli(coeffs, phi)
             assert (after >= before - 1e-12).all()
             before = after
+        assert np.array_equal(swept, np.mod(phi, 2 * math.pi))
 
 
 # max_violation(seed=0) values recorded before the coordinate sweeps, when
@@ -585,9 +594,10 @@ def test_start_points_pair_grid_mirrors():
     for n in range(1, 6):
         points = _start_points(n, 5)
         assert len(points) == (4 ** (n - 1) + 2 ** (n - 1)) // 2 + 32
+        assert points.shape[1] == n and not points[:, -1].any()  # every start has phi_n = 0
         grid = set(itertools.product(range(4), repeat=n - 1))
-        kept = np.rint(points[: len(points) - 32] / HALF_PI).astype(int)
-        assert np.array_equal(points[: len(kept)], HALF_PI * kept)
+        kept = np.rint(points[: len(points) - 32, : n - 1] / HALF_PI).astype(int)
+        assert np.array_equal(points[: len(kept), : n - 1], HALF_PI * kept)
         kept_set = {tuple(c) for c in kept}
         assert len(kept_set) == len(kept) and [tuple(c) for c in kept] == sorted(kept_set)
         covered = set()
@@ -598,7 +608,7 @@ def test_start_points_pair_grid_mirrors():
             covered |= {tuple(c), mirror}
         assert covered == grid
         extra = np.random.default_rng(5).uniform(0.0, 2 * math.pi, size=(32, n))[:, : n - 1]
-        assert np.array_equal(points[len(kept) :], extra)
+        assert np.array_equal(points[len(kept) :, : n - 1], extra)
     assert [len(_start_points(n, 0)) - 32 for n in (4, 5)] == [36, 136]
 
 
@@ -617,15 +627,14 @@ def test_start_points_peak_memory(n):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_mirrored_starts_reach_the_same_modulus(n, monkeypatch):
+def test_mirrored_starts_reach_the_same_modulus(n):
     """T(-phi) = conj T(phi) for real beta, so a start and its mirror climb to the same |T|."""
-    monkeypatch.setattr(quantum, "_SWEEPS", 0)  # the closed-form phi_n alone
     rng = np.random.default_rng(70 + n)
     for _ in range(4):
         coeffs = _coefficient_array(random_extremal(rng, n))
         head = rng.uniform(0, 2 * math.pi, size=(8, n - 1))
-        start = _coordinate_sweeps(coeffs, head)
-        mirror = _coordinate_sweeps(coeffs, np.mod(-head, 2 * math.pi))
+        start = site_n_step(coeffs, head)
+        mirror = site_n_step(coeffs, np.mod(-head, 2 * math.pi))
         turn = np.mod(start[:, -1] + mirror[:, -1] + math.pi, 2 * math.pi) - math.pi
         assert np.abs(turn).max() <= 1e-12  # the closed-form last angle mirrors too
         value, _, _ = halving_loop_ascent(coeffs, start)
@@ -763,6 +772,17 @@ def test_density_matrix_validation():
         DensityMatrix(1, np.diag([1.5, -0.5]))  # negative eigenvalue
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+def test_density_matrix_rejects_non_finite_entries(bad):
+    """NaN compares False, so a NaN entry once passed the Hermitian and trace
+    checks and died in eigvalsh with "Eigenvalues did not converge"."""
+    for i, j in ((0, 0), (0, 1)):
+        rho = np.eye(2, dtype=complex) / 2
+        rho[i, j] = bad
+        with pytest.raises(ValueError, match="^density matrix has a non-finite entry$"):
+            DensityMatrix(1, rho)
+
+
 def test_bell_norm_chsh_orthogonal_observables():
     spec = ObservableSpec(((0.0, HALF_PI), (math.pi / 4, -math.pi / 4)))
     assert bell_operator_norm_exact(CHSH, spec) == pytest.approx(
@@ -825,6 +845,28 @@ def test_partial_transpose_ghz_negative_eigenvalue():
 def test_partial_transpose_site_range():
     with pytest.raises(ValueError):
         partial_transpose(np.eye(4) / 4, {3})
+
+
+def test_partial_transpose_matches_the_entrywise_definition():
+    """Transposing site k swaps bit n-k (site 1 is the most significant) between
+    the row and the column index of every entry."""
+    n, rng = 3, np.random.default_rng(29)
+    mat = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    for sites in (set(), {1}, {2}, {3}, {1, 3}, {1, 2, 3}):
+        mask = sum(1 << (n - k) for k in sites)
+        pt = partial_transpose(mat, sites)
+        for i, j in itertools.product(range(8), repeat=2):
+            swap = (i ^ j) & mask
+            assert pt[i ^ swap, j ^ swap] == mat[i, j], (sites, i, j)
+
+
+def test_partial_transpose_reads_sites_as_integers():
+    """int(k) once truncated the sites: {1.5} transposed site 1, and {"2"} site 2."""
+    rho = sample_separable(2, 3, np.random.default_rng(31)).entries
+    for sites in ({1.5}, {"2"}):
+        with pytest.raises(TypeError):
+            partial_transpose(rho, sites)
+    assert np.array_equal(partial_transpose(rho, {np.int64(2)}), partial_transpose(rho, {2}))
 
 
 def test_sample_separable_is_ppt():
