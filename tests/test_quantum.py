@@ -434,14 +434,35 @@ def site_n_step(coeffs: np.ndarray, head: np.ndarray) -> np.ndarray:
     return np.mod(phi, 2 * math.pi)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_seed_last_angle_attains_the_site_maximum(n, monkeypatch):
+    """From phi_n = 0, the sweeps' first step sets phi_n = arg A - arg B, which
+    gives |T| = |A| + |B|, the maximum over phi_n."""
+    monkeypatch.setattr(quantum, "_SWEEPS", 0)  # the phi_n step alone
+    rng = np.random.default_rng(50 + n)
+    grid = np.linspace(0.0, 2 * math.pi, 256, endpoint=False)
+    for _ in range(5):
+        beta = random_extremal(rng, n)
+        coeffs = _coefficient_array(beta)
+        head = rng.uniform(0, 2 * math.pi, size=(4, n - 1))
+        seeded = _coordinate_sweeps(coeffs, np.column_stack([head, np.zeros(len(head))]))
+        assert np.array_equal(seeded[:, : n - 1], head)
+        for row in range(len(head)):
+            a, b = site_halves(coeffs, (*head[row], 0.0), n)
+            value = violation_value(beta, PhaseVector(0.0, tuple(seeded[row])))
+            assert value == pytest.approx(abs(a) + abs(b), abs=1e-12)
+            on_grid = max(
+                violation_value(beta, PhaseVector(0.0, (*head[row], last))) for last in grid
+            )
+            assert on_grid <= value + 1e-12
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_each_site_step_reaches_the_site_maximum(n):
-    """Turning phi_k by arg A_k - arg B_k gives |T| = |A_k| + |B_k|, the
-    maximum over phi_k, and the rotated table is beta(s) e^(i phi.s) at the
-    turned angles."""
+    """Turning phi_k by arg A_k - arg B_k gives |T| = |A_k| + |B_k|, and the
+    rotated table is beta(s) e^(i phi.s) at the turned angles."""
     rng = np.random.default_rng(90 + n)
     bits = bit_matrix(n)
-    grid = np.linspace(0.0, 2 * math.pi, 256, endpoint=False)
     for _ in range(3):
         coeffs = _coefficient_array(random_extremal(rng, n))
         phi = rng.uniform(0, 2 * math.pi, size=(4, n))
@@ -452,10 +473,6 @@ def test_each_site_step_reaches_the_site_maximum(n):
             reached = moduli(coeffs, phi)
             for row, (a, b) in enumerate(halves):
                 assert reached[row] == pytest.approx(abs(a) + abs(b), abs=1e-12)
-                if k == n:  # no phi_n on a 256-point grid does better
-                    on_grid = np.tile(phi[row], (len(grid), 1))
-                    on_grid[:, n - 1] = grid
-                    assert moduli(coeffs, on_grid).max() <= reached[row] + 1e-12
             fresh = coeffs[:, None] * np.exp(1j * (bits @ phi.T))
             assert np.abs(weighted - fresh).max() <= 1e-12
 
