@@ -9,6 +9,7 @@ the PPT and mixture bounds to 1e-9.
 
 import cmath
 import math
+import random
 import time
 
 import numpy as np
@@ -192,6 +193,59 @@ def test_representatives_converge_at_reproducible_phases(violation_results):
         beta = inequality.bell_table_from_id(n, value)
         assert result.converged, (n, value, result.gradient_norm)
         assert violation_value(beta, result.phases) == pytest.approx(result.value, abs=1e-9)
+
+
+# exact published maxima of the n=3 and n=4 representatives, by (n, id)
+PUBLISHED_EXACT = {(3, v): value for v, (_, value) in TABLE_N3.items()}
+PUBLISHED_EXACT.update({(4, row[0]): row[2] for row in TABLE_N4 if row[3] == EXACT_TOL})
+
+# factors (n1, id1) and (n2, id2) of product tables at n = 6, 7, 8; None draws a seeded id
+PRODUCT_FACTORS = [
+    (3, 23, 3, 1),  # Mermin n=3 (2) and 5/3
+    (3, None, 3, 6),
+    (4, 6014, 3, 23),  # Mermin n=4 (2 sqrt 2) and Mermin n=3
+    (4, None, 3, 3),
+    (4, 23, 4, 279),  # sqrt 5 and the printed 2.556
+    (4, 7, 4, None),
+    (4, None, 4, None),
+]
+
+
+def product_signs(f1, f2, first_sites):
+    """f(r) = f1(r_A) f2(r_B), with A the 1-based `first_sites` and B the other
+    sites; each factor reads its sites in increasing order."""
+    n = f1.n + f2.n
+    second_sites = [k for k in range(1, n + 1) if k not in first_sites]
+
+    def part(r, sites):
+        return sum((r >> (k - 1) & 1) << i for i, k in enumerate(sites))
+
+    return inequality.SignTable(
+        n, tuple(f1.signs[part(r, first_sites)] * f2.signs[part(r, second_sites)] for r in range(1 << n))
+    )
+
+
+def test_product_tables_multiply_their_maxima():
+    """beta and T factorize over disjoint site sets, so max |T| of a product
+    table is exactly the product of its factors' maxima: an exact check of the
+    optimizer at n = 6..8, where no value is published.  The Bell operator's
+    norm at the GHZ observables of the returned phases gives the same value."""
+    rng = random.Random(11)
+    start = time.perf_counter()
+    for n1, id1, n2, id2 in PRODUCT_FACTORS:
+        factors = [(n, rng.getrandbits(1 << n) if i is None else i) for n, i in ((n1, id1), (n2, id2))]
+        maxima = [
+            PUBLISHED_EXACT.get((n, i)) or quantum.max_violation(inequality.bell_table_from_id(n, i)).value
+            for n, i in factors
+        ]
+        first_sites = sorted(rng.sample(range(1, n1 + n2 + 1), n1))
+        f1, f2 = (inequality.id_to_signs(n, i) for n, i in factors)
+        beta = inequality.coefficients_from_signs(product_signs(f1, f2, first_sites))
+        result = quantum.max_violation(beta)
+        assert abs(result.value - maxima[0] * maxima[1]) <= 1e-12, (factors, first_sites)
+        norm = quantum.bell_operator_norm_exact(beta, quantum.ghz_observables(result.phases))
+        assert abs(norm - result.value) <= 1e-12, (factors, first_sites)
+    print(f"{len(PRODUCT_FACTORS)} product tables at n = 6..8 in {time.perf_counter() - start:.2f}s")
 
 
 def test_criterion_06_mermin_n6_number():

@@ -380,23 +380,27 @@ def test_ascent_hessian_matches_finite_differences(n):
 def test_max_violation_reports_its_search():
     result = max_violation(MERMIN3, seed=3)
     assert result.starts == 10 + 32  # the 10 kept grid points of 16, and the random ones
-    assert 1 <= result.starts_at_best <= result.starts
-    # starts_at_best counts the starts that climbed and reached the best value,
-    # and iterations the Newton steps after the coordinate sweeps
+    assert 1 <= result.starts_at_best <= result.polished <= result.starts
+    # every start is swept; the starts swept to within _POLISH_GAP of the best
+    # swept |T| are polished, starts_at_best counts the polished starts that
+    # reached the best value, and iterations the Newton steps they took
     for beta, seed in ((MERMIN3, 3), (bell_table_from_id(4, 279), 0)):
         result = max_violation(beta, seed=seed)
         coeffs = _coefficient_array(beta)
         points = _start_points(beta.n, seed)
-        value, _, steps = _newton_ascent(coeffs, _coordinate_sweeps(coeffs, points))
+        swept = np.sqrt(_coordinate_sweeps(coeffs, points))
+        kept = points[swept >= (1.0 - quantum._POLISH_GAP) * swept.max()]
+        value, _, steps = _newton_ascent(coeffs, kept)
         at_best = np.sqrt(value) >= result.value - 1e-9
         assert result.starts == len(points)
+        assert result.polished == len(kept)
         assert result.starts_at_best == np.count_nonzero(at_best)
         assert result.iterations == steps
     # the sweeps bring every Mermin start to the maximum; on 279 Newton still steps
     assert result.iterations > 0
     # the search counters default, so older constructions still work
     bare = ViolationResult(2.0, PhaseVector(0.0, (HALF_PI,) * 3), True, 0.0)
-    assert (bare.starts, bare.starts_at_best, bare.iterations) == (0, 0, 0)
+    assert (bare.starts, bare.starts_at_best, bare.iterations, bare.polished) == (0, 0, 0, 0)
 
 
 def test_max_violation_n1_tables():
@@ -445,7 +449,8 @@ def test_seed_last_angle_attains_the_site_maximum(n, monkeypatch):
         beta = random_extremal(rng, n)
         coeffs = _coefficient_array(beta)
         head = rng.uniform(0, 2 * math.pi, size=(4, n - 1))
-        seeded = _coordinate_sweeps(coeffs, np.column_stack([head, np.zeros(len(head))]))
+        seeded = np.column_stack([head, np.zeros(len(head))])
+        _coordinate_sweeps(coeffs, seeded)
         assert np.array_equal(seeded[:, : n - 1], head)
         for row in range(len(head)):
             a, b = site_halves(coeffs, (*head[row], 0.0), n)
@@ -480,14 +485,16 @@ def test_each_site_step_reaches_the_site_maximum(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_coordinate_sweeps_never_lower_the_modulus(n):
     """No site step lowers any row's |T|, the site-n step first, from phi_n = 0;
-    `_coordinate_sweeps` is exactly that sequence of steps."""
+    `_coordinate_sweeps` is exactly that sequence of steps, written into the
+    rows it is given, and returns |T|^2 at them."""
     rng, ids = np.random.default_rng(110 + n), random.Random(110 + n)
     order = [n] + [*range(1, n + 1)] * quantum._SWEEPS
     for _ in range(3):
         coeffs = _coefficient_array(bell_table_from_id(n, ids.getrandbits(1 << n)))
         start = np.column_stack([rng.uniform(0, 2 * math.pi, size=(16, n - 1)), np.zeros(16)])
-        swept = _coordinate_sweeps(coeffs, start)
-        assert not start[:, -1].any()  # the start itself is not turned
+        swept = start.copy()  # turned in place, checked against the steps below
+        swept_value = _coordinate_sweeps(coeffs, swept)
+        assert np.abs(np.sqrt(swept_value) - moduli(coeffs, swept)).max() <= 1e-12
         assert ((0.0 <= swept) & (swept <= 2 * math.pi)).all()  # np.mod(-1e-17) is 2pi
         phi = start.copy()
         weighted = coeffs[:, None] * np.exp(1j * (bit_matrix(n) @ phi.T))
@@ -527,14 +534,51 @@ def test_max_violation_matches_values_recorded_before_the_sweeps():
 
 
 def test_max_violation_blocks_do_not_change_the_result(monkeypatch):
-    """Splitting the starts into small blocks gives the same search."""
-    beta = bell_table_from_id(4, 279)
-    whole = max_violation(beta, seed=2)
+    """Splitting the starts into small blocks gives the same search: the filter
+    reads the best swept |T| over all blocks, not block by block.  On the n=5
+    table the sweeps leave fewer starts near the best than there are blocks."""
+    tables = [bell_table_from_id(4, 279), bell_table_from_id(5, 3059489832)]
+    wholes = [max_violation(beta, seed=2) for beta in tables]
     monkeypatch.setattr(quantum, "_START_BLOCK", 7)
-    split = max_violation(beta, seed=2)
-    assert split.value == pytest.approx(whole.value, abs=1e-12)
-    assert split.starts == whole.starts
-    assert split.starts_at_best == whole.starts_at_best
+    for beta, whole in zip(tables, wholes):
+        split = max_violation(beta, seed=2)
+        assert split.value == pytest.approx(whole.value, abs=1e-12)
+        assert split.starts == whole.starts
+        assert split.polished == whole.polished < whole.starts
+        assert split.starts_at_best == whole.starts_at_best
+    assert wholes[1].polished < wholes[1].starts / 7
+
+
+def full_polish(beta: BellTable, seed: int) -> tuple[float, bool]:
+    """The search with every swept start polished: the best |T|, and whether
+    the gradient norm at the best start is at most 1e-8."""
+    coeffs = _coefficient_array(beta)
+    points = _start_points(beta.n, seed)
+    runs = []
+    for block in quantum._blocks(points):
+        _coordinate_sweeps(coeffs, block)
+        runs.append(_newton_ascent(coeffs, block))
+    value, phi = np.concatenate([r[0] for r in runs]), np.concatenate([r[1] for r in runs])
+    best = int(np.argmax(value))
+    grad = _ascent_terms(coeffs, phi[best : best + 1])[1]
+    return math.sqrt(value[best]), bool(np.linalg.norm(grad) <= 1e-8)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_filtered_search_matches_a_full_polish(seed):
+    """Polishing only the starts swept to within _POLISH_GAP of the best loses
+    no value and no convergence against polishing every swept start."""
+    ids = random.Random(26)
+    tables = [bell_table_from_id(n, rec.canonical_id) for n in (3, 4) for rec in classify_all(n)]
+    tables += [
+        bell_table_from_id(n, ids.getrandbits(1 << n)) for n, count in ((5, 4), (6, 2), (7, 1))
+        for _ in range(count)
+    ]
+    for beta in tables:
+        result = max_violation(beta, seed=seed)
+        value, converged = full_polish(beta, seed)
+        assert result.value >= value - 1e-12, beta
+        assert result.converged or not converged, beta
 
 
 def halving_loop_ascent(coeffs, phi):
@@ -600,7 +644,8 @@ def test_round_ascent_matches_the_halving_loop(monkeypatch):
     _one_row_at_a_time(monkeypatch)
     for beta in tables:
         coeffs = _coefficient_array(beta)
-        block = _coordinate_sweeps(coeffs, _start_points(beta.n, 0))
+        block = _start_points(beta.n, 0)
+        _coordinate_sweeps(coeffs, block)
         value, _, steps = _newton_ascent(coeffs, block)
         ref_value, _, ref_steps = halving_loop_ascent(coeffs, block)
         assert np.abs(value - ref_value).max() <= 1e-12, beta
