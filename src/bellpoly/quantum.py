@@ -61,6 +61,7 @@ _MAX_ITERATIONS = 500
 _GRADIENT_TOL = 1e-12
 _MAX_HALVINGS = 40
 _HOLD_EPS = 4.0 * np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -171,14 +172,14 @@ def _coefficient_array(beta: BellTable) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ViolationResult:
-    """The best value found, its phases, and what the search did.
+    """The winning start's value, phases and gradient norm, as its ascent left them.
 
     `starts` counts every swept start, (4^(n-1) + 2^(n-1))/2 + 32, `polished`
     those the sweeps left within `_POLISH_GAP` of the best (they took the Newton
     ascent), `starts_at_best` the polished starts that ended within 1e-9 of the
-    best value, and `iterations` their Newton steps.  These three count one run
-    on one BLAS build, since a start's rounding, and so its path, moves with its
-    batch and the BLAS; tests pin only `value`, `converged` and attaining phases.
+    winner's value, and `iterations` their Newton steps.  These three count one
+    run on one BLAS build, since a start's rounding, and so its path, moves with
+    its batch and the BLAS; tests pin only `value`, `converged` and attaining phases.
     """
 
     value: float
@@ -197,15 +198,18 @@ def mermin_bound(n: int) -> float:
     return 2.0 ** ((n - 1) / 2)
 
 
-def _start_points(n: int, seed: int) -> np.ndarray:
+def _start_points(n: int, seed: int, fresh: bool = False) -> np.ndarray:
     """Start points over sites 1..n, all with phi_n = 0 (the sweeps set it).
 
     beta is real, so T(-phi) = conj T(phi), and grid points c and -c start
     mirrored paths: the grid {0, pi/2, pi, 3pi/2}^(n-1) x {0} keeps the first
     of each pair, then `_RANDOM_STARTS` seeded random points follow.  A dropped
-    mirror is neither climbed nor counted.  The grid codes are bytes, and the
-    points are written straight into the returned array.
+    mirror is neither climbed nor counted.  The grid codes are bytes.  Unless
+    `fresh`, a grid of one `_START_BLOCK` (n <= 6) is copied from a cache; a
+    larger one is built straight into the returned array and never kept.
     """
+    if not fresh and (4 ** (n - 1) + 2 ** (n - 1)) // 2 + _RANDOM_STARTS <= _START_BLOCK:
+        return _cached_start_points(n, seed).copy()
     codes = np.indices((4,) * (n - 1) + (1,), dtype=np.uint8).reshape(n, 4 ** (n - 1))
     # 0 and 2 are their own negatives mod 4, so c and -c first differ at c's
     # first odd digit, and c comes first in grid order iff that digit is 1;
@@ -221,6 +225,13 @@ def _start_points(n: int, seed: int) -> np.ndarray:
     return points
 
 
+@lru_cache(maxsize=32)  # grids of at most 27 KB each
+def _cached_start_points(n: int, seed: int) -> np.ndarray:
+    points = _start_points(n, seed, fresh=True)
+    points.flags.writeable = False
+    return points
+
+
 def _turn_site(weighted: np.ndarray, k: int) -> np.ndarray:
     """Turn site k of every start to its best angle; weighted[s] holds
     W_s = beta(s) e^(i phi.s) with one column per start.
@@ -232,8 +243,8 @@ def _turn_site(weighted: np.ndarray, k: int) -> np.ndarray:
     rounding residue, which leaves |T| as it is.
     """
     split = weighted.reshape(-1, 2, 1 << (k - 1), weighted.shape[1])
-    halves = split.sum(axis=(0, 2))
-    turn = np.angle(halves[0]) - np.angle(halves[1])
+    halves = np.add.reduce(split, axis=(0, 2))
+    turn = np.subtract(*np.arctan2(halves.imag, halves.real))  # arg A - arg B
     split[:, 1] *= np.exp(1j * turn)
     return turn
 
@@ -279,7 +290,7 @@ def _ascent_terms(
     return value, grad, hess, total
 
 
-def _newton_ascent(coeffs: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+def _newton_ascent(coeffs: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, ...]:
     """Saddle-free Newton ascent of |T|^2 from every row of phi at once.
 
     The step is |H|^-1 g, with the Hessian's eigenvalues taken by absolute
@@ -289,39 +300,40 @@ def _newton_ascent(coeffs: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.
     batch, halves or accepts per start, and takes one stacked eigh for the
     starts that moved.  A start stops at its gradient tolerance, after
     _MAX_ITERATIONS steps or _MAX_HALVINGS rejected trials in a row, or when
-    its trial point equals its current one.  Returns the final |T|^2, the
-    final angles and the number of steps taken over all starts.
+    its trial point equals its current one.  Returns, per start, what the
+    ascent computed at the last point it accepted: |T|^2, T, the gradient
+    norm and the angles, and also the number of steps the start took.
     """
     phi = phi.copy()
-    value, grad, hess, _ = _ascent_terms(coeffs, phi)
-    grad_norm = np.linalg.norm(grad, axis=1)
+    value, grad, hess, total = _ascent_terms(coeffs, phi)
+    grad_norm = np.sqrt(np.add.reduce(grad * grad, axis=1))
     delta, length, steps = np.empty_like(phi), np.ones(len(phi)), np.zeros(len(phi), int)
     moved, retry = np.arange(len(phi)), np.arange(0)
     while True:
         go = (grad_norm[moved] > _GRADIENT_TOL) & (steps[moved] < _MAX_ITERATIONS)
         moved = moved[go]
-        eigvals, eigvecs = np.linalg.eigh(hess[go])
-        scale = np.abs(eigvals)
-        floor = np.maximum(1e-8 * scale.max(axis=1, keepdims=True), np.finfo(float).tiny)
-        scale = np.maximum(scale, floor)
-        along = np.einsum("mji,mj->mi", eigvecs, grad[go]) / scale
-        delta[moved], length[moved] = np.einsum("mij,mj->mi", eigvecs, along), 1.0
-        live = np.concatenate([moved, retry])
+        if moved.size:
+            eigvals, eigvecs = np.linalg.eigh(hess[go])
+            scale = np.abs(eigvals)
+            scale = np.maximum(scale, np.maximum(1e-8 * scale.max(axis=1, keepdims=True), _TINY))
+            along = np.einsum("mji,mj->mi", eigvecs, grad[go]) / scale
+            delta[moved], length[moved] = np.einsum("mij,mj->mi", eigvecs, along), 1.0
+        live = np.concatenate([moved, retry]) if retry.size else moved
         if not live.size:
             break
         trial = np.mod(phi[live] + length[live, None] * delta[live], TWO_PI)
-        t_value, grad, hess, _ = _ascent_terms(coeffs, trial)
-        t_norm = np.linalg.norm(grad, axis=1)
+        t_value, grad, hess, t_total = _ascent_terms(coeffs, trial)
+        t_norm = np.sqrt(np.add.reduce(grad * grad, axis=1))
         before = value[live]
         held = np.abs(t_value - before) <= _HOLD_EPS * np.maximum(before, 1.0)
         ok = (t_value > before) | (held & (t_norm < grad_norm[live]))
         moved, missed, grad, hess = live[ok], live[~ok], grad[ok], hess[ok]
         stuck = (trial[~ok] == phi[missed]).all(axis=1)  # so would every shorter step
-        phi[moved], value[moved], grad_norm[moved] = trial[ok], t_value[ok], t_norm[ok]
-        steps[moved] += 1
+        phi[moved], value[moved], total[moved] = trial[ok], t_value[ok], t_total[ok]
+        grad_norm[moved], steps[moved] = t_norm[ok], steps[moved] + 1
         length[missed] *= 0.5  # exact: 2^-k after k rejected trials
         retry = missed[(length[missed] > 0.5**_MAX_HALVINGS) & ~stuck]
-    return value, phi, int(steps.sum())
+    return value, total, grad_norm, phi, steps
 
 
 def _blocks(rows: np.ndarray) -> Iterable[np.ndarray]:
@@ -341,13 +353,13 @@ def max_violation(beta: BellTable, *, seed: int = 0) -> ViolationResult:
     starts is swept first, and only the starts swept to within `_POLISH_GAP`
     of the best swept |T| over all blocks climb on, over all n angles at once,
     by saddle-free Newton steps with the exact gradient and Hessian (see
-    `_newton_ascent`), again in blocks.  The best polished start wins, with
-    phi0 = -arg T so that extreme_point_q(result.phases) attains the value;
-    `converged` says its gradient norm is at most 1e-8.  The value, gradient
-    and T all come from one more `_ascent_terms` call at the best point.
-    Deterministic for a given seed.  Nonconvergence is reported via the flag,
-    never raised.  n must be 1..12, as for the GHZ state that realizes the
-    value; it is checked before the grid is sized.
+    `_newton_ascent`), again in blocks.  Of the polished starts whose |T|^2
+    holds the best within `_HOLD_EPS`, the one of least gradient norm wins.
+    Its |T|, T and norm are the ones the ascent returned, not evaluated again;
+    phi0 = -arg T, so extreme_point_q(result.phases) attains the value, and
+    `converged` says the norm is at most 1e-8.  Deterministic for a given
+    seed; nonconvergence is reported via the flag, never raised.  n must be
+    1..12, as for the GHZ state that realizes it, checked before any grid.
     """
     if not any(beta.coefficients.numerators):
         raise ValueError("the zero table has no violation to maximize")
@@ -355,20 +367,18 @@ def max_violation(beta: BellTable, *, seed: int = 0) -> ViolationResult:
     starts = _start_points(_qubit_count(beta.n), seed)
     swept = np.concatenate([_coordinate_sweeps(coeffs, b) for b in _blocks(starts)])
     kept = starts[swept >= (1.0 - _POLISH_GAP) ** 2 * swept.max()]  # swept holds |T|^2
-    values, phis, steps = zip(*(_newton_ascent(coeffs, b) for b in _blocks(kept)))
-    moduli = np.sqrt(np.concatenate(values))
-    best = int(np.argmax(moduli))
-    best_phi = np.concatenate(phis)[best : best + 1]
-    best_value, grad, _, total = _ascent_terms(coeffs, best_phi)
-    gradient_norm = float(np.linalg.norm(grad))
+    runs = zip(*(_newton_ascent(coeffs, b) for b in _blocks(kept)))
+    values, totals, norms, phis, steps = map(np.concatenate, runs)
+    tied = np.flatnonzero(values >= values.max() - _HOLD_EPS * max(values.max(), 1.0))
+    best = tied[np.argmin(norms[tied])]
     return ViolationResult(
-        value=float(math.sqrt(best_value[0])),
-        phases=PhaseVector(-float(np.angle(total[0])), tuple(best_phi[0])),
-        converged=bool(gradient_norm <= 1e-8),
-        gradient_norm=gradient_norm,
+        value=math.sqrt(values[best]),
+        phases=PhaseVector(-float(np.angle(totals[best])), tuple(phis[best])),
+        converged=bool(norms[best] <= 1e-8),
+        gradient_norm=float(norms[best]),
         starts=len(starts),
-        starts_at_best=int(np.count_nonzero(moduli >= moduli[best] - 1e-9)),
-        iterations=sum(steps),
+        starts_at_best=int(np.count_nonzero(np.sqrt(values) >= math.sqrt(values[best]) - 1e-9)),
+        iterations=int(steps.sum()),
         polished=len(kept),
     )
 

@@ -248,6 +248,21 @@ def test_product_tables_multiply_their_maxima():
     print(f"{len(PRODUCT_FACTORS)} product tables at n = 6..8 in {time.perf_counter() - start:.2f}s")
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_product_table_winner_converges(seed):
+    """Of the starts that hold the best |T|^2 within rounding, the one of least
+    gradient norm wins.  On this product table the start whose |T| rounds
+    highest is left short (gradient norm 2.4e-7) while 2,216 others converged,
+    and taking it flagged the call nonconverged."""
+    f1, f2 = (inequality.id_to_signs(4, i) for i in (23, 279))
+    beta = inequality.coefficients_from_signs(product_signs(f1, f2, [1, 3, 4, 6]))
+    result = quantum.max_violation(beta, seed=seed)
+    assert result.converged, result.gradient_norm
+    assert result.value == pytest.approx(5.714880859, abs=1e-9)
+    maxima = [quantum.max_violation(inequality.bell_table_from_id(4, i)).value for i in (23, 279)]
+    assert abs(result.value - maxima[0] * maxima[1]) <= 1e-12
+
+
 def test_criterion_06_mermin_n6_number():
     f = inequality.mermin_sign_table(6)
     direct = inequality.signs_to_id(f)

@@ -390,12 +390,15 @@ def test_max_violation_reports_its_search():
         points = _start_points(beta.n, seed)
         swept = np.sqrt(_coordinate_sweeps(coeffs, points))
         kept = points[swept >= (1.0 - quantum._POLISH_GAP) * swept.max()]
-        value, _, steps = _newton_ascent(coeffs, kept)
+        value, _, norms, _, steps = _newton_ascent(coeffs, kept)
         at_best = np.sqrt(value) >= result.value - 1e-9
+        # the winner: least gradient norm among the starts holding the best |T|^2
+        tied = value >= value.max() - quantum._HOLD_EPS * max(value.max(), 1.0)
+        assert result.gradient_norm == norms[tied].min()
         assert result.starts == len(points)
         assert result.polished == len(kept)
         assert result.starts_at_best == np.count_nonzero(at_best)
-        assert result.iterations == steps
+        assert result.iterations == steps.sum()
     # the sweeps bring every Mermin start to the maximum; on 279 Newton still steps
     assert result.iterations > 0
     # the search counters default, so older constructions still work
@@ -558,7 +561,7 @@ def full_polish(beta: BellTable, seed: int) -> tuple[float, bool]:
     for block in quantum._blocks(points):
         _coordinate_sweeps(coeffs, block)
         runs.append(_newton_ascent(coeffs, block))
-    value, phi = np.concatenate([r[0] for r in runs]), np.concatenate([r[1] for r in runs])
+    value, phi = np.concatenate([r[0] for r in runs]), np.concatenate([r[3] for r in runs])
     best = int(np.argmax(value))
     grad = _ascent_terms(coeffs, phi[best : best + 1])[1]
     return math.sqrt(value[best]), bool(np.linalg.norm(grad) <= 1e-8)
@@ -579,6 +582,18 @@ def test_filtered_search_matches_a_full_polish(seed):
         value, converged = full_polish(beta, seed)
         assert result.value >= value - 1e-12, beta
         assert result.converged or not converged, beta
+
+
+def test_filtered_search_keeps_the_start_two_sweeps_would_drop():
+    """With 2 sweeps, every start that a full polish takes to the best is swept
+    at least 2.4e-5 below the best swept |T|, outside _POLISH_GAP, and the
+    filtered search returned 2.003143253; with the 3 sweeps kept one is polished."""
+    beta = bell_table_from_id(5, 2586769423)
+    result = max_violation(beta, seed=46)
+    value, _ = full_polish(beta, 46)
+    assert result.value >= value - 1e-12
+    assert result.value == pytest.approx(2.003229056, abs=1e-9)
+    assert result.converged
 
 
 def halving_loop_ascent(coeffs, phi):
@@ -646,10 +661,10 @@ def test_round_ascent_matches_the_halving_loop(monkeypatch):
         coeffs = _coefficient_array(beta)
         block = _start_points(beta.n, 0)
         _coordinate_sweeps(coeffs, block)
-        value, _, steps = _newton_ascent(coeffs, block)
+        value, _, _, _, steps = _newton_ascent(coeffs, block)
         ref_value, _, ref_steps = halving_loop_ascent(coeffs, block)
         assert np.abs(value - ref_value).max() <= 1e-12, beta
-        assert steps == ref_steps
+        assert steps.sum() == ref_steps
 
 
 def test_start_points_pair_grid_mirrors():
@@ -672,6 +687,34 @@ def test_start_points_pair_grid_mirrors():
         extra = np.random.default_rng(5).uniform(0.0, 2 * math.pi, size=(32, n))[:, : n - 1]
         assert np.array_equal(points[len(kept) :, : n - 1], extra)
     assert [len(_start_points(n, 0)) - 32 for n in (4, 5)] == [36, 136]
+
+
+def test_start_points_copy_a_cached_one_block_grid():
+    """A grid of one _START_BLOCK (n <= 6) is cached read-only per (n, seed);
+    every call returns a writable copy equal to a fresh build, so the sweeps
+    writing into one call's starts leave the next call's as they were.  From
+    n = 7 the grid exceeds one block and is built fresh, never kept."""
+    quantum._cached_start_points.cache_clear()
+    for n in range(1, 9):
+        for seed in (0, 7):
+            fresh = _start_points(n, seed, fresh=True)
+            points = _start_points(n, seed)
+            assert points.flags.writeable
+            assert points.dtype == fresh.dtype and points.tobytes() == fresh.tobytes()
+            points[:] = -1.0
+            assert _start_points(n, seed).tobytes() == fresh.tobytes()
+    assert len(_start_points(7, 0)) > quantum._START_BLOCK
+    assert quantum._cached_start_points.cache_info().currsize == 6 * 2  # n = 1..6 only
+    assert not quantum._cached_start_points(4, 0).flags.writeable
+
+
+def test_max_violation_repeats_bitwise():
+    """A second call, on the cached grid, returns every field bit for bit."""
+    tables = [MERMIN3, bell_table_from_id(4, 279), bell_table_from_id(5, 3059489832)]
+    quantum._cached_start_points.cache_clear()
+    for beta in tables:
+        first, second = max_violation(beta, seed=3), max_violation(beta, seed=3)
+        assert repr(second) == repr(first)  # repr prints every float exactly
 
 
 @pytest.mark.parametrize("n", [7, 8])
