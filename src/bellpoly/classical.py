@@ -47,7 +47,10 @@ class CorrelationVector:
 
     def __post_init__(self) -> None:
         n = site_count(self.n)
-        xi = tuple(float(v) for v in self.xi)
+        try:
+            xi = tuple(float(v) for v in self.xi)
+        except OverflowError:  # an int past the float range lies outside [-1, 1] too
+            raise ValueError("correlation entries must lie in [-1, 1]") from None
         if len(xi) != 1 << n:
             raise DimensionMismatchError(
                 f"expected {1 << n} entries for n={n}, got {len(xi)}"

@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -179,6 +180,9 @@ def cmd_id(args: argparse.Namespace) -> Iterator[dict]:
         if n is not None and n != f.n:
             raise ValueError(f"-n {n} but {len(f.signs)} signs given (n={f.n})")
     else:
+        # n is the last site letter named; check it before a 2^n table exists
+        if n is None and (letters := re.findall(r"[a-z](?=\d)", args.polynomial)):
+            _id_site_count(inequality._SITE_LETTERS.index(max(letters)) + 1)
         beta = inequality.parse_polynomial(args.polynomial, n)
         f = inequality.signs_from_coefficients(beta)
     yield {"n": _id_site_count(f.n), "id": inequality.signs_to_id(f)}

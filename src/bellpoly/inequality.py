@@ -149,10 +149,9 @@ _SITE_LETTERS = "abcdefghijklmnopqrstuvwxyz"
 @lru_cache(maxsize=16)
 def _monomials(n: int) -> tuple[tuple[int, str], ...]:
     """(s, factor text) for every term, in the order polynomial_string writes them."""
-    if n <= len(_SITE_LETTERS):
-        names = [(f"{c}1", f"{c}2") for c in _SITE_LETTERS[:n]]
-    else:
-        names = [(f"A{k + 1}(0)", f"A{k + 1}(1)") for k in range(n)]
+    if n > len(_SITE_LETTERS):
+        raise ValueError(f"polynomial text names sites a..z, so n <= {len(_SITE_LETTERS)}, got {n}")
+    names = [(f"{c}1", f"{c}2") for c in _SITE_LETTERS[:n]]
     order = sorted((word_bits(n, s), s) for s in range(1 << n))  # by (s_1, s_2, ...)
     return tuple((s, " ".join(pair[b] for pair, b in zip(names, bits))) for bits, s in order)
 
@@ -168,7 +167,7 @@ def polynomial_string(beta: BellTable) -> str:
     """Render e.g. '1/2 a1 b1 + 1/2 a1 b2 + 1/2 a2 b1 - 1/2 a2 b2'.
 
     Terms are ordered by the choice tuple (s_1, s_2, ...) lexicographically;
-    zero terms are dropped and unit coefficients left implicit.
+    zero terms are dropped and unit coefficients left implicit; n <= 26 (sites a..z).
     """
     nums, d = beta.coefficients.numerators, beta.coefficients.log_denominator
     parts: list[str] = []

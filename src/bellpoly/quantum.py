@@ -176,10 +176,9 @@ class ViolationResult:
 
     `starts` counts every swept start, (4^(n-1) + 2^(n-1))/2 + 32, `polished`
     those the sweeps left within `_POLISH_GAP` of the best (they took the Newton
-    ascent), `starts_at_best` the polished starts that ended within 1e-9 of the
-    winner's value, and `iterations` their Newton steps.  These three count one
-    run on one BLAS build, since a start's rounding, and so its path, moves with
-    its batch and the BLAS; tests pin only `value`, `converged` and attaining phases.
+    ascent), and `iterations` their Newton steps.  The last two count one run on
+    one BLAS build, since a start's rounding, and so its path, moves with its
+    batch and the BLAS; tests pin only `value`, `converged` and attaining phases.
     """
 
     value: float
@@ -187,7 +186,6 @@ class ViolationResult:
     converged: bool
     gradient_norm: float
     starts: int = 0
-    starts_at_best: int = 0
     iterations: int = 0
     polished: int = 0
 
@@ -299,10 +297,10 @@ def _newton_ascent(coeffs: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, ...
     shrinks.  Each round evaluates every live start's trial point in one
     batch, halves or accepts per start, and takes one stacked eigh for the
     starts that moved.  A start stops at its gradient tolerance, after
-    _MAX_ITERATIONS steps or _MAX_HALVINGS rejected trials in a row, or when
-    its trial point equals its current one.  Returns, per start, what the
-    ascent computed at the last point it accepted: |T|^2, T, the gradient
-    norm and the angles, and also the number of steps the start took.
+    _MAX_ITERATIONS steps, or after _MAX_HALVINGS rejected trials in a row.
+    Returns, per start, what the ascent computed at the last point it
+    accepted: |T|^2, T, the gradient norm and the angles, and also the
+    number of steps the start took.
     """
     phi = phi.copy()
     value, grad, hess, total = _ascent_terms(coeffs, phi)
@@ -328,11 +326,10 @@ def _newton_ascent(coeffs: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, ...
         held = np.abs(t_value - before) <= _HOLD_EPS * np.maximum(before, 1.0)
         ok = (t_value > before) | (held & (t_norm < grad_norm[live]))
         moved, missed, grad, hess = live[ok], live[~ok], grad[ok], hess[ok]
-        stuck = (trial[~ok] == phi[missed]).all(axis=1)  # so would every shorter step
         phi[moved], value[moved], total[moved] = trial[ok], t_value[ok], t_total[ok]
         grad_norm[moved], steps[moved] = t_norm[ok], steps[moved] + 1
         length[missed] *= 0.5  # exact: 2^-k after k rejected trials
-        retry = missed[(length[missed] > 0.5**_MAX_HALVINGS) & ~stuck]
+        retry = missed[length[missed] > 0.5**_MAX_HALVINGS]
     return value, total, grad_norm, phi, steps
 
 
@@ -377,7 +374,6 @@ def max_violation(beta: BellTable, *, seed: int = 0) -> ViolationResult:
         converged=bool(norms[best] <= 1e-8),
         gradient_norm=float(norms[best]),
         starts=len(starts),
-        starts_at_best=int(np.count_nonzero(np.sqrt(values) >= math.sqrt(values[best]) - 1e-9)),
         iterations=int(steps.sum()),
         polished=len(kept),
     )

@@ -115,22 +115,22 @@ def _sign_code(n: int) -> tuple[tuple[int, ...], tuple[int, ...], np.ndarray]:
     return x, tuple(basis), codewords
 
 
-def _swap_sites(words: np.ndarray, n: int, i: int, j: int, out=None, scratch=None) -> np.ndarray:
-    """Images under the transposition of site bits i < j, as one delta swap.  Both bit
-    moves write into out and work in scratch (arrays shaped like words) when given them."""
+def _swap_sites(words: np.ndarray, n: int, i: int, j: int, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Images under the transposition of site bits i < j, as one delta swap, written
+    into out with scratch as work space (both arrays shaped like words)."""
     x, delta = _sign_code(n)[0], (1 << j) - (1 << i)
     t = np.right_shift(words, delta, out=scratch)
     t ^= words
     t &= x[i] & ~x[j]  # bit r with r_i = 1, r_j = 0
-    out = np.bitwise_xor(words, t, out=out)
+    np.bitwise_xor(words, t, out=out)
     out ^= np.left_shift(t, delta, out=t)
     return out
 
 
-def _shift_site(words: np.ndarray, n: int, k: int, out=None, scratch=None) -> np.ndarray:
-    """Images under the XOR shift r -> r ^ 2^k, as a swap of 2^k-bit blocks."""
+def _shift_site(words: np.ndarray, n: int, k: int, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Images under the XOR shift r -> r ^ 2^k, as a swap of 2^k-bit blocks, into out."""
     low = ((1 << (1 << n)) - 1) ^ _sign_code(n)[0][k]
-    out = np.bitwise_and(np.right_shift(words, 1 << k, out=out), low, out=out)
+    np.bitwise_and(np.right_shift(words, 1 << k, out=out), low, out=out)
     out |= np.left_shift(np.bitwise_and(words, low, out=scratch), 1 << k, out=scratch)
     return out
 

@@ -268,10 +268,16 @@ def test_output_matches_the_recorded_digest(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == RECORDED_DIGESTS[argv]
 
 
-def test_membership_rejects_a_nan_entry(tmp_path, capsys):
-    """abs(nan) > 1 is False; a NaN row once printed '"margin": NaN', which is not JSON."""
-    path = tmp_path / "nan.csv"
-    path.write_text("nan,0,0,0\n")
+@pytest.mark.parametrize(
+    "name, content",
+    [("nan.csv", "nan,0,0,0\n"), ("huge.json", '{"n": 1, "xi": [1%s, 0]}' % ("0" * 399))],
+    ids=["nan", "huge_int"],
+)
+def test_membership_rejects_a_nan_entry(tmp_path, capsys, name, content):
+    """abs(nan) > 1 is False; a NaN row once printed '"margin": NaN', which is not JSON.
+    A 400-digit integer overflows float() and once ended in a traceback (exit 1)."""
+    path = tmp_path / name
+    path.write_text(content)
     code, out, err = run(capsys, "membership", str(path))
     assert code == EXIT_INVALID and out == ""
     assert err == "error: correlation entries must lie in [-1, 1]\n"
@@ -440,6 +446,20 @@ def test_id_site_count_is_checked_before_any_table_is_sized(capsys, argv):
         tracemalloc.stop()
     assert (code, out) == (EXIT_INVALID, "") and peak < 1 << 20
     assert err == f"error: ids are limited to n <= 13 (4,300 decimal digits), got {n}\n"
+
+
+@pytest.mark.parametrize("sites", [14, 26])
+def test_id_checks_the_site_count_of_a_polynomial_before_parsing(capsys, monkeypatch, sites):
+    """Without -n the last site letter bounds n; 26 sites once built a 2^26-entry
+    table before the cap was checked and died with a MemoryError."""
+    def parse(*args):
+        pytest.fail("the polynomial was parsed before the id cap was checked")
+
+    monkeypatch.setattr(inequality, "parse_polynomial", parse)
+    text = " ".join(f"{c}1" for c in "abcdefghijklmnopqrstuvwxyz"[:sites])
+    code, out, err = run(capsys, "id", "--polynomial", text)
+    assert (code, out) == (EXIT_INVALID, "")
+    assert err == f"error: ids are limited to n <= 13 (4,300 decimal digits), got {sites}\n"
 
 
 def test_id_checks_the_site_count_of_a_long_sign_string(capsys):

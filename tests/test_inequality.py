@@ -183,6 +183,13 @@ def test_polynomial_string_zero():
     assert polynomial_string(BellTable.from_numerators(2, (0, 0, 0, 0), 0)) == "0"
 
 
+def test_polynomial_text_names_at_most_26_sites():
+    """Sites are written a..z, the only names parse_polynomial reads; past z the
+    text raises before any of the 2^n terms is made."""
+    with pytest.raises(ValueError, match="n <= 26, got 27"):
+        inequality._monomials(27)
+
+
 def test_polynomial_string_leading_negative_and_fractions():
     beta = bell_table_from_id(3, 1)
     # f = -1 only at r=0: coefficients 3/4 at a1b1c1 and -1/4 elsewhere

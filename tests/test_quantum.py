@@ -380,10 +380,9 @@ def test_ascent_hessian_matches_finite_differences(n):
 def test_max_violation_reports_its_search():
     result = max_violation(MERMIN3, seed=3)
     assert result.starts == 10 + 32  # the 10 kept grid points of 16, and the random ones
-    assert 1 <= result.starts_at_best <= result.polished <= result.starts
+    assert 1 <= result.polished <= result.starts
     # every start is swept; the starts swept to within _POLISH_GAP of the best
-    # swept |T| are polished, starts_at_best counts the polished starts that
-    # reached the best value, and iterations the Newton steps they took
+    # swept |T| are polished, and iterations counts the Newton steps they took
     for beta, seed in ((MERMIN3, 3), (bell_table_from_id(4, 279), 0)):
         result = max_violation(beta, seed=seed)
         coeffs = _coefficient_array(beta)
@@ -397,13 +396,13 @@ def test_max_violation_reports_its_search():
         assert result.gradient_norm == norms[tied].min()
         assert result.starts == len(points)
         assert result.polished == len(kept)
-        assert result.starts_at_best == np.count_nonzero(at_best)
+        assert at_best.all()  # every polished start reaches the best value
         assert result.iterations == steps.sum()
     # the sweeps bring every Mermin start to the maximum; on 279 Newton still steps
     assert result.iterations > 0
     # the search counters default, so older constructions still work
     bare = ViolationResult(2.0, PhaseVector(0.0, (HALF_PI,) * 3), True, 0.0)
-    assert (bare.starts, bare.starts_at_best, bare.iterations, bare.polished) == (0, 0, 0, 0)
+    assert (bare.starts, bare.iterations, bare.polished) == (0, 0, 0)
 
 
 def test_max_violation_n1_tables():
@@ -548,7 +547,6 @@ def test_max_violation_blocks_do_not_change_the_result(monkeypatch):
         assert split.value == pytest.approx(whole.value, abs=1e-12)
         assert split.starts == whole.starts
         assert split.polished == whole.polished < whole.starts
-        assert split.starts_at_best == whole.starts_at_best
     assert wholes[1].polished < wholes[1].starts / 7
 
 
@@ -665,6 +663,30 @@ def test_round_ascent_matches_the_halving_loop(monkeypatch):
         ref_value, _, ref_steps = halving_loop_ascent(coeffs, block)
         assert np.abs(value - ref_value).max() <= 1e-12, beta
         assert steps.sum() == ref_steps
+
+
+def test_rejected_trials_end_after_max_halvings(monkeypatch):
+    """When every trial scores lower, each start tries _MAX_HALVINGS steps, each
+    half the last, and ends where it began with no step taken."""
+    terms, calls = quantum._ascent_terms, []
+
+    def every_trial_lower(coeffs, phi):
+        value, grad, hess, total = terms(coeffs, phi)
+        calls.append(phi.copy())
+        return (value if len(calls) == 1 else np.full_like(value, -1.0)), grad, hess, total
+
+    monkeypatch.setattr(quantum, "_ascent_terms", every_trial_lower)
+    coeffs = _coefficient_array(MERMIN3)
+    start = np.random.default_rng(9).uniform(0.0, 2 * math.pi, size=(2, 3))
+    value, total, norms, phi, steps = _newton_ascent(coeffs, start)
+    assert len(calls) == 1 + quantum._MAX_HALVINGS
+    assert steps.tolist() == [0, 0] and np.array_equal(phi, start)
+    start_value, _, _, start_total = terms(coeffs, start)
+    assert np.array_equal(value, start_value) and np.array_equal(total, start_total)
+    assert (norms > quantum._GRADIENT_TOL).all()  # the starts were free to move
+    offsets = [np.mod(trial - start + math.pi, 2 * math.pi) - math.pi for trial in calls[1:21]]
+    for longer, shorter in zip(offsets, offsets[1:]):
+        assert np.allclose(shorter, 0.5 * longer, rtol=1e-6, atol=0.0)
 
 
 def test_start_points_pair_grid_mirrors():

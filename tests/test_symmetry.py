@@ -97,8 +97,7 @@ def test_bit_moves_match_group_elements(n):
         perm[i], perm[j] = j, i
         g = GroupElement(tuple(perm), 0, 0, 1)
         expected = [signs_to_id(apply(g, id_to_signs(n, w))) for w in words]
-        assert _swap_sites(packed, n, i, j).tolist() == expected
-        out = np.empty_like(packed)  # the sweep's form: into out, with scratch
+        out = np.empty_like(packed)
         assert _swap_sites(packed, n, i, j, out, np.empty_like(packed)) is out
         assert out.tolist() == expected and packed.tolist() == words
         # bit r of the image is bit pi(r) of the word
@@ -107,7 +106,6 @@ def test_bit_moves_match_group_elements(n):
     for k in range(n):
         g = GroupElement(tuple(range(n)), 1 << k, 0, 1)
         expected = [signs_to_id(apply(g, id_to_signs(n, w))) for w in words]
-        assert _shift_site(packed, n, k).tolist() == expected
         out = np.empty_like(packed)
         assert _shift_site(packed, n, k, out, np.empty_like(packed)) is out
         assert out.tolist() == expected and packed.tolist() == words
