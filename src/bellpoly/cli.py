@@ -52,7 +52,7 @@ def _id_site_count(n: int) -> int:
 
 
 def _emit_rows(rows: Iterable[dict], fmt: str, stream) -> int:
-    """Write each row as it is made: a JSON line, or CSV under the first row's keys.
+    """Write and flush each row as it is made: a JSON line, or CSV under the first row's keys.
 
     Returns EXIT_NONCONVERGED if any row written has "converged" false, else EXIT_OK.
     """
@@ -65,6 +65,7 @@ def _emit_rows(rows: Iterable[dict], fmt: str, stream) -> int:
                 writer = csv.DictWriter(stream, fieldnames=list(row))
                 writer.writeheader()
             writer.writerow(row)
+        stream.flush()  # a reader of a pipe gets each row now, not when 8 KB have gathered
         if not row.get("converged", True):
             code = EXIT_NONCONVERGED
     return code

@@ -289,48 +289,43 @@ def _ascent_terms(
 
 
 def _newton_ascent(coeffs: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Saddle-free Newton ascent of |T|^2 from every row of phi at once.
+    """Saddle-free Newton ascent of |T|^2 from every row of phi at once, in place.
 
     The step is |H|^-1 g, with the Hessian's eigenvalues taken by absolute
     value (floored at 1e-8 of the largest), so it climbs out of saddles.  It
     is halved until |T|^2 rises, or holds within rounding as the gradient
-    shrinks.  Each round evaluates every live start's trial point in one
-    batch, halves or accepts per start, and takes one stacked eigh for the
-    starts that moved.  A start stops at its gradient tolerance, after
-    _MAX_ITERATIONS steps, or after _MAX_HALVINGS rejected trials in a row.
-    Returns, per start, what the ascent computed at the last point it
-    accepted: |T|^2, T, the gradient norm and the angles, and also the
-    number of steps the start took.
+    shrinks.  A start stops at its gradient tolerance, after _MAX_ITERATIONS
+    steps, or after _MAX_HALVINGS rejected trials in a row.  Each round, the
+    live starts at full length (no direction yet, or stepped since the last)
+    take a new direction from one stacked eigh, and every live start's trial
+    is evaluated in one batch.
+    The angles each start accepts are written into phi; returned, per start,
+    are |T|^2, T and the gradient norm there, and the number of steps taken.
     """
-    phi = phi.copy()
     value, grad, hess, total = _ascent_terms(coeffs, phi)
     grad_norm = np.sqrt(np.add.reduce(grad * grad, axis=1))
     delta, length, steps = np.empty_like(phi), np.ones(len(phi)), np.zeros(len(phi), int)
-    moved, retry = np.arange(len(phi)), np.arange(0)
-    while True:
-        go = (grad_norm[moved] > _GRADIENT_TOL) & (steps[moved] < _MAX_ITERATIONS)
-        moved = moved[go]
-        if moved.size:
-            eigvals, eigvecs = np.linalg.eigh(hess[go])
+    while (live := np.flatnonzero(
+        (grad_norm > _GRADIENT_TOL) & (steps < _MAX_ITERATIONS) & (length > 0.5**_MAX_HALVINGS)
+    )).size:
+        if (turn := live[length[live] == 1.0]).size:
+            eigvals, eigvecs = np.linalg.eigh(hess[turn])
             scale = np.abs(eigvals)
             scale = np.maximum(scale, np.maximum(1e-8 * scale.max(axis=1, keepdims=True), _TINY))
-            along = np.einsum("mji,mj->mi", eigvecs, grad[go]) / scale
-            delta[moved], length[moved] = np.einsum("mij,mj->mi", eigvecs, along), 1.0
-        live = np.concatenate([moved, retry]) if retry.size else moved
-        if not live.size:
-            break
+            along = np.einsum("mji,mj->mi", eigvecs, grad[turn]) / scale
+            delta[turn] = np.einsum("mij,mj->mi", eigvecs, along)
         trial = np.mod(phi[live] + length[live, None] * delta[live], TWO_PI)
-        t_value, grad, hess, t_total = _ascent_terms(coeffs, trial)
-        t_norm = np.sqrt(np.add.reduce(grad * grad, axis=1))
+        t_value, t_grad, t_hess, t_total = _ascent_terms(coeffs, trial)
+        t_norm = np.sqrt(np.add.reduce(t_grad * t_grad, axis=1))
         before = value[live]
         held = np.abs(t_value - before) <= _HOLD_EPS * np.maximum(before, 1.0)
         ok = (t_value > before) | (held & (t_norm < grad_norm[live]))
-        moved, missed, grad, hess = live[ok], live[~ok], grad[ok], hess[ok]
-        phi[moved], value[moved], total[moved] = trial[ok], t_value[ok], t_total[ok]
-        grad_norm[moved], steps[moved] = t_norm[ok], steps[moved] + 1
-        length[missed] *= 0.5  # exact: 2^-k after k rejected trials
-        retry = missed[length[missed] > 0.5**_MAX_HALVINGS]
-    return value, total, grad_norm, phi, steps
+        up = live[ok]
+        phi[up], value[up], total[up] = trial[ok], t_value[ok], t_total[ok]
+        grad[up], hess[up], grad_norm[up] = t_grad[ok], t_hess[ok], t_norm[ok]
+        steps[up], length[up] = steps[up] + 1, 1.0
+        length[live[~ok]] *= 0.5  # exact: 2^-k after k rejected trials
+    return value, total, grad_norm, steps
 
 
 def _blocks(rows: np.ndarray) -> Iterable[np.ndarray]:
@@ -364,13 +359,13 @@ def max_violation(beta: BellTable, *, seed: int = 0) -> ViolationResult:
     starts = _start_points(_qubit_count(beta.n), seed)
     swept = np.concatenate([_coordinate_sweeps(coeffs, b) for b in _blocks(starts)])
     kept = starts[swept >= (1.0 - _POLISH_GAP) ** 2 * swept.max()]  # swept holds |T|^2
-    runs = zip(*(_newton_ascent(coeffs, b) for b in _blocks(kept)))
-    values, totals, norms, phis, steps = map(np.concatenate, runs)
+    runs = zip(*(_newton_ascent(coeffs, b) for b in _blocks(kept)))  # climbs kept in place
+    values, totals, norms, steps = map(np.concatenate, runs)
     tied = np.flatnonzero(values >= values.max() - _HOLD_EPS * max(values.max(), 1.0))
     best = tied[np.argmin(norms[tied])]
     return ViolationResult(
         value=math.sqrt(values[best]),
-        phases=PhaseVector(-float(np.angle(totals[best])), tuple(phis[best])),
+        phases=PhaseVector(-float(np.angle(totals[best])), tuple(kept[best])),
         converged=bool(norms[best] <= 1e-8),
         gradient_norm=float(norms[best]),
         starts=len(starts),
@@ -491,7 +486,7 @@ def sample_separable(
     dim = 1 << _qubit_count(n)
     if terms < 1:
         raise ValueError(f"need at least one term, got {terms}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)  # a Generator is returned as it is
     weights = rng.dirichlet(np.ones(terms))
     rho = np.zeros((dim, dim), dtype=complex)
     for w in weights:

@@ -73,6 +73,8 @@ class GroupElement:
         n = len(perm)
         if sorted(perm) != list(range(n)):
             raise ValueError(f"{perm} is not a permutation of 0..{n - 1}")
+        for name in ("r0", "s0", "sign"):  # ints, so that 1.5 fails here and not in apply
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         for name, word in (("r0", self.r0), ("s0", self.s0)):
             if not 0 <= word < 1 << n:
                 raise ValueError(f"{name}={word} out of range for n={n}")

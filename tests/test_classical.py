@@ -22,7 +22,7 @@ from bellpoly.classical import (
 )
 import bellpoly
 from bellpoly.inequality import bell_table_from_id, coefficients_from_signs, evaluate, id_to_signs, signs_to_id
-from bellpoly.transform import bit_matrix
+from bellpoly.transform import DimensionMismatchError, bit_matrix
 
 GHZ_MERMIN = CorrelationVector(3, (0, 1, 1, 0, 1, 0, 0, -1))
 
@@ -314,6 +314,9 @@ def test_correlation_vector_validation():
             CorrelationVector(2, (0, bad, 0, 0))
     v = CorrelationVector.from_values([0.5, -0.5])
     assert v.n == 1
+    for values in ([], [0.5, 0.5, 0.5]):
+        with pytest.raises(DimensionMismatchError, match=f"^length {len(values)} is not a power of two$"):
+            CorrelationVector.from_values(values)
 
 
 def test_io_roundtrips():

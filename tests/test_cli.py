@@ -150,6 +150,28 @@ def test_a_reader_that_stops_early_is_not_an_error():
     assert (first["id"], code, err) == (0, EXIT_OK, "")
 
 
+class _FlushLog(io.StringIO):
+    """A stdout that records how many lines it holds at each flush."""
+
+    def __init__(self):
+        super().__init__()
+        self.flushed = []
+
+    def flush(self):
+        self.flushed.append(self.getvalue().count("\n"))
+        super().flush()
+
+
+@pytest.mark.parametrize("fmt, header", [("json", 0), ("csv", 1)])
+def test_each_row_is_flushed_as_it_is_written(monkeypatch, fmt, header):
+    """One flush per row, right after it, so a reader of a pipe gets each row
+    as it is made rather than when 8 KB have gathered."""
+    stdout = _FlushLog()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["enumerate", "-n", "2", "--range", "0", "4", "--format", fmt]) == EXIT_OK
+    assert stdout.flushed == [header + k for k in range(1, 5)]
+
+
 @pytest.mark.parametrize("fmt, header", [("json", 0), ("csv", 1)])
 @pytest.mark.parametrize(
     "argv, module, name, count",
@@ -383,6 +405,8 @@ def test_id_rejects_non_extremal_polynomial(capsys):
     assert code == EXIT_INVALID
     code, _, _ = run(capsys, "id", "--signs", "++0-")
     assert code == EXIT_INVALID
+    code, out, err = run(capsys, "id", "--signs=+++")
+    assert (code, out, err) == (EXIT_INVALID, "", "error: got 3 signs, expected a power of two\n")
     code, _, _ = run(capsys, "id", "--mermin")
     assert code == EXIT_INVALID
 

@@ -130,6 +130,8 @@ def test_substitute_validates_inputs():
         substitute(CHSH, [A1, A2])  # needs 2K = 4 tables
     with pytest.raises(ValueError):
         substitute(A1, [A1, CHSH])  # slot pair sizes differ
+    with pytest.raises(ValueError, match=r"^site-count overflow: 32 > 31$"):
+        substitute(id_to_signs(4, 0), [id_to_signs(8, 0)] * 8)  # 4 blocks of 8 sites
 
 
 def test_shell_roundtrip_exhaustive_n3():

@@ -389,7 +389,7 @@ def test_max_violation_reports_its_search():
         points = _start_points(beta.n, seed)
         swept = np.sqrt(_coordinate_sweeps(coeffs, points))
         kept = points[swept >= (1.0 - quantum._POLISH_GAP) * swept.max()]
-        value, _, norms, _, steps = _newton_ascent(coeffs, kept)
+        value, _, norms, steps = _newton_ascent(coeffs, kept)
         at_best = np.sqrt(value) >= result.value - 1e-9
         # the winner: least gradient norm among the starts holding the best |T|^2
         tied = value >= value.max() - quantum._HOLD_EPS * max(value.max(), 1.0)
@@ -556,12 +556,12 @@ def full_polish(beta: BellTable, seed: int) -> tuple[float, bool]:
     coeffs = _coefficient_array(beta)
     points = _start_points(beta.n, seed)
     runs = []
-    for block in quantum._blocks(points):
+    for block in quantum._blocks(points):  # both climb each block in place
         _coordinate_sweeps(coeffs, block)
-        runs.append(_newton_ascent(coeffs, block))
-    value, phi = np.concatenate([r[0] for r in runs]), np.concatenate([r[3] for r in runs])
+        runs.append(_newton_ascent(coeffs, block)[0])
+    value = np.concatenate(runs)
     best = int(np.argmax(value))
-    grad = _ascent_terms(coeffs, phi[best : best + 1])[1]
+    grad = _ascent_terms(coeffs, points[best : best + 1])[1]
     return math.sqrt(value[best]), bool(np.linalg.norm(grad) <= 1e-8)
 
 
@@ -659,8 +659,8 @@ def test_round_ascent_matches_the_halving_loop(monkeypatch):
         coeffs = _coefficient_array(beta)
         block = _start_points(beta.n, 0)
         _coordinate_sweeps(coeffs, block)
-        value, _, _, _, steps = _newton_ascent(coeffs, block)
-        ref_value, _, ref_steps = halving_loop_ascent(coeffs, block)
+        ref_value, _, ref_steps = halving_loop_ascent(coeffs, block)  # climbs a copy
+        value, _, _, steps = _newton_ascent(coeffs, block)
         assert np.abs(value - ref_value).max() <= 1e-12, beta
         assert steps.sum() == ref_steps
 
@@ -678,7 +678,8 @@ def test_rejected_trials_end_after_max_halvings(monkeypatch):
     monkeypatch.setattr(quantum, "_ascent_terms", every_trial_lower)
     coeffs = _coefficient_array(MERMIN3)
     start = np.random.default_rng(9).uniform(0.0, 2 * math.pi, size=(2, 3))
-    value, total, norms, phi, steps = _newton_ascent(coeffs, start)
+    phi = start.copy()
+    value, total, norms, steps = _newton_ascent(coeffs, phi)
     assert len(calls) == 1 + quantum._MAX_HALVINGS
     assert steps.tolist() == [0, 0] and np.array_equal(phi, start)
     start_value, _, _, start_total = terms(coeffs, start)
@@ -859,6 +860,8 @@ def test_simulator_density_matrix_path_agrees():
 def test_simulator_dimension_checks():
     with pytest.raises(DimensionMismatchError):
         simulate_correlations(ghz_state(3), ObservableSpec(((0.0, 1.0),)))
+    with pytest.raises(DimensionMismatchError, match="^state has 2 qubits, spec 3 sites$"):
+        simulate_correlations(DensityMatrix(2, np.eye(4) / 4), ObservableSpec(((0.0, 1.0),) * 3))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -897,6 +900,8 @@ def test_density_matrix_validation():
         DensityMatrix(1, np.eye(2))  # trace 2
     with pytest.raises(ValueError):
         DensityMatrix(1, np.diag([1.5, -0.5]))  # negative eigenvalue
+    with pytest.raises(DimensionMismatchError, match="^expected a 4x4 matrix for n=2$"):
+        DensityMatrix(2, np.eye(2) / 2)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
@@ -945,6 +950,14 @@ def test_bell_norm_routes_agree_on_random_inputs():
             assert value <= mermin_bound(n) + 1e-8
 
 
+def test_bell_norm_needs_one_observable_pair_per_site():
+    pairs = [(quantum.SIGMA_X, quantum.SIGMA_Y)] * 3
+    with pytest.raises(DimensionMismatchError, match="^3 observable pairs for 2 sites$"):
+        bell_operator_norm_exact(CHSH, pairs)
+    with pytest.raises(DimensionMismatchError, match="^1 observable pairs for 2 sites$"):
+        bell_operator_norm_exact(CHSH, ObservableSpec(((0.0, HALF_PI),)))
+
+
 @pytest.mark.parametrize("n", [11, 12])
 def test_bell_norm_beyond_the_dense_operator(n):
     """The Mermin observables (phi_k = 3pi/2 on the GHZ state) reach 2^((n-1)/2)."""
@@ -972,6 +985,12 @@ def test_partial_transpose_ghz_negative_eigenvalue():
 def test_partial_transpose_site_range():
     with pytest.raises(ValueError):
         partial_transpose(np.eye(4) / 4, {3})
+
+
+@pytest.mark.parametrize("shape", [(4, 2), (3, 3), (4,)])
+def test_partial_transpose_needs_a_2n_square_matrix(shape):
+    with pytest.raises(DimensionMismatchError, match=r"^expected a 2\^n x 2\^n matrix"):
+        partial_transpose(np.zeros(shape), {1})
 
 
 def test_partial_transpose_matches_the_entrywise_definition():
@@ -1040,6 +1059,8 @@ def test_violation_qubit_count_is_checked_before_allocating(capsys):
 def test_sample_separable_single_term_is_pure():
     rho = sample_separable(2, 1, seed=9).entries
     assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(ValueError, match="^need at least one term, got 0$"):
+        sample_separable(2, 0)
 
 
 def test_separable_states_stay_classical():

@@ -155,6 +155,10 @@ def test_group_element_validation():
         GroupElement((0, 1), 4, 0, 1)
     with pytest.raises(ValueError):
         GroupElement((0, 1), 0, 0, 0)
+    # r0, s0 and sign must be integers, as apply uses them in bit operations
+    for fields in (((0, 1), 1.5, 0, 1), ((0, 1), 1, 2.0, -1), ((0, 1), 1, 0, 1.0)):
+        with pytest.raises(TypeError):
+            GroupElement(*fields)
 
 
 def test_apply_identity_and_global_sign():
