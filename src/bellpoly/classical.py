@@ -48,14 +48,14 @@ class CorrelationVector:
     def __post_init__(self) -> None:
         n = site_count(self.n)
         try:
-            xi = tuple(float(v) for v in self.xi)
+            xi = tuple(map(float, self.xi))
         except OverflowError:  # an int past the float range lies outside [-1, 1] too
             raise ValueError("correlation entries must lie in [-1, 1]") from None
         if len(xi) != 1 << n:
             raise DimensionMismatchError(
                 f"expected {1 << n} entries for n={n}, got {len(xi)}"
             )
-        if not all(abs(v) <= 1.0 + _ENTRY_TOL for v in xi):  # NaN fails too
+        if not all(map((1.0 + _ENTRY_TOL).__ge__, map(abs, xi))):  # NaN fails too
             raise ValueError("correlation entries must lie in [-1, 1]")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "xi", xi)

@@ -146,7 +146,7 @@ class DensityMatrix:
             raise ValueError("density matrix has a non-finite entry")
         if np.abs(rho - rho.conj().T).max() > _HERMITIAN_TOL:
             raise ValueError("density matrix is not Hermitian")
-        if abs(np.trace(rho).real - 1.0) > _TRACE_TOL or abs(np.trace(rho).imag) > _TRACE_TOL:
+        if abs((trace := np.trace(rho)).real - 1.0) > _TRACE_TOL or abs(trace.imag) > _TRACE_TOL:
             raise ValueError("density matrix trace is not 1")
         if np.linalg.eigvalsh(rho).min() < -_EIGENVALUE_TOL:
             raise ValueError("density matrix has a negative eigenvalue")
@@ -425,12 +425,12 @@ def simulate_correlations(
         if not abs(np.vdot(psi, psi).real - 1.0) <= _TRACE_TOL:  # NaN fails too
             raise ValueError("state vector is not normalized")
         values = psi * psi[::-1].conj()
-    for theta in obs.angles:
-        # M_k[s, j] contracts the leading axis (site k's j); s_k goes last
-        values = (np.exp(1j * np.outer(theta, (1.0, -1.0))) @ values.reshape(2, -1)).T
+    # one exp makes all M_k (axes k, s, j); each contracts the leading axis, site k's j; s_k goes last
+    for site in np.exp(1j * (np.array(obs.angles)[:, :, None] * (1.0, -1.0))):
+        values = (site @ values.reshape(2, -1)).T
     # the axes are now (s_1, ..., s_n); reverse them so s_1 is the low bit
     values = values.reshape((2,) * n).transpose().reshape(dim)
-    xi = np.clip(values.real, -1.0, 1.0)
+    xi = np.minimum(np.maximum(values.real, -1.0), 1.0)  # np.clip, without its Python wrapper
     return CorrelationVector(n, xi.tolist())
 
 
@@ -494,6 +494,6 @@ def sample_separable(
         for _ in range(n):
             amp = rng.normal(size=2) + 1j * rng.normal(size=2)
             amp /= np.linalg.norm(amp)
-            psi = np.kron(psi, amp)
+            psi = np.multiply.outer(psi, amp).ravel()
         rho += w * np.outer(psi, psi.conj())
     return DensityMatrix(n, rho)

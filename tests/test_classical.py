@@ -1,6 +1,8 @@
 """Classical region: extreme points, spectrum, margin, witness, membership oracle."""
 
 import io
+import itertools
+import math
 import os
 import subprocess
 import sys
@@ -312,6 +314,18 @@ def test_correlation_vector_validation():
     for bad in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError, match="must lie in"):
             CorrelationVector(2, (0, bad, 0, 0))
+    # entries within 1e-9 of [-1, 1] pass; past it, non-finite at either end
+    # of the vector, or an int past the float range, they fail
+    for edge in (1.0 + 1e-9, -(1.0 + 1e-9)):
+        assert CorrelationVector(2, (edge, 0.0, 0.0, edge)).xi == (edge, 0.0, 0.0, edge)
+    outside = (1.0 + 2e-9, -(1.0 + 2e-9), math.nan, math.inf, -math.inf, 10**400)
+    for bad, pos in itertools.product(outside, (0, 3)):
+        xi = [0.5, 0.0, -0.5, 0.25]
+        xi[pos] = bad
+        with pytest.raises(ValueError, match=r"^correlation entries must lie in \[-1, 1\]$"):
+            CorrelationVector(2, tuple(xi))
+    v = CorrelationVector(2, (np.float32(0.5), np.int64(-1), np.float32(-0.25), np.int64(1)))
+    assert v.xi == (0.5, -1.0, -0.25, 1.0) and all(type(x) is float for x in v.xi)
     v = CorrelationVector.from_values([0.5, -0.5])
     assert v.n == 1
     for values in ([], [0.5, 0.5, 0.5]):

@@ -537,9 +537,13 @@ def test_ppt_check_names_a_replayable_worst_case(capsys):
     assert round(margin, 12) == report["max_value"]
 
 
-@pytest.mark.parametrize("flag, count", [("--states", "0"), ("--states", "-5"), ("--specs", "0"), ("--specs", "-3")])
+@pytest.mark.parametrize(
+    "flag, count",
+    [("--states", "0"), ("--states", "-5"), ("--specs", "0"), ("--specs", "-3"), ("--terms", "0"), ("--terms", "-2")],
+)
 def test_ppt_check_rejects_counts_below_one(capsys, flag, count):
-    """A run that would check nothing is invalid input, not a pass."""
+    """A run that would check nothing, or mix no state, is invalid input, not a pass."""
     code, out, err = run(capsys, "ppt-check", flag, count)
     assert code == EXIT_INVALID and out == ""
-    assert err == f"error: {flag} must be at least 1, got {count}\n"
+    reason = "need at least one term" if flag == "--terms" else f"{flag} must be at least 1"
+    assert err == f"error: {reason}, got {count}\n"

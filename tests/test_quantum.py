@@ -884,6 +884,35 @@ def test_simulator_matches_dense_oracle(n):
             assert np.abs(np.asarray(got) - expected.real).max() <= 1e-12
 
 
+def per_site_correlations(state, obs):
+    """simulate_correlations' earlier route, kept as a reference: one np.outer
+    and one exp per site, inside the contraction loop, then np.clip."""
+    n = obs.n
+    if isinstance(state, DensityMatrix):
+        values = state.entries[:, ::-1].diagonal()
+    else:
+        psi = np.asarray(state, dtype=complex)
+        values = psi * psi[::-1].conj()
+    for theta in obs.angles:
+        values = (np.exp(1j * np.outer(theta, (1.0, -1.0))) @ values.reshape(2, -1)).T
+    values = values.reshape((2,) * n).transpose().reshape(1 << n)
+    return np.clip(values.real, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_simulator_matches_the_per_site_route(n):
+    """One exp over all sites' phases gives the per-site route's xi bit for bit,
+    on negative angles and angles past 2pi too."""
+    rng = np.random.default_rng(300 + n)
+    for scale in (1.0, -1.0, 3.5, -7.0):
+        spec = random_spec(rng, n)
+        spec = ObservableSpec(tuple((scale * a, scale * b) for a, b in spec.angles))
+        psi = random_pure_state(rng, n)
+        for state in (psi, DensityMatrix(n, np.outer(psi, psi.conj())), random_mixed_state(rng, n)):
+            got = np.array(simulate_correlations(state, spec).xi)
+            assert got.tobytes() == per_site_correlations(state, spec).tobytes()
+
+
 def test_simulator_rejects_unnormalized_vector():
     # xi(0) = cos(0) = 1 on the normalized state, so 2 psi would read 4 and
     # 0.5 psi a plausible 0.25; the norm of the input is checked, not the output
@@ -1061,6 +1090,30 @@ def test_sample_separable_single_term_is_pure():
     assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError, match="^need at least one term, got 0$"):
         sample_separable(2, 0)
+
+
+def kron_separable(n, terms, rng):
+    """sample_separable's draws in its order, each product state built by np.kron."""
+    rho = np.zeros((1 << n, 1 << n), dtype=complex)
+    for w in rng.dirichlet(np.ones(terms)):
+        psi = np.ones(1, dtype=complex)
+        for _ in range(n):
+            amp = rng.normal(size=2) + 1j * rng.normal(size=2)
+            amp /= np.linalg.norm(amp)
+            psi = np.kron(psi, amp)
+        rho += w * np.outer(psi, psi.conj())
+    return rho
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_sample_separable_matches_a_kron_build(n):
+    """Outer products give np.kron's states bit for bit, and the generator is
+    left where np.kron's build leaves it, so a seeded ppt-check run replays."""
+    for terms in range(1, 5):
+        rng, ref = np.random.default_rng(60 + terms), np.random.default_rng(60 + terms)
+        rho = sample_separable(n, terms, rng).entries
+        assert rho.tobytes() == kron_separable(n, terms, ref).tobytes()
+        assert rng.random() == ref.random()
 
 
 def test_separable_states_stay_classical():
