@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .inequality import SignTable
-from .transform import DimensionMismatchError, _butterfly, bit_matrix, site_count, word_bits
+from .transform import DimensionMismatchError, _butterfly, bit_matrix, site_count
 
 __all__ = [
     "BOUNDARY_TOL",
@@ -78,8 +78,10 @@ def extreme_point(n: int, r: int, sign: int = 1) -> CorrelationVector:
         raise ValueError(f"configuration {r} out of range for n={n}")
     if sign not in (-1, 1):
         raise ValueError("sign must be -1 or +1")
-    parity = (bit_matrix(n) @ np.frombuffer(word_bits(n, r), np.uint8)) % 2
-    return CorrelationVector(n, tuple(sign * (1.0 - 2.0 * parity)))
+    row = [float(sign)]
+    for k in range(n):  # entries s + 2^k flip sign against s iff bit k of r is set
+        row += [-v for v in row] if r >> k & 1 else row
+    return CorrelationVector(n, tuple(row))
 
 
 def spectrum(xi: CorrelationVector) -> np.ndarray:

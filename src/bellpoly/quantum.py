@@ -196,18 +196,19 @@ def mermin_bound(n: int) -> float:
     return 2.0 ** ((n - 1) / 2)
 
 
-def _start_points(n: int, seed: int, fresh: bool = False) -> np.ndarray:
+def _start_points(n: int, seed: int) -> np.ndarray:
+    """`_build_start_points`, copied from a read-only cache when they fit one `_START_BLOCK` (n <= 6)."""
+    fits = (4 ** (n - 1) + 2 ** (n - 1)) // 2 + _RANDOM_STARTS <= _START_BLOCK
+    return _cached_start_points(n, seed).copy() if fits else _build_start_points(n, seed)
+
+
+def _build_start_points(n: int, seed: int) -> np.ndarray:
     """Start points over sites 1..n, all with phi_n = 0 (the sweeps set it).
 
     beta is real, so T(-phi) = conj T(phi), and grid points c and -c start
     mirrored paths: the grid {0, pi/2, pi, 3pi/2}^(n-1) x {0} keeps the first
     of each pair, then `_RANDOM_STARTS` seeded random points follow.  A dropped
-    mirror is neither climbed nor counted.  The grid codes are bytes.  Unless
-    `fresh`, a grid of one `_START_BLOCK` (n <= 6) is copied from a cache; a
-    larger one is built straight into the returned array and never kept.
-    """
-    if not fresh and (4 ** (n - 1) + 2 ** (n - 1)) // 2 + _RANDOM_STARTS <= _START_BLOCK:
-        return _cached_start_points(n, seed).copy()
+    mirror is neither climbed nor counted.  The grid codes are bytes."""
     codes = np.indices((4,) * (n - 1) + (1,), dtype=np.uint8).reshape(n, 4 ** (n - 1))
     # 0 and 2 are their own negatives mod 4, so c and -c first differ at c's
     # first odd digit, and c comes first in grid order iff that digit is 1;
@@ -225,7 +226,7 @@ def _start_points(n: int, seed: int, fresh: bool = False) -> np.ndarray:
 
 @lru_cache(maxsize=32)  # grids of at most 27 KB each
 def _cached_start_points(n: int, seed: int) -> np.ndarray:
-    points = _start_points(n, seed, fresh=True)
+    points = _build_start_points(n, seed)
     points.flags.writeable = False
     return points
 

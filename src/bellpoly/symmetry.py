@@ -24,7 +24,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .inequality import SignTable
-from .transform import DimensionMismatchError, bit_matrix, bits_word, site_count, word_bits
+from .transform import DimensionMismatchError, bits_word, site_count, word_bits
 
 __all__ = [
     "GroupElement",
@@ -33,7 +33,6 @@ __all__ = [
     "classify_all",
     "group_order",
     "orbit_of_id",
-    "permute_word",
 ]
 
 MAX_ORBIT_SITES = 6
@@ -44,15 +43,6 @@ def group_order(n: int) -> int:
     """|G| = n! * 2^(2n+1)."""
     n = site_count(n)
     return math.factorial(n) << (2 * n + 1)
-
-
-def permute_word(x: int, perm: tuple[int, ...]) -> int:
-    """Route bit j of x to bit perm[j] of the result."""
-    out = 0
-    for j, target in enumerate(perm):
-        if (x >> j) & 1:
-            out |= 1 << target
-    return out
 
 
 @dataclass(frozen=True)
@@ -92,7 +82,9 @@ def apply(g: GroupElement, f: SignTable) -> SignTable:
     if g.n != f.n:
         raise DimensionMismatchError(f"site counts differ: {g.n} vs {f.n}")
     s0, r0, sign, signs = g.s0, g.r0, g.sign, f.signs
-    pr = [permute_word(r, g.perm) for r in range(1 << f.n)]
+    pr = [0]
+    for target in g.perm:  # pr[r] is r with bit j moved to bit perm[j]
+        pr += [p | 1 << target for p in pr]
     out = ((-sign if (s0 & p).bit_count() & 1 else sign) * signs[p ^ r0] for p in pr)
     return SignTable(f.n, tuple(out))
 
@@ -232,9 +224,8 @@ def orbit_of_id(n: int, table_id: int) -> Orbit:
 @lru_cache(maxsize=8)
 def _symmetric_ids(n: int) -> np.ndarray:
     """The 2^(n+1) ids of the tables whose f(r) depends only on weight(r), read-only."""
-    weight = bit_matrix(n).sum(axis=1).astype(int)
-    tables = bit_matrix(n + 1)[:, weight].astype(np.uint8)  # row c: f(r) from bit weight(r) of c
-    ids = np.array([bits_word(bits.tobytes()) for bits in tables], dtype=np.uint64)
+    weight = [r.bit_count() for r in range(1 << n)]  # table c: f(r) from bit weight(r) of c
+    ids = np.array([bits_word(c >> w & 1 for w in weight) for c in range(2 << n)], dtype=np.uint64)
     ids.flags.writeable = False
     return ids
 

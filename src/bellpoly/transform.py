@@ -10,8 +10,8 @@ state, which puts site 1 in the most significant bit, as np.kron does
 arithmetic; its constant-geometry butterfly is the package's only transform
 and also computes the float spectrum of a correlation vector.
 
-Only bit_matrix computes with floats: it imports numpy on its first call, so
-the codecs, the transform and DyadicVector load and run without numpy.
+Only bit_matrix computes with floats, and it feeds only float code; it imports
+numpy on its first call, so the codecs, the transform and DyadicVector load and run without numpy.
 """
 
 from __future__ import annotations

@@ -35,6 +35,14 @@ def test_extreme_point_examples():
     assert extreme_point(2, 0b01, sign=-1).xi == (-1, 1, -1, 1)
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_extreme_point_matches_its_definition(n):
+    for r, sign in itertools.product(range(1 << n), (1, -1)):
+        xi = extreme_point(n, r, sign).xi
+        assert xi == tuple(float(sign * (-1) ** (r & s).bit_count()) for s in range(1 << n))
+        assert all(type(v) is float for v in xi)
+
+
 def test_extreme_point_validation():
     with pytest.raises(ValueError):
         extreme_point(2, 4)

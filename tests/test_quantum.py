@@ -36,6 +36,7 @@ from bellpoly import quantum
 from bellpoly.quantum import (
     ViolationResult,
     _ascent_terms,
+    _build_start_points,
     _coefficient_array,
     _coordinate_sweeps,
     _newton_ascent,
@@ -203,6 +204,9 @@ def test_observable_spec_rejects_non_finite_angles(bad):
     for angles in (((bad, 0.0), (0.0, 1.0)), ((0.0, 0.0), (0.0, bad))):
         with pytest.raises(ValueError, match=f"^angles must be finite, got {bad}$"):
             ObservableSpec(angles)
+    # with two bad angles the message names the first, in site order
+    with pytest.raises(ValueError, match="^angles must be finite, got nan$"):
+        ObservableSpec(((0.0, math.nan), (math.inf, 1.0)))
     # finite angles are kept as given, unreduced
     assert ObservableSpec(((7.0, -1), (0, 1))).angles == ((7.0, -1.0), (0.0, 1.0))
 
@@ -720,7 +724,7 @@ def test_start_points_copy_a_cached_one_block_grid():
     quantum._cached_start_points.cache_clear()
     for n in range(1, 9):
         for seed in (0, 7):
-            fresh = _start_points(n, seed, fresh=True)
+            fresh = _build_start_points(n, seed)
             points = _start_points(n, seed)
             assert points.flags.writeable
             assert points.dtype == fresh.dtype and points.tobytes() == fresh.tobytes()

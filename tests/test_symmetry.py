@@ -21,13 +21,31 @@ from bellpoly.symmetry import (
     _shift_site,
     _sign_code,
     _swap_sites,
+    _symmetric_ids,
     apply,
     classify_all,
     group_order,
     orbit_of_id,
-    permute_word,
 )
 from bellpoly.transform import DimensionMismatchError, bit_matrix, word_bits
+
+
+def permute_word(x: int, perm: tuple[int, ...]) -> int:
+    """Route bit j of x to bit perm[j] of the result, one bit at a time."""
+    out = 0
+    for j, target in enumerate(perm):
+        if (x >> j) & 1:
+            out |= 1 << target
+    return out
+
+
+def apply_per_bit(g: GroupElement, f: SignTable) -> SignTable:
+    """apply's definition, f'(r) = sign * (-1)^<s0, pi(r)> * f(pi(r) ^ r0), word by word."""
+    out = []
+    for r in range(1 << f.n):
+        p = permute_word(r, g.perm)
+        out.append(g.sign * (-1) ** (g.s0 & p).bit_count() * f.signs[p ^ g.r0])
+    return SignTable(f.n, tuple(out))
 
 
 # The group algebra: the law and inverses that apply must obey.
@@ -79,6 +97,39 @@ def test_permute_word_routes_bits():
     # send bit 0 to bit 2, bit 1 to bit 0, bit 2 to bit 1
     assert permute_word(0b001, (2, 0, 1)) == 0b100
     assert permute_word(0b110, (2, 0, 1)) == 0b011
+
+
+def _all_elements(n):
+    for perm in itertools.permutations(range(n)):
+        for r0, s0, sign in itertools.product(range(1 << n), range(1 << n), (1, -1)):
+            yield GroupElement(perm, r0, s0, sign)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_apply_matches_the_per_bit_route_on_every_element(n):
+    """Every element, on every table at n <= 2 and on 8 seeded tables at n = 3."""
+    ids = range(1 << (1 << n)) if n <= 2 else np.random.default_rng(33).integers(0, 1 << 8, size=8)
+    tables = [id_to_signs(n, int(v)) for v in ids]
+    for g in _all_elements(n):
+        assert all(apply(g, f) == apply_per_bit(g, f) for f in tables)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_apply_matches_the_per_bit_route_on_seeded_pairs(n):
+    rng = np.random.default_rng(300 + n)
+    for _ in range(200):
+        g = random_element(n, rng)
+        f = id_to_signs(n, int(rng.integers(0, (1 << (1 << n)) - 1, dtype=np.uint64, endpoint=True)))
+        assert apply(g, f) == apply_per_bit(g, f)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_symmetric_ids_match_their_definition(n):
+    """Table c of the 2^(n+1) symmetric ones has f(r) = -1 iff bit weight(r) of c is set."""
+    ids = _symmetric_ids(n)
+    assert not ids.flags.writeable and ids.dtype == np.uint64
+    expected = [sum((c >> r.bit_count() & 1) << r for r in range(1 << n)) for c in range(2 << n)]
+    assert ids.tolist() == expected and len(set(expected)) == 2 << n
 
 
 def _seeded_words(n, count, seed):
@@ -357,12 +408,6 @@ def test_orbit_flags_outside_the_census():
     product = orbit_of_id(5, signs_to_id(SignTable(5, [chsh[r & 3] * maximal[r >> 2] for r in range(32)])))
     assert product.size == 640
     assert product.factorizing and not product.permutation_invariant
-
-
-def _all_elements(n):
-    for perm in itertools.permutations(range(n)):
-        for r0, s0, sign in itertools.product(range(1 << n), range(1 << n), (1, -1)):
-            yield GroupElement(perm, r0, s0, sign)
 
 
 def _assert_well_formed(orb):
