@@ -158,10 +158,10 @@ def nesting_to_json(tree: Nesting) -> dict:
 
 def nesting_from_json(obj: dict) -> Nesting:
     if obj.get("op") == "chsh":
-        return NestingNode(
-            a0=nesting_from_json(obj["a0"]), a1=nesting_from_json(obj["a1"])
-        )
+        return NestingNode(nesting_from_json(obj["a0"]), nesting_from_json(obj["a1"]))
     try:
-        return NestingLeaf(choice=obj["choice"], sign=obj["sign"])
+        choice, sign = obj["choice"], obj["sign"]
     except KeyError as exc:
         raise ValueError(f"nesting object is missing key {exc}") from exc
+    leaf = type(choice) is type(sign) is int and _LEAVES.get((sign, sign * (1 - 2 * choice)))
+    return leaf or NestingLeaf(choice, sign)  # a JSON true or 1.0 loads as given

@@ -182,21 +182,21 @@ def polynomial_string(beta: BellTable) -> str:
     return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
-# A term: a prefix (signs, coefficient) then a word (site factors), else the tail.
-# (?![\d/]) ends a coefficient where its token ends, or a failed term would
-# retry all 2^(k-1) splits of a k-digit run.
+# A term: a prefix (non-letters) then a word (a letter, then [a-z\d\s/]), else the
+# tail; the classes are disjoint, so no scan backtracks.  _TOKEN_RE reads a piece
+# token by token, and (\S) is a character that starts no token: a stray.
 _TOKEN = r"[+-]|\d+(?:/\d+)?|[a-z]\d+"
-_TOKEN_RE, _TOKENS_RE = re.compile(_TOKEN), re.compile(rf"(?:\s*(?:{_TOKEN}))*")
-_TERM_RE = re.compile(
-    r"((?:\s*(?:[+-]|\d+(?:/\d+)?(?![\d/])))*)((?:\s*[a-z]\d+)+)|(.+)", re.DOTALL
-)
+_TOKEN_RE, _TOKENS_RE = re.compile(rf"({_TOKEN})|(\S)"), re.compile(rf"(?:\s*(?:{_TOKEN}))*")
+_TERM_RE = re.compile(r"([^a-z]*)([a-z][a-z\d\s/]*)|(.+)", re.DOTALL)
 
 
 @lru_cache(maxsize=1024)
 def _coefficient(prefix: str, first: bool) -> tuple[int, int]:
     """(signed numerator, denominator) of a prefix; only the first may lack a sign."""
     sign, num, den, signed = 1, None, 1, first
-    for tok in _TOKEN_RE.findall(prefix):
+    for tok, stray in _TOKEN_RE.findall(prefix):
+        if stray:
+            raise ValueError(f"stray {stray!r}")  # parse_polynomial reports where the scan stops
         if tok in ("+", "-"):
             sign, signed = (1 if tok == "+" else -1), True
         elif num is not None or not signed:
@@ -211,10 +211,14 @@ def _coefficient(prefix: str, first: bool) -> tuple[int, int]:
 
 @lru_cache(maxsize=1024)
 def _monomial(word: str) -> tuple[int, int]:
-    """(s, site mask) of a term's site factors, e.g. ' a1 b2' -> (2, 3)."""
+    """(s, site mask) of a term's site factors, e.g. 'a1 b2 ' -> (2, 3)."""
     s = mask = 0
-    for tok in _TOKEN_RE.findall(word):
-        bit, choice = 1 << _SITE_LETTERS.index(tok[0]), int(tok[1:]) - 1
+    for tok, stray in _TOKEN_RE.findall(word):
+        if stray:
+            raise ValueError(f"stray {stray!r}")
+        if (site := _SITE_LETTERS.find(tok[0])) < 0:
+            raise ValueError(f"misplaced coefficient {tok!r}")
+        bit, choice = 1 << site, int(tok[1:]) - 1
         if choice not in (0, 1):
             raise ValueError(f"choice subscript must be 1 or 2 in {tok!r}")
         if mask & bit:
@@ -228,10 +232,10 @@ def parse_polynomial(text: str, n: int | None = None) -> BellTable:
 
     Every term must name each site exactly once (letters a..z, choice
     subscript 1 or 2); terms on one monomial are summed, and each sum must
-    be a dyadic rational.  One regex scan splits the text into terms, each
-    a prefix (' - 3/8') then a word (' a1 b2'); both recur across tables
-    and go through lru_caches of 1,024 entries (~0.15 MB of n=12 words),
-    never a whole text or table.  Errors come in text order.
+    be a dyadic rational.  One flat regex scan splits the text into terms,
+    each a prefix ('- 3/8 ') then a word ('a1 b2 '), which lru_caches of 1,024
+    entries (~0.15 MB of n=12 words, never a whole text) check and convert.
+    A text that is not a run of tokens fails as such, before any term error.
     """
     stripped = text.strip()
     if stripped == "0":
@@ -241,15 +245,17 @@ def parse_polynomial(text: str, n: int | None = None) -> BellTable:
         return BellTable(DyadicVector(n, (0,) * (1 << n), 0))
     found = _TERM_RE.findall(stripped)
     tail = found.pop()[2] if found and found[-1][2] else ""
-    end = _TOKENS_RE.match(stripped, len(stripped) - len(tail)).end()
-    if end != len(stripped):
-        raise ValueError(f"cannot parse polynomial near {stripped[end:end + 12]!r}")
     terms: list[tuple[int, int, int, int]] = []  # (numerator, denominator, s, mask)
-    for prefix, word, _ in found:
-        terms.append((*_coefficient(prefix, not terms), *_monomial(word)))
-    if tail or not terms:
-        _coefficient.__wrapped__(tail, not terms)  # the tail's own errors first, uncached
-        raise ValueError("term without site factors")
+    try:
+        for prefix, word, _ in found:
+            terms.append((*_coefficient(prefix, not terms), *_monomial(word)))
+        if tail or not terms:
+            _coefficient.__wrapped__(tail, not terms)  # the tail's own errors first, uncached
+            raise ValueError("term without site factors")
+    except ValueError:
+        if (end := _TOKENS_RE.match(stripped).end()) != len(stripped):
+            raise ValueError(f"cannot parse polynomial near {stripped[end:end + 12]!r}") from None
+        raise
 
     sites = max(t[3] for t in terms).bit_length()
     if n is not None and n != sites:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bellpoly.compose import (
+    _LEAVES,
     NestingLeaf,
     NestingNode,
     chsh_decompose,
@@ -249,6 +250,81 @@ def test_nesting_json_roundtrip():
     assert nesting_from_json({"site": 1, "choice": 1, "sign": -1}) == NestingLeaf(choice=1, sign=-1)
     with pytest.raises(ValueError):
         nesting_from_json({"op": "chsh", "a0": {"site": 1}, "a1": {}})
+
+
+def reference_from_json(obj):
+    """The loader as it was, one keyword-built node or leaf per object: the reference for errors."""
+    if obj.get("op") == "chsh":
+        return NestingNode(a0=reference_from_json(obj["a0"]), a1=reference_from_json(obj["a1"]))
+    try:
+        return NestingLeaf(choice=obj["choice"], sign=obj["sign"])
+    except KeyError as exc:
+        raise ValueError(f"nesting object is missing key {exc}") from exc
+
+
+def test_nesting_from_json_shares_the_int_leaves():
+    shared = list(_LEAVES.values())
+    for choice in (0, 1):
+        for sign in (1, -1):
+            leaf = nesting_from_json({"choice": choice, "sign": sign})
+            assert leaf == NestingLeaf(choice=choice, sign=sign)
+            assert any(leaf is other for other in shared)
+    tree = nesting_from_json(nesting_to_json(full_nesting(MERMIN3)))
+    while isinstance(tree, NestingNode):
+        tree = tree.a1
+    assert any(tree is other for other in shared)
+
+
+def test_nesting_from_json_keeps_bool_and_float_values():
+    for obj, kind in (
+        ({"choice": True, "sign": 1}, bool),
+        ({"choice": 1.0, "sign": -1}, float),
+        ({"choice": 0, "sign": True}, bool),
+    ):
+        leaf = nesting_from_json(obj)
+        assert leaf == NestingLeaf(choice=obj["choice"], sign=obj["sign"])
+        assert (type(leaf.choice), type(leaf.sign)).count(kind) == 1
+        assert all(leaf is not other for other in _LEAVES.values())
+
+
+def test_nesting_json_round_trips_through_text():
+    import json
+    import random
+
+    rnd = random.Random(31)
+    for n in range(2, 9):
+        for _ in range(4):
+            tree = full_nesting(bell_table_from_id(n, rnd.getrandbits(1 << n)))
+            obj = json.loads(json.dumps(nesting_to_json(tree)))
+            assert nesting_from_json(obj) == tree == reference_from_json(obj)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {},
+        {"choice": 0},
+        {"sign": 1},
+        {"op": "chsh", "a0": {"choice": 0, "sign": 1}},
+        {"op": "chsh", "a1": {"choice": 0, "sign": 1}},
+        {"op": "chsh", "a0": {"site": 1}, "a1": {}},
+        {"op": "chsh", "a0": {"choice": 0, "sign": 1}, "a1": {"op": "chsh", "a0": {}}},
+        {"op": "other", "choice": 1, "sign": -1},
+        {"choice": 2, "sign": 1},
+        {"choice": "1", "sign": 1},
+        {"choice": 1, "sign": 0},
+        {"choice": 10**30, "sign": -1},
+        [],
+    ],
+)
+def test_nesting_from_json_matches_the_reference_loader(obj):
+    def outcome(load):
+        try:
+            return load(obj)
+        except Exception as exc:
+            return type(exc), str(exc)
+
+    assert outcome(nesting_from_json) == outcome(reference_from_json)
 
 
 def test_evaluate_nesting_rejects_malformed_leaves_and_nodes():

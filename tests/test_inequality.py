@@ -415,6 +415,17 @@ def test_polynomial_text_matches_oracle_on_dyadic_tables(beta, rnd, scale):
         "1/0 a1 a1",
         "a1 a3 - 1/0 b1",
         "a1 b1 - 1/0",
+        # a word runs from a letter over letters, digits, spaces and '/', so
+        # coefficients, stray characters and long digit runs can land inside it
+        "+ a1 b11/1 ",
+        "a1 1/2 b1",
+        "a1 12 b1",
+        "a1 2/0 b1",
+        "x1 a1",
+        "a1 x b1",
+        "A1 b1",
+        "1/2 3 a1",
+        "a1\tb1\n- 1/2 a2 b2",
     ],
 )
 @pytest.mark.parametrize("n", [None, 1, 2])
@@ -465,11 +476,26 @@ def test_a_digit_run_is_not_split_by_backtracking():
     # a term scan free to split '111...1' into several coefficients retries
     # all 2^25 splits before giving up (about 15 s); the token grammar has one
     start = time.perf_counter()
-    for text in ("1" * 26 + "#", "1/" + "1" * 26 + " #", "a1 + " + "1" * 26 + "/"):
+    # nor may a long run of one of the term scan's classes cost more than linear time
+    texts = ("1" * 26 + "#", "1/" + "1" * 26 + " #", "a1 + " + "1" * 26 + "/")
+    for text in texts + ("a1 " * 20000 + "#", "1/2" + " " * 100000 + "#", "a" * 50000):
         assert _outcome(parse_polynomial, text, None) == _outcome(
             oracle_parse_polynomial, text, None
         )
     assert time.perf_counter() - start < 1.0
+
+
+def test_glued_and_tabbed_text_parses_to_the_same_table():
+    beta = bell_table_from_id(8, random.Random(8).getrandbits(1 << 8))
+    text = polynomial_string(beta)
+    glued = text.replace(" ", "")
+    tabbed = text.replace(" + ", "\t+\n").replace(" - ", "\n-\t").replace(" ", "\t")
+    assert "/" in glued and "\t" in tabbed and "\n" in tabbed
+    for variant in (text, glued, tabbed):
+        assert parse_polynomial(variant, 8) == beta
+        assert _outcome(parse_polynomial, variant, None) == _outcome(
+            oracle_parse_polynomial, variant, None
+        )
 
 
 def test_polynomial_text_round_trip_past_the_cache_bounds():
