@@ -197,7 +197,7 @@ def cmd_ppt_check(args: argparse.Namespace) -> Iterator[dict]:
         if count < 1:
             raise ValueError(f"{flag} must be at least 1, got {count}")
     rng = np.random.default_rng(args.seed)
-    threshold = 1.0 + 1e-9
+    threshold = 1.0 + classical.BOUNDARY_TOL  # the `membership` threshold
     worst, worst_state, worst_spec = 0.0, None, None
     for state_index in range(args.states):
         rho = quantum.sample_separable(args.n, args.terms, rng)

@@ -296,26 +296,24 @@ def _newton_ascent(coeffs: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, ...
     value (floored at 1e-8 of the largest), so it climbs out of saddles.  It
     is halved until |T|^2 rises, or holds within rounding as the gradient
     shrinks.  A start stops at its gradient tolerance, after _MAX_ITERATIONS
-    steps, or after _MAX_HALVINGS rejected trials in a row.  Each round, the
-    live starts at full length (no direction yet, or stepped since the last)
-    take a new direction from one stacked eigh, and every live start's trial
-    is evaluated in one batch.
+    steps, or after _MAX_HALVINGS rejected trials in a row.  Each round, every
+    live start takes its direction at its current point from one stacked eigh,
+    and their trials are evaluated in one batch.
     The angles each start accepts are written into phi; returned, per start,
     are |T|^2, T and the gradient norm there, and the number of steps taken.
     """
     value, grad, hess, total = _ascent_terms(coeffs, phi)
     grad_norm = np.sqrt(np.add.reduce(grad * grad, axis=1))
-    delta, length, steps = np.empty_like(phi), np.ones(len(phi)), np.zeros(len(phi), int)
+    length, steps = np.ones(len(phi)), np.zeros(len(phi), int)
     while (live := np.flatnonzero(
         (grad_norm > _GRADIENT_TOL) & (steps < _MAX_ITERATIONS) & (length > 0.5**_MAX_HALVINGS)
     )).size:
-        if (turn := live[length[live] == 1.0]).size:
-            eigvals, eigvecs = np.linalg.eigh(hess[turn])
-            scale = np.abs(eigvals)
-            scale = np.maximum(scale, np.maximum(1e-8 * scale.max(axis=1, keepdims=True), _TINY))
-            along = np.einsum("mji,mj->mi", eigvecs, grad[turn]) / scale
-            delta[turn] = np.einsum("mij,mj->mi", eigvecs, along)
-        trial = np.mod(phi[live] + length[live, None] * delta[live], TWO_PI)
+        eigvals, eigvecs = np.linalg.eigh(hess[live])
+        scale = np.abs(eigvals)
+        scale = np.maximum(scale, np.maximum(1e-8 * scale.max(axis=1, keepdims=True), _TINY))
+        along = np.einsum("mji,mj->mi", eigvecs, grad[live]) / scale
+        delta = np.einsum("mij,mj->mi", eigvecs, along)
+        trial = np.mod(phi[live] + length[live, None] * delta, TWO_PI)
         t_value, t_grad, t_hess, t_total = _ascent_terms(coeffs, trial)
         t_norm = np.sqrt(np.add.reduce(t_grad * t_grad, axis=1))
         before = value[live]

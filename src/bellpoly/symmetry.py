@@ -2,9 +2,9 @@
 
 The group combines observable swaps (XOR shifts of the argument), outcome
 sign flips (linear sign characters), site permutations and a global sign;
-its order is n! * 2^(2n+1).  On packed table words a site transposition is
-one delta swap and an XOR shift one block swap, so the n! 2^n images of a
-word take n(n+1)/2 array passes.  The sign flips XOR in a codeword of the
+its order is n! * 2^(2n+1).  On packed table words a site transposition and
+an XOR shift are each one delta swap, so the n! 2^n images of a word take
+n(n+1)/2 array passes.  The sign flips XOR in a codeword of the
 Reed-Muller code RM(1, n), which every element maps onto itself: an orbit is
 a disjoint union of its cosets, and an Orbit holds only their least elements,
 sorted.  The least id is the first minimum and the size 2^(n+1) per coset; an
@@ -109,24 +109,15 @@ def _sign_code(n: int) -> tuple[tuple[int, ...], tuple[int, ...], np.ndarray]:
     return x, tuple(basis), codewords
 
 
-def _swap_sites(words: np.ndarray, n: int, i: int, j: int, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Images under the transposition of site bits i < j, as one delta swap, written
-    into out with scratch as work space (both arrays shaped like words)."""
-    x, delta = _sign_code(n)[0], (1 << j) - (1 << i)
+def _delta_swap(words: np.ndarray, delta: int, mask: int, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Each word with bit r and bit r + delta swapped for every bit r set in mask, written
+    into out with scratch as work space (both arrays shaped like words).  The moved bits,
+    mask << delta, must lie in the word and clear of mask."""
     t = np.right_shift(words, delta, out=scratch)
     t ^= words
-    t &= x[i] & ~x[j]  # bit r with r_i = 1, r_j = 0
-    np.bitwise_xor(words, t, out=out)
-    out ^= np.left_shift(t, delta, out=t)
-    return out
-
-
-def _shift_site(words: np.ndarray, n: int, k: int, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Images under the XOR shift r -> r ^ 2^k, as a swap of 2^k-bit blocks, into out."""
-    low = ((1 << (1 << n)) - 1) ^ _sign_code(n)[0][k]
-    np.bitwise_and(np.right_shift(words, 1 << k, out=out), low, out=out)
-    out |= np.left_shift(np.bitwise_and(words, low, out=scratch), 1 << k, out=scratch)
-    return out
+    t &= mask
+    t *= (1 << delta) + 1  # t | t << delta in one pass: the two bit sets are disjoint
+    return np.bitwise_xor(words, t, out=out)
 
 
 def _coset_minima(words: int | np.ndarray, basis: tuple, scratch=None) -> int | np.ndarray:
@@ -201,19 +192,20 @@ def orbit_of_id(n: int, table_id: int) -> Orbit:
         raise ValueError(f"orbit sweeps are limited to n <= {MAX_ORBIT_SITES}")
     if not 0 <= operator.index(table_id) < 1 << (1 << n):
         raise ValueError(f"id {table_id} out of range for n={n}")
-    _, basis, codewords = _sign_code(n)
+    x, basis, codewords = _sign_code(n)
+    # one stage per m, S_(m+1) = union of the cosets S_m (k m), k <= m, moving bits r with r_k = 1,
+    # r_m = 0; then one per XOR shift r -> r ^ 2^k, moving bits r with r_k = 0, each a doubling
+    full = (1 << (1 << n)) - 1
+    stages = [[((1 << m) - (1 << k), x[k] & ~x[m]) for k in range(m)] for m in range(1, n)]
+    stages += [[(1 << k, full ^ x[k])] for k in range(n)]
     # the n! 2^n images fill one array block by block, then are reduced in place
     words = np.empty(math.factorial(n) << n, codewords.dtype)
     scratch = np.empty_like(words)
     words[0], size = table_id, 1
-    for m in range(1, n):  # S_(m+1) is the union of the cosets S_m (k m), k <= m
-        for k in range(m):
-            lo = size * (k + 1)
-            _swap_sites(words[:size], n, k, m, words[lo : lo + size], scratch[:size])
-        size *= m + 1
-    for k in range(n):
-        _shift_site(words[:size], n, k, words[size : 2 * size], scratch[:size])
-        size *= 2
+    for moves in stages:
+        for slot, (delta, mask) in enumerate(moves, 1):
+            _delta_swap(words[:size], delta, mask, words[slot * size : (slot + 1) * size], scratch[:size])
+        size *= len(moves) + 1
     # sort and compare, not np.unique (numpy 2.4 hashes uint64, ~40x slower here)
     _coset_minima(words, basis, scratch).sort()
     minima = words[np.append(True, words[1:] != words[:-1])]

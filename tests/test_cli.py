@@ -521,6 +521,12 @@ def test_ppt_check_small_run(capsys):
     assert report["seed"] == 7
 
 
+def test_ppt_check_uses_the_membership_threshold(capsys):
+    """ppt-check's passed and membership's member answer one question: is the margin classical."""
+    code, out, _ = run(capsys, "ppt-check", "-n", "2", "--states", "1", "--specs", "1")
+    assert code == EXIT_OK and json.loads(out)["threshold"] == 1.0 + classical.BOUNDARY_TOL
+
+
 def test_ppt_check_names_a_replayable_worst_case(capsys):
     args = ("-n", "3", "--states", "4", "--specs", "5", "--terms", "2", "--seed", "11")
     code, out, _ = run(capsys, "ppt-check", *args)

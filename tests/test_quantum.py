@@ -263,6 +263,26 @@ def test_max_violation_n3_representatives(value, expected):
     )
 
 
+@pytest.mark.parametrize(
+    "n, table_id, expected",
+    [
+        (6, 7106521602475165645, 2.401842716),  # random.Random(0).getrandbits(64)
+        (8, 13654052880323412379663692421328806547061611885489941438207873342831887495669, 2.910882984),
+        *((n, None, mermin_bound(n)) for n in (5, 6, 7)),  # the Mermin tables
+    ],
+    ids=["seeded-6", "seeded-8", "mermin-5", "mermin-6", "mermin-7"],
+)
+def test_max_violation_reaches_the_recorded_values(n, table_id, expected):
+    """The values the CLI steps of the CI workflow print, to their 9 decimals."""
+    if table_id is None:
+        beta = coefficients_from_signs(mermin_sign_table(n))
+    else:
+        beta = bell_table_from_id(n, table_id)
+    result = max_violation(beta)
+    assert result.converged
+    assert round(result.value, 9) == round(expected, 9)
+
+
 def test_max_violation_deterministic_and_bounded():
     a = max_violation(CHSH, seed=5)
     b = max_violation(CHSH, seed=5)

@@ -18,9 +18,8 @@ from bellpoly.inequality import (
 from bellpoly.symmetry import (
     GroupElement,
     _coset_minima,
-    _shift_site,
+    _delta_swap,
     _sign_code,
-    _swap_sites,
     _symmetric_ids,
     apply,
     classify_all,
@@ -141,25 +140,29 @@ def _seeded_words(n, count, seed):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_bit_moves_match_group_elements(n):
+    """Both generator kinds as one delta swap: (i j) moves bits r with r_i = 1, r_j = 0
+    by 2^j - 2^i, and the XOR shift of site k moves bits r with r_k = 0 by 2^k."""
     words = _seeded_words(n, 12, 40 + n)
-    packed = np.array(words, dtype=_sign_code(n)[2].dtype)  # the dtype the sweep uses
+    x, _, codewords = _sign_code(n)
+    packed = np.array(words, dtype=codewords.dtype)  # the dtype the sweep uses
+    full = (1 << (1 << n)) - 1
+    moves = []
     for i, j in itertools.combinations(range(n), 2):
         perm = list(range(n))
         perm[i], perm[j] = j, i
-        g = GroupElement(tuple(perm), 0, 0, 1)
+        pi = [permute_word(r, perm) for r in range(1 << n)]
+        moves.append((GroupElement(tuple(perm), 0, 0, 1), pi, (1 << j) - (1 << i), x[i] & ~x[j]))
+    for k in range(n):
+        pi = [r ^ 1 << k for r in range(1 << n)]
+        moves.append((GroupElement(tuple(range(n)), 1 << k, 0, 1), pi, 1 << k, full ^ x[k]))
+    for g, pi, delta, mask in moves:
         expected = [signs_to_id(apply(g, id_to_signs(n, w))) for w in words]
         out = np.empty_like(packed)
-        assert _swap_sites(packed, n, i, j, out, np.empty_like(packed)) is out
+        assert _delta_swap(packed, delta, mask, out, np.empty_like(packed)) is out
         assert out.tolist() == expected and packed.tolist() == words
         # bit r of the image is bit pi(r) of the word
         for w, image in zip(words, expected):
-            assert all((image >> r & 1) == (w >> permute_word(r, perm) & 1) for r in range(1 << n))
-    for k in range(n):
-        g = GroupElement(tuple(range(n)), 1 << k, 0, 1)
-        expected = [signs_to_id(apply(g, id_to_signs(n, w))) for w in words]
-        out = np.empty_like(packed)
-        assert _shift_site(packed, n, k, out, np.empty_like(packed)) is out
-        assert out.tolist() == expected and packed.tolist() == words
+            assert all((image >> r & 1) == (w >> pi[r] & 1) for r in range(1 << n))
 
 
 def _sign_character_masks(n):
