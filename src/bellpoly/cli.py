@@ -250,7 +250,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_membership)
 
     p = sub.add_parser("violation", help="maximal quantum violation of one inequality")
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-n", type=int, required=True, help="site count (1..12; n >= 11 runs for minutes)")
     p.add_argument("--id", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_violation)

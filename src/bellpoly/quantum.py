@@ -50,7 +50,7 @@ MAX_SIMULATOR_QUBITS = 12
 _HERMITIAN_TOL = 1e-12
 _TRACE_TOL = 1e-12
 _EIGENVALUE_TOL = 1e-10
-# starts per batched ascent: memory stays O(block * 2^n * n) at every n
+# starts per sweep block and most starts polished: memory O(block * 2^n * n) at every n
 _START_BLOCK = 1024
 _RANDOM_STARTS = 32
 # cycles of closed-form site steps over sites 1..n before the Newton ascent
@@ -175,10 +175,10 @@ class ViolationResult:
     """The winning start's value, phases and gradient norm, as its ascent left them.
 
     `starts` counts every swept start, (4^(n-1) + 2^(n-1))/2 + 32, `polished`
-    those the sweeps left within `_POLISH_GAP` of the best (they took the Newton
-    ascent), and `iterations` their Newton steps.  The last two count one run on
-    one BLAS build, since a start's rounding, and so its path, moves with its
-    batch and the BLAS; tests pin only `value`, `converged` and attaining phases.
+    those that took the Newton ascent (at most `_START_BLOCK`), and `iterations`
+    their Newton steps.  The last two count one run on one BLAS build, since a
+    start's rounding, and so its path, moves with its batch and the BLAS; tests
+    pin only `value`, `converged` and attaining phases.
     """
 
     value: float
@@ -341,11 +341,11 @@ def max_violation(beta: BellTable, *, seed: int = 0) -> ViolationResult:
     (`_start_points`).  Closed-form site steps, site n first and then `_SWEEPS`
     cycles over sites 1..n, turn one angle at a time to its best value
     (`_coordinate_sweeps`); no step lowers |T|.  Every block of `_START_BLOCK`
-    starts is swept first, and only the starts swept to within `_POLISH_GAP`
-    of the best swept |T| over all blocks climb on, over all n angles at once,
-    by saddle-free Newton steps with the exact gradient and Hessian (see
-    `_newton_ascent`), again in blocks.  Of the polished starts whose |T|^2
-    holds the best within `_HOLD_EPS`, the one of least gradient norm wins.
+    starts is swept first.  Of the starts swept to within `_POLISH_GAP` of the
+    best swept |T|, at most `_START_BLOCK`, the highest swept first (grid order
+    breaks ties), climb on in one batch in grid order by saddle-free Newton
+    steps over all n angles (`_newton_ascent`).  Of the polished starts whose
+    |T|^2 holds the best within `_HOLD_EPS`, the one of least gradient norm wins.
     Its |T|, T and norm are the ones the ascent returned, not evaluated again;
     phi0 = -arg T, so extreme_point_q(result.phases) attains the value, and
     `converged` says the norm is at most 1e-8.  Deterministic for a given
@@ -357,9 +357,9 @@ def max_violation(beta: BellTable, *, seed: int = 0) -> ViolationResult:
     coeffs = _coefficient_array(beta)
     starts = _start_points(_qubit_count(beta.n), seed)
     swept = np.concatenate([_coordinate_sweeps(coeffs, b) for b in _blocks(starts)])
-    kept = starts[swept >= (1.0 - _POLISH_GAP) ** 2 * swept.max()]  # swept holds |T|^2
-    runs = zip(*(_newton_ascent(coeffs, b) for b in _blocks(kept)))  # climbs kept in place
-    values, totals, norms, steps = map(np.concatenate, runs)
+    near = np.flatnonzero(swept >= (1.0 - _POLISH_GAP) ** 2 * swept.max())  # swept holds |T|^2
+    kept = starts[np.sort(near[np.argsort(-swept[near], kind="stable")[:_START_BLOCK]])]
+    values, totals, norms, steps = _newton_ascent(coeffs, kept)  # climbs kept in place
     tied = np.flatnonzero(values >= values.max() - _HOLD_EPS * max(values.max(), 1.0))
     best = tied[np.argmin(norms[tied])]
     return ViolationResult(

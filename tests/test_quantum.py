@@ -560,9 +560,11 @@ def test_max_violation_matches_values_recorded_before_the_sweeps():
 
 
 def test_max_violation_blocks_do_not_change_the_result(monkeypatch):
-    """Splitting the starts into small blocks gives the same search: the filter
-    reads the best swept |T| over all blocks, not block by block.  On the n=5
-    table the sweeps leave fewer starts near the best than there are blocks."""
+    """Splitting the starts into small blocks gives the same value: the filter
+    reads the best swept |T| over all blocks, not block by block, and at most
+    one block of the starts it keeps, the highest swept first, is polished.
+    On the n=5 table the sweeps leave fewer starts near the best than there
+    are blocks."""
     tables = [bell_table_from_id(4, 279), bell_table_from_id(5, 3059489832)]
     wholes = [max_violation(beta, seed=2) for beta in tables]
     monkeypatch.setattr(quantum, "_START_BLOCK", 7)
@@ -570,8 +572,20 @@ def test_max_violation_blocks_do_not_change_the_result(monkeypatch):
         split = max_violation(beta, seed=2)
         assert split.value == pytest.approx(whole.value, abs=1e-12)
         assert split.starts == whole.starts
-        assert split.polished == whole.polished < whole.starts
+        assert split.polished == min(whole.polished, 7)
+        assert whole.polished < whole.starts
     assert wholes[1].polished < wholes[1].starts / 7
+
+
+def test_max_violation_polishes_at_most_one_block():
+    """The Mermin table's maxima form a continuum, so the sweeps leave nearly
+    all 8,288 starts at n=8 within _POLISH_GAP of the best; only one block of
+    them, the highest swept first, takes the Newton ascent."""
+    result = max_violation(coefficients_from_signs(mermin_sign_table(8)))
+    assert result.starts == 8288
+    assert result.polished == quantum._START_BLOCK
+    assert abs(result.value - mermin_bound(8)) <= 1e-12 * mermin_bound(8)
+    assert result.converged
 
 
 def full_polish(beta: BellTable, seed: int) -> tuple[float, bool]:
@@ -591,14 +605,17 @@ def full_polish(beta: BellTable, seed: int) -> tuple[float, bool]:
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_filtered_search_matches_a_full_polish(seed):
-    """Polishing only the starts swept to within _POLISH_GAP of the best loses
-    no value and no convergence against polishing every swept start."""
+    """Polishing at most one block of the starts swept to within _POLISH_GAP
+    of the best loses no value and no convergence against polishing every
+    swept start."""
     ids = random.Random(26)
     tables = [bell_table_from_id(n, rec.canonical_id) for n in (3, 4) for rec in classify_all(n)]
     tables += [
         bell_table_from_id(n, ids.getrandbits(1 << n)) for n, count in ((5, 4), (6, 2), (7, 1))
         for _ in range(count)
     ]
+    # the sweeps leave more than one block of Mermin starts near the best
+    tables.append(coefficients_from_signs(mermin_sign_table(7)))
     for beta in tables:
         result = max_violation(beta, seed=seed)
         value, converged = full_polish(beta, seed)
