@@ -208,18 +208,16 @@ def _build_start_points(n: int, seed: int) -> np.ndarray:
     beta is real, so T(-phi) = conj T(phi), and grid points c and -c start
     mirrored paths: the grid {0, pi/2, pi, 3pi/2}^(n-1) x {0} keeps the first
     of each pair, then `_RANDOM_STARTS` seeded random points follow.  A dropped
-    mirror is neither climbed nor counted.  The grid codes are bytes."""
-    codes = np.indices((4,) * (n - 1) + (1,), dtype=np.uint8).reshape(n, 4 ** (n - 1))
-    # 0 and 2 are their own negatives mod 4, so c and -c first differ at c's
-    # first odd digit, and c comes first in grid order iff that digit is 1;
-    # the digits are read last to first so that the first odd one is kept
-    first_odd = np.zeros(4 ** (n - 1), np.uint8)
-    for digit in codes[::-1]:
-        np.copyto(first_odd, digit, where=digit % 2 == 1)
-    kept = codes[:, first_odd != 3]
-    points = np.empty((kept.shape[1] + _RANDOM_STARTS, n))
-    np.multiply(kept.T, 0.5 * math.pi, out=points[: kept.shape[1]])
-    points[kept.shape[1] :] = np.random.default_rng(seed).uniform(0.0, TWO_PI, (_RANDOM_STARTS, n))
+    mirror is neither climbed nor counted.  Grid point c is one uint32 code,
+    site 1 its top base-4 digit, so grid order is integer order."""
+    codes = np.arange(4 ** (n - 1), dtype=np.uint32)
+    # -d mod 4 swaps digits 1 and 3 and fixes 0 and 2: it flips a digit's high
+    # bit where its low bit is set; c is kept iff c <= -c (a self-mirror once)
+    codes = codes[codes <= codes ^ (codes & 0x55555555) << 1]
+    points = np.empty((len(codes) + _RANDOM_STARTS, n))
+    for k in range(n - 1):
+        np.multiply(codes >> 2 * (n - 2 - k) & 3, 0.5 * math.pi, out=points[: len(codes), k])
+    points[len(codes) :] = np.random.default_rng(seed).uniform(0.0, TWO_PI, (_RANDOM_STARTS, n))
     points[:, n - 1] = 0.0
     return points
 
