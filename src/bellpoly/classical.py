@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import csv
 import operator
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
 from .inequality import SignTable
-from .transform import DimensionMismatchError, _butterfly, bit_matrix, site_count
+from .transform import DimensionMismatchError, _butterfly, _Value, bit_matrix, site_count
 
 __all__ = [
     "BOUNDARY_TOL",
@@ -38,17 +37,15 @@ _ENTRY_TOL = 1e-9
 _LP_MAX_SITES = 4
 
 
-@dataclass(frozen=True)
-class CorrelationVector:
+class CorrelationVector(_Value):
     """2^n full-correlation expectations xi(s), each in [-1, 1]."""
 
-    n: int
-    xi: tuple[float, ...]
+    __slots__ = ("n", "xi")
 
-    def __post_init__(self) -> None:
-        n = site_count(self.n)
+    def __init__(self, n: int, xi: Sequence[float]) -> None:
+        n = site_count(n)
         try:
-            xi = tuple(map(float, self.xi))
+            xi = tuple(map(float, xi))
         except OverflowError:  # an int past the float range lies outside [-1, 1] too
             raise ValueError("correlation entries must lie in [-1, 1]") from None
         if len(xi) != 1 << n:

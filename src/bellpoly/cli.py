@@ -15,8 +15,8 @@ import json
 import os
 import re
 import sys
+from collections.abc import Iterable, Iterator
 from pathlib import Path
-from typing import Iterable, Iterator
 
 from . import inequality
 from .transform import site_count

@@ -11,11 +11,10 @@ form with single-site leaves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence, Union
+from collections.abc import Sequence
 
 from .inequality import BellTable, SignTable, signs_from_coefficients
-from .transform import MAX_SITES, DyadicVector, _butterfly
+from .transform import MAX_SITES, DyadicVector, _butterfly, _Value
 
 __all__ = [
     "NestingLeaf",
@@ -75,23 +74,27 @@ def chsh_decompose(f: SignTable) -> tuple[SignTable, SignTable]:
     return SignTable(f.n - 1, f.signs[:half]), SignTable(f.n - 1, f.signs[half:])
 
 
-@dataclass(frozen=True)
-class NestingLeaf:
+class NestingLeaf(_Value):
     """A single-site polynomial: sign * A(choice)."""
 
-    choice: int
-    sign: int
+    __slots__ = ("choice", "sign")
+
+    def __init__(self, choice: int, sign: int) -> None:
+        object.__setattr__(self, "choice", choice)
+        object.__setattr__(self, "sign", sign)
 
 
-@dataclass(frozen=True)
-class NestingNode:
+class NestingNode(_Value):
     """A CHSH shell: 1/2 a0 (A(0)+A(1)) + 1/2 a1 (A(0)-A(1)) on the split site."""
 
-    a0: "Nesting"
-    a1: "Nesting"
+    __slots__ = ("a0", "a1")
+
+    def __init__(self, a0: Nesting, a1: Nesting) -> None:
+        object.__setattr__(self, "a0", a0)
+        object.__setattr__(self, "a1", a1)
 
 
-Nesting = Union[NestingLeaf, NestingNode]
+Nesting = NestingLeaf | NestingNode
 
 # the leaf of every sign pair (f(2i), f(2i+1)), shared by all trees full_nesting builds
 _LEAVES = {(a, b): NestingLeaf(choice=int(a != b), sign=a) for a in (1, -1) for b in (1, -1)}

@@ -12,13 +12,13 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
+from collections.abc import Sequence
 from functools import lru_cache
-from typing import Sequence
 
 from .transform import (
     DimensionMismatchError,
     DyadicVector,
+    _Value,
     bits_word,
     site_count,
     walsh_hadamard,
@@ -47,16 +47,14 @@ class NotExtremalError(ValueError):
     """The coefficient table is not a facet: its transform leaves {-1,+1}."""
 
 
-@dataclass(frozen=True)
-class SignTable:
+class SignTable(_Value):
     """2^n signs f(r) in {-1,+1}, indexed by the configuration word r."""
 
-    n: int
-    signs: tuple[int, ...]
+    __slots__ = ("n", "signs")
 
-    def __post_init__(self) -> None:
-        n = site_count(self.n)
-        signs = tuple(map(operator.index, self.signs))
+    def __init__(self, n: int, signs: Sequence[int]) -> None:
+        n = site_count(n)
+        signs = tuple(map(operator.index, signs))
         if len(signs) != 1 << n:
             raise DimensionMismatchError(
                 f"expected {1 << n} signs for n={n}, got {len(signs)}"
@@ -67,11 +65,13 @@ class SignTable:
         object.__setattr__(self, "signs", signs)
 
 
-@dataclass(frozen=True)
-class BellTable:
+class BellTable(_Value):
     """Coefficients beta(s) of a Bell polynomial, stored exactly."""
 
-    coefficients: DyadicVector
+    __slots__ = ("coefficients",)
+
+    def __init__(self, coefficients: DyadicVector) -> None:
+        object.__setattr__(self, "coefficients", coefficients)
 
     @property
     def n(self) -> int:

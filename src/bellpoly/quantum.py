@@ -18,15 +18,14 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
-from typing import Iterable, Sequence, Union
 
 import numpy as np
 
 from .classical import CorrelationVector
 from .inequality import BellTable
-from .transform import DimensionMismatchError, bit_matrix, site_count
+from .transform import DimensionMismatchError, _Value, bit_matrix, site_count
 
 __all__ = [
     "DensityMatrix",
@@ -83,17 +82,15 @@ def _reduce_angle(v: float) -> float:
     return 0.0 if v == TWO_PI else v
 
 
-@dataclass(frozen=True)
-class PhaseVector:
+class PhaseVector(_Value):
     """A global phase and one angle per site, reduced to [0, 2pi)."""
 
-    phi0: float
-    phi: tuple[float, ...]
+    __slots__ = ("phi0", "phi")
 
-    def __post_init__(self) -> None:
-        phi = tuple(_reduce_angle(v) for v in self.phi)
+    def __init__(self, phi0: float, phi: Sequence[float]) -> None:
+        phi = tuple(_reduce_angle(v) for v in phi)
         site_count(len(phi))
-        object.__setattr__(self, "phi0", _reduce_angle(self.phi0))
+        object.__setattr__(self, "phi0", _reduce_angle(phi0))
         object.__setattr__(self, "phi", phi)
 
     @property
@@ -106,14 +103,13 @@ def xy_observable(theta: float) -> np.ndarray:
     return math.cos(theta) * SIGMA_X + math.sin(theta) * SIGMA_Y
 
 
-@dataclass(frozen=True)
-class ObservableSpec:
+class ObservableSpec(_Value):
     """Two x-y-plane observables per site, given by their finite azimuth angles, unreduced."""
 
-    angles: tuple[tuple[float, float], ...]
+    __slots__ = ("angles",)
 
-    def __post_init__(self) -> None:
-        angles = tuple((float(a), float(b)) for a, b in self.angles)
+    def __init__(self, angles: Sequence[tuple[float, float]]) -> None:
+        angles = tuple((float(a), float(b)) for a, b in angles)
         if bad := [v for pair in angles for v in pair if not math.isfinite(v)]:
             raise ValueError(f"angles must be finite, got {bad[0]}")
         site_count(len(angles))
@@ -129,16 +125,16 @@ class ObservableSpec:
         ]
 
 
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
-    """A validated n-qubit state: Hermitian, unit trace, positive."""
+class DensityMatrix(_Value):
+    """A validated n-qubit state: Hermitian, unit trace, positive; compared by identity."""
 
-    n: int
-    entries: np.ndarray = field(repr=False)
+    __slots__ = ("n", "entries")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+    _hidden = ("entries",)
 
-    def __post_init__(self) -> None:
-        n = _qubit_count(self.n)
-        rho = np.array(self.entries, dtype=complex)
+    def __init__(self, n: int, entries: np.ndarray) -> None:
+        n = _qubit_count(n)
+        rho = np.array(entries, dtype=complex)
         dim = 1 << n
         if rho.shape != (dim, dim):
             raise DimensionMismatchError(f"expected a {dim}x{dim} matrix for n={n}")
@@ -148,8 +144,10 @@ class DensityMatrix:
             raise ValueError("density matrix is not Hermitian")
         if abs((trace := np.trace(rho)).real - 1.0) > _TRACE_TOL or abs(trace.imag) > _TRACE_TOL:
             raise ValueError("density matrix trace is not 1")
-        if np.linalg.eigvalsh(rho).min() < -_EIGENVALUE_TOL:
-            raise ValueError("density matrix has a negative eigenvalue")
+        try:  # factors iff every eigenvalue of rho exceeds -_EIGENVALUE_TOL, at a fraction of eigvalsh's cost
+            np.linalg.cholesky(rho + _EIGENVALUE_TOL * np.eye(dim))
+        except np.linalg.LinAlgError:
+            raise ValueError("density matrix has a negative eigenvalue") from None
         rho.flags.writeable = False
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "entries", rho)
@@ -170,8 +168,7 @@ def _coefficient_array(beta: BellTable) -> np.ndarray:
     return np.asarray(c.numerators, dtype=float) / (1 << c.log_denominator)
 
 
-@dataclass(frozen=True)
-class ViolationResult:
+class ViolationResult(_Value):
     """The winning start's value, phases and gradient norm, as its ascent left them.
 
     `starts` counts every swept start, (4^(n-1) + 2^(n-1))/2 + 32, `polished`
@@ -181,13 +178,19 @@ class ViolationResult:
     pin only `value`, `converged` and attaining phases.
     """
 
-    value: float
-    phases: PhaseVector
-    converged: bool
-    gradient_norm: float
-    starts: int = 0
-    iterations: int = 0
-    polished: int = 0
+    __slots__ = ("value", "phases", "converged", "gradient_norm", "starts", "iterations", "polished")
+
+    def __init__(
+        self, value: float, phases: PhaseVector, converged: bool, gradient_norm: float,
+        starts: int = 0, iterations: int = 0, polished: int = 0,
+    ) -> None:
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "phases", phases)
+        object.__setattr__(self, "converged", converged)
+        object.__setattr__(self, "gradient_norm", gradient_norm)
+        object.__setattr__(self, "starts", starts)
+        object.__setattr__(self, "iterations", iterations)
+        object.__setattr__(self, "polished", polished)
 
 
 def mermin_bound(n: int) -> float:
@@ -395,7 +398,7 @@ def ghz_state(n: int) -> np.ndarray:
 
 
 def simulate_correlations(
-    state: Union[np.ndarray, DensityMatrix], obs: ObservableSpec
+    state: np.ndarray | DensityMatrix, obs: ObservableSpec
 ) -> CorrelationVector:
     """xi(s) = <prod_k A_k(s_k)> from the state's anti-diagonal, in O(n 2^n).
 
@@ -433,7 +436,7 @@ def simulate_correlations(
 
 def bell_operator_norm_exact(
     beta: BellTable,
-    observables: Union[ObservableSpec, Sequence[tuple[np.ndarray, np.ndarray]]],
+    observables: ObservableSpec | Sequence[tuple[np.ndarray, np.ndarray]],
 ) -> float:
     """Operator norm of sum_s beta(s) A_1(s_1) x ... x A_n(s_n), in O(n 2^n).
 
@@ -456,7 +459,7 @@ def bell_operator_norm_exact(
 
 
 def partial_transpose(
-    rho: Union[np.ndarray, DensityMatrix], sites: Iterable[int]
+    rho: np.ndarray | DensityMatrix, sites: Iterable[int]
 ) -> np.ndarray:
     """Transpose the tensor factors in `sites` (1-based) in place of the basis.
 

@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .inequality import SignTable
-from .transform import DimensionMismatchError, bits_word, site_count, word_bits
+from .transform import DimensionMismatchError, _Value, bits_word, site_count, word_bits
 
 __all__ = [
     "GroupElement",
@@ -45,32 +45,31 @@ def group_order(n: int) -> int:
     return math.factorial(n) << (2 * n + 1)
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(_Value):
     """One symmetry: f'(r) = sign * (-1)^<s0, pi(r)> * f(pi(r) ^ r0).
 
     pi permutes bit positions according to perm (bit j of the argument moves
     to bit perm[j]), r0 encodes observable swaps, s0 outcome sign flips.
     """
 
-    perm: tuple[int, ...]
-    r0: int
-    s0: int
-    sign: int
+    __slots__ = ("perm", "r0", "s0", "sign")
 
-    def __post_init__(self) -> None:
-        perm = tuple(operator.index(p) for p in self.perm)
+    def __init__(self, perm: Sequence[int], r0: int, s0: int, sign: int) -> None:
+        perm = tuple(operator.index(p) for p in perm)
         n = len(perm)
         if sorted(perm) != list(range(n)):
             raise ValueError(f"{perm} is not a permutation of 0..{n - 1}")
-        for name in ("r0", "s0", "sign"):  # ints, so that 1.5 fails here and not in apply
-            object.__setattr__(self, name, operator.index(getattr(self, name)))
-        for name, word in (("r0", self.r0), ("s0", self.s0)):
+        # ints, so that 1.5 fails here and not in apply
+        r0, s0, sign = operator.index(r0), operator.index(s0), operator.index(sign)
+        for name, word in (("r0", r0), ("s0", s0)):
             if not 0 <= word < 1 << n:
                 raise ValueError(f"{name}={word} out of range for n={n}")
-        if self.sign not in (-1, 1):
+        if sign not in (-1, 1):
             raise ValueError("global sign must be -1 or +1")
         object.__setattr__(self, "perm", perm)
+        object.__setattr__(self, "r0", r0)
+        object.__setattr__(self, "s0", s0)
+        object.__setattr__(self, "sign", sign)
 
     @property
     def n(self) -> int:
@@ -132,14 +131,21 @@ def _coset_minima(words: int | np.ndarray, basis: tuple, scratch=None) -> int | 
     return words
 
 
-@dataclass(frozen=True, eq=False)
-class Orbit:
-    """One symmetry class, held as its sorted coset minima; members and flags come on first read."""
+class Orbit(_Value):
+    """One symmetry class, held as its sorted coset minima; members and flags come on first read.
 
-    n: int
-    canonical_id: int
-    size: int
-    coset_minima: np.ndarray = field(repr=False)
+    Orbits compare by identity; the flags are cached_property values, kept in __dict__.
+    """
+
+    __slots__ = ("n", "canonical_id", "size", "coset_minima", "__dict__")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+    _hidden = ("coset_minima",)
+
+    def __init__(self, n: int, canonical_id: int, size: int, coset_minima: np.ndarray) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "canonical_id", canonical_id)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "coset_minima", coset_minima)
 
     def __contains__(self, table_id: int) -> bool:
         if not 0 <= table_id < 1 << (1 << self.n) or table_id != int(table_id):

@@ -12,15 +12,17 @@ and also computes the float spectrum of a correlation vector.
 
 Only bit_matrix computes with floats, and it feeds only float code; it imports
 numpy on its first call, so the codecs, the transform and DyadicVector load and run without numpy.
+The package's value classes share this module's _Value base, which needs no
+import at all.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from functools import lru_cache, reduce
-from typing import TYPE_CHECKING, Iterable, Sequence
 
+TYPE_CHECKING = False  # type checkers take this name as true; numpy stays unloaded at run time
 if TYPE_CHECKING:
     import numpy as np
 
@@ -99,26 +101,64 @@ def _butterfly(v: list) -> list:
     return v
 
 
-@dataclass(frozen=True)
-class DyadicVector:
+class _Value:
+    """Base of the package's immutable value classes, whose __slots__ name their fields.
+
+    Instances are equal, and hash alike, when their classes are the same and
+    their fields are equal; __init__ sets the fields with object.__setattr__,
+    and after it no attribute can be assigned or deleted.  pickle and copy
+    rebuild an instance through its constructor, so every copy is checked as
+    the original was.  The repr is Name(field=value, ...), without the
+    fields named in _hidden; a class compared by identity sets __eq__ and
+    __hash__ back to object's.
+    """
+
+    __slots__ = ()
+    _hidden: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls.__match_args__ = tuple(name for name in cls.__slots__ if name != "__dict__")
+        cls._key = staticmethod(operator.attrgetter(*cls.__match_args__))  # a field, or a tuple of them
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        shown = (f"{name}={getattr(self, name)!r}" for name in self.__match_args__ if name not in self._hidden)
+        return f"{type(self).__qualname__}({', '.join(shown)})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+
+class DyadicVector(_Value):
     """2^n exact dyadic rationals: entry s is numerators[s] / 2**log_denominator.
 
     The representation is kept in lowest terms: either log_denominator is 0
     or at least one numerator is odd.
     """
 
-    n: int
-    numerators: tuple[int, ...]
-    log_denominator: int
+    __slots__ = ("n", "numerators", "log_denominator")
 
-    def __post_init__(self) -> None:
-        n = site_count(self.n)
-        nums = tuple(map(operator.index, self.numerators))
+    def __init__(self, n: int, numerators: Sequence[int], log_denominator: int) -> None:
+        n = site_count(n)
+        nums = tuple(map(operator.index, numerators))
         if len(nums) != 1 << n:
             raise DimensionMismatchError(
                 f"expected {1 << n} numerators for n={n}, got {len(nums)}"
             )
-        d = operator.index(self.log_denominator)
+        d = operator.index(log_denominator)
         if d < 0:
             raise ValueError("log_denominator must be non-negative")
         low = reduce(operator.or_, nums, 0)  # its trailing zeros: those all entries share

@@ -110,6 +110,24 @@ def test_census_only_classify_loads_no_quantum():
     assert _fresh_python("-c", probe).stderr.strip() == "False"
 
 
+@pytest.mark.parametrize("flags", [[], ["-S"]], ids=["site", "no-site"])
+def test_a_fresh_import_and_enumerate_load_no_heavy_modules(flags):
+    """numpy, dataclasses and inspect stay unloaded by `import bellpoly` and by enumerate;
+    typing too, where no site .pth file preloads it (-S)."""
+    unwanted = ["numpy", "dataclasses", "inspect", *(["typing"] if flags else [])]
+    probe = (
+        "import sys\n"
+        f"unwanted = {unwanted!r}\n"
+        "import bellpoly\n"
+        "print([m for m in unwanted if m in sys.modules], file=sys.stderr)\n"
+        "from bellpoly.cli import main\n"
+        "assert main(['enumerate', '-n', '2', '--range', '0', '3']) == 0\n"
+        "print([m for m in unwanted if m in sys.modules], file=sys.stderr)"
+    )
+    proc = _fresh_python(*flags, "-c", probe)
+    assert proc.stderr.splitlines() == ["[]", "[]"] and len(proc.stdout.splitlines()) == 3
+
+
 def test_every_command_runs_without_scipy(tmp_path, capsys):
     """With scipy unimportable, each command exits and prints as it does with it."""
     path = tmp_path / "vectors.csv"

@@ -1,12 +1,20 @@
 """Transform layer: the bit layout, the exact butterfly and dyadic vectors."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellpoly.classical import CorrelationVector, l1_margin, spectrum, witness
-from bellpoly.inequality import SignTable, id_to_signs, signs_to_id
+from bellpoly.compose import NestingLeaf, NestingNode, full_nesting
+from bellpoly.inequality import BellTable, SignTable, bell_table_from_id, id_to_signs, signs_to_id
+from bellpoly.quantum import (
+    DensityMatrix, ObservableSpec, PhaseVector, ViolationResult, ghz_observables, max_violation, sample_separable,
+)
+from bellpoly.symmetry import GroupElement, Orbit, orbit_of_id
 from bellpoly.transform import (
     DimensionMismatchError,
     DyadicVector,
@@ -223,3 +231,92 @@ def test_dyadic_lowest_terms_match_one_halving_at_a_time(d):
         for nums in cases:
             v = DyadicVector(n, nums, d)
             assert (v.numerators, v.log_denominator) == halving_lowest_terms(nums, d)
+
+
+# class -> (a call that builds a fresh instance, the repr the frozen dataclasses printed)
+VALUE_CLASSES = {
+    DyadicVector: (
+        lambda: bell_table_from_id(2, 1).coefficients,
+        "DyadicVector(n=2, numerators=(1, -1, -1, -1), log_denominator=1)",
+    ),
+    SignTable: (lambda: id_to_signs(2, 1), "SignTable(n=2, signs=(-1, 1, 1, 1))"),
+    BellTable: (
+        lambda: bell_table_from_id(2, 1),
+        "BellTable(coefficients=DyadicVector(n=2, numerators=(1, -1, -1, -1), log_denominator=1))",
+    ),
+    NestingLeaf: (lambda: NestingLeaf(choice=1, sign=-1), "NestingLeaf(choice=1, sign=-1)"),
+    NestingNode: (
+        lambda: full_nesting(bell_table_from_id(2, 1)),
+        "NestingNode(a0=NestingLeaf(choice=1, sign=-1), a1=NestingLeaf(choice=0, sign=1))",
+    ),
+    CorrelationVector: (lambda: CorrelationVector.from_values([1, 0.5]), "CorrelationVector(n=1, xi=(1.0, 0.5))"),
+    GroupElement: (lambda: GroupElement((1, 0), 1, 2, -1), "GroupElement(perm=(1, 0), r0=1, s0=2, sign=-1)"),
+    Orbit: (lambda: orbit_of_id(2, 1), "Orbit(n=2, canonical_id=1, size=8)"),
+    PhaseVector: (lambda: PhaseVector(0.5, (1.0, 7.0)), "PhaseVector(phi0=0.5, phi=(1.0, 0.7168146928204138))"),
+    ObservableSpec: (
+        lambda: ghz_observables(PhaseVector(0.5, (1.0, 7.0))),
+        "ObservableSpec(angles=((0.25, 1.25), (0.25, 0.9668146928204138)))",
+    ),
+    DensityMatrix: (lambda: sample_separable(1, 2, 0), "DensityMatrix(n=1)"),
+    ViolationResult: (  # the constant table: every start is a maximum with a zero gradient
+        lambda: max_violation(bell_table_from_id(2, 0)),
+        "ViolationResult(value=1.0, phases=PhaseVector(phi0=0.0, phi=(0.0, 0.0)), converged=True,"
+        " gradient_norm=0.0, starts=35, iterations=0, polished=35)",
+    ),
+}
+IDENTITY_CLASSES = (Orbit, DensityMatrix)
+
+
+def _fields(value) -> tuple:
+    return tuple(getattr(value, name) for name in type(value).__match_args__)
+
+
+def _same_fields(a, b) -> bool:
+    return all(
+        np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y for x, y in zip(_fields(a), _fields(b), strict=True)
+    )
+
+
+@pytest.mark.parametrize("cls", VALUE_CLASSES, ids=lambda cls: cls.__name__)
+def test_value_class_equality_hash_repr(cls):
+    """Equal fields give equal values with equal hashes (identity for Orbit and DensityMatrix);
+    no value equals one of another class or the tuple of its fields."""
+    build, text = VALUE_CLASSES[cls]
+    a, b = build(), build()
+    assert type(a) is cls and a is not b and repr(a) == text
+    if cls in IDENTITY_CLASSES:
+        assert a == a and a != b and hash(a) == object.__hash__(a) and _same_fields(a, b)
+    else:
+        assert a == b and hash(a) == hash(b) and not a != b
+    assert a != _fields(a) and _fields(a) != a
+    others = [build() for other, (build, _) in VALUE_CLASSES.items() if other is not cls]
+    assert not any(a == other or other == a for other in others)
+    assert SignTable(1, (1, 1)) != CorrelationVector(1, (1.0, 1.0))  # equal fields, other classes
+
+
+@pytest.mark.parametrize("cls", VALUE_CLASSES, ids=lambda cls: cls.__name__)
+def test_value_class_is_immutable(cls):
+    value = VALUE_CLASSES[cls][0]()
+    for name, field in zip(cls.__match_args__, _fields(value)):
+        with pytest.raises(AttributeError):
+            setattr(value, name, field)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert _same_fields(value, VALUE_CLASSES[cls][0]())
+
+
+@pytest.mark.parametrize("cls", VALUE_CLASSES, ids=lambda cls: cls.__name__)
+def test_value_class_pickle_and_copy_round_trip(cls):
+    """Copies come back through the constructor: equal, or for the identity classes the same
+    fields and a working instance."""
+    value = VALUE_CLASSES[cls][0]()
+    for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
+        assert type(twin) is cls and _same_fields(twin, value) and repr(twin) == repr(value)
+        if cls is Orbit:
+            assert 1 in twin and 0 not in twin and twin.member_ids.tolist() == value.member_ids.tolist()
+        elif cls is DensityMatrix:
+            assert not twin.entries.flags.writeable
+        else:
+            assert twin == value and hash(twin) == hash(value)
