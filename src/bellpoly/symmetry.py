@@ -142,6 +142,9 @@ class Orbit(_Value):
     _hidden = ("coset_minima",)
 
     def __init__(self, n: int, canonical_id: int, size: int, coset_minima: np.ndarray) -> None:
+        if coset_minima.flags.writeable:  # pickle and deepcopy hand back writable arrays
+            coset_minima = coset_minima.copy()
+            coset_minima.flags.writeable = False
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "canonical_id", canonical_id)
         object.__setattr__(self, "size", size)

@@ -23,6 +23,7 @@ from bellpoly.classical import (
     witness,
 )
 import bellpoly
+from bellpoly import classical
 from bellpoly.inequality import bell_table_from_id, coefficients_from_signs, evaluate, id_to_signs, signs_to_id
 from bellpoly.transform import DimensionMismatchError, bit_matrix
 
@@ -224,6 +225,32 @@ def test_lp_membership_resolves_the_boundary(n):
                 assert lp_membership(xi) == (l1_margin(xi) <= 1.0), (gap, l1_margin(xi))
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_nnls_residual_matches_the_scipy_reference(n):
+    """The numpy solver and scipy's nnls agree on the residual, inside, outside and within
+    1e-6 of the boundary."""
+    from scipy.optimize import nnls
+
+    rng = np.random.default_rng(300 + n)
+    a = classical._oracle_matrix(n)
+    targets = [
+        *rng.uniform(0.5, 1.0 - 1e-6, 40),  # inside
+        *rng.uniform(1.0 + 1e-6, 1.3, 40),  # outside
+        *(1.0 + rng.uniform(-1e-6, 1e-6, 40)),  # within 1e-6 of the boundary
+    ]
+    for target in targets:
+        b = np.append(scaled_to_margin(rng, n, target).as_array(), 1.0)
+        assert abs(classical._nnls_residual(a, b) - nnls(a, b)[1]) <= 1e-12, target
+
+
+def test_nnls_iteration_cap_raises(monkeypatch):
+    """A solver that runs out of iterations raises; it never reports infeasibility."""
+    monkeypatch.setattr(classical, "_NNLS_MAX_ITER", 0)
+    for xi in (extreme_point(2, 0), GHZ_MERMIN):
+        with pytest.raises(RuntimeError):
+            lp_membership(xi)
+
+
 def _fresh_run(*args: str) -> subprocess.CompletedProcess:
     """Run python with these arguments in a fresh process that imports this bellpoly."""
     src = str(Path(bellpoly.__file__).resolve().parent.parent)
@@ -238,9 +265,21 @@ def _fresh_run(*args: str) -> subprocess.CompletedProcess:
 
 
 def test_import_loads_no_scipy():
-    """scipy loads only when the membership oracle runs, not at `import bellpoly`."""
+    """scipy loads neither at `import bellpoly` nor when the membership oracle runs, and
+    with scipy unimportable the oracle gives the verdicts it gives here."""
     probe = "import sys, bellpoly; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     assert _fresh_run("-c", probe).stdout.strip() == "[]"
+    inside, outside = CorrelationVector(3, tuple(0.49 * v for v in GHZ_MERMIN.xi)), GHZ_MERMIN
+    probe = (
+        "import sys\n"
+        "sys.modules['scipy'] = None  # any import of scipy now raises ImportError\n"
+        "from bellpoly.classical import CorrelationVector, lp_membership\n"
+        f"print([lp_membership(CorrelationVector(3, xi)) for xi in {[inside.xi, outside.xi]!r}])\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' and sys.modules[m] is not None))"
+    )
+    verdicts, loaded = _fresh_run("-c", probe).stdout.splitlines()
+    assert verdicts == str([lp_membership(inside), lp_membership(outside)]) == "[True, False]"
+    assert loaded == "[]"
 
 
 @pytest.mark.parametrize(

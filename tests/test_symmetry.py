@@ -1,6 +1,8 @@
 """Symmetry group: the action, orbits, and the exhaustive census."""
 
+import copy
 import itertools
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -491,6 +493,20 @@ def test_orbit_contains():
     for outside in (-1, 256, 2**64, -(2**64)):
         assert outside not in orb
     assert (1 << 64) - 1 in orbit_of_id(6, 0)
+
+
+@pytest.mark.parametrize("n, table_id", [(3, 23), (5, 0x1234_5678)])
+def test_orbit_copies_keep_read_only_minima(n, table_id):
+    """A pickled or deep-copied Orbit once came back with writable coset minima, and a write
+    to them would unsort the array that `in` binary-searches."""
+    orb = orbit_of_id(n, table_id)
+    assert copy.copy(orb).coset_minima is orb.coset_minima  # a read-only array is not copied
+    for twin in (pickle.loads(pickle.dumps(orb)), copy.copy(orb), copy.deepcopy(orb)):
+        assert not twin.coset_minima.flags.writeable
+        assert np.array_equal(twin.coset_minima, orb.coset_minima)
+        with pytest.raises(ValueError):
+            twin.coset_minima[0] = 0
+        assert table_id in twin and int(orb.member_ids[-1]) in twin and 0 not in twin
 
 
 def test_orbit_contains_rejects_non_integral_values():
