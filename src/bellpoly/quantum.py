@@ -4,8 +4,8 @@ The maximal quantum value of an inequality reduces to maximizing
 |sum_s beta(s) prod_k e^(i phi_k s_k)| over one angle per site, which
 `max_violation` does from grid and random starts at phi_n = 0: closed-form
 per-site coordinate sweeps (site n first) bring every start near a maximum,
-and a batched saddle-free Newton ascent with the exact gradient and
-Hessian finishes those swept nearest the best.  Every extreme point of the
+and a saddle-free Newton ascent with the exact gradient and Hessian
+finishes the one swept to the best value.  Every extreme point of the
 quantum body has the cosine form xi(s) = cos(phi0 + sum_k phi_k s_k) and is
 realized by the generalized GHZ state with observables in the x-y plane of
 the Bloch sphere.  A simulator of x-y-plane correlations (read off the state's
@@ -49,13 +49,11 @@ MAX_SIMULATOR_QUBITS = 12
 _HERMITIAN_TOL = 1e-12
 _TRACE_TOL = 1e-12
 _EIGENVALUE_TOL = 1e-10
-# starts per sweep block and most starts polished: memory O(block * 2^n * n) at every n
+# starts per sweep block: memory O(block * 2^n) at every n
 _START_BLOCK = 1024
 _RANDOM_STARTS = 32
 # cycles of closed-form site steps over sites 1..n before the Newton ascent
 _SWEEPS = 3
-# only starts swept to |T| >= (1 - _POLISH_GAP) * the best swept |T| take the Newton ascent
-_POLISH_GAP = 1e-6
 _MAX_ITERATIONS = 500
 _GRADIENT_TOL = 1e-12
 _MAX_HALVINGS = 40
@@ -169,20 +167,20 @@ def _coefficient_array(beta: BellTable) -> np.ndarray:
 
 
 class ViolationResult(_Value):
-    """The winning start's value, phases and gradient norm, as its ascent left them.
+    """The polished start's value, phases and gradient norm, as its ascent left them.
 
-    `starts` counts every swept start, (4^(n-1) + 2^(n-1))/2 + 32, `polished`
-    those that took the Newton ascent (at most `_START_BLOCK`), and `iterations`
-    their Newton steps.  The last two count one run on one BLAS build, since a
-    start's rounding, and so its path, moves with its batch and the BLAS; tests
-    pin only `value`, `converged` and attaining phases.
+    `starts` counts every swept start, (4^(n-1) + 2^(n-1))/2 + 32, and
+    `iterations` the Newton steps of the one start polished.  That count is
+    one run on one BLAS build: the sweeps round a start with its block and the
+    BLAS, which can move which start sweeps highest and so its path; tests pin
+    only `value`, `converged` and attaining phases.
     """
 
-    __slots__ = ("value", "phases", "converged", "gradient_norm", "starts", "iterations", "polished")
+    __slots__ = ("value", "phases", "converged", "gradient_norm", "starts", "iterations")
 
     def __init__(
         self, value: float, phases: PhaseVector, converged: bool, gradient_norm: float,
-        starts: int = 0, iterations: int = 0, polished: int = 0,
+        starts: int = 0, iterations: int = 0,
     ) -> None:
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "phases", phases)
@@ -190,7 +188,6 @@ class ViolationResult(_Value):
         object.__setattr__(self, "gradient_norm", gradient_norm)
         object.__setattr__(self, "starts", starts)
         object.__setattr__(self, "iterations", iterations)
-        object.__setattr__(self, "polished", polished)
 
 
 def mermin_bound(n: int) -> float:
@@ -271,60 +268,51 @@ def _coordinate_sweeps(coeffs: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
 def _ascent_terms(
     coeffs: np.ndarray, phi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """|T|^2, its gradient, its exact Hessian and T itself at every row of phi.
+) -> tuple[float, np.ndarray, np.ndarray, complex]:
+    """|T|^2, its gradient, its exact Hessian and T itself at the n angles phi.
 
     With W_s = beta(s) e^(i phi.s), T = sum_s W_s and P_k = sum_s W_s s_k:
     the gradient is -2 Im(conj(T) P) and the Hessian is
     2 Re(conj(P_j) P_k) - 2 Re(conj(T) sum_s W_s s_j s_k).
     """
-    starts, n = phi.shape
-    weighted = coeffs * np.exp(1j * (phi @ bit_matrix(n).T))
-    moments = weighted @ _moment_matrix(n)
-    total, partials = moments[:, 0], moments[:, 1 : n + 1]
-    second = moments[:, n + 1 :].reshape(starts, n, n)
-    value = total.real**2 + total.imag**2
-    grad = -2.0 * (total.conj()[:, None] * partials).imag
-    hess = 2.0 * (partials.conj()[:, :, None] * partials[:, None, :]).real
-    hess -= 2.0 * (total.conj()[:, None, None] * second).real
-    return value, grad, hess, total
+    n = len(phi)
+    moments = (coeffs * np.exp(1j * (bit_matrix(n) @ phi))) @ _moment_matrix(n)
+    total, partials = moments[0], moments[1 : n + 1]
+    grad = -2.0 * (total.conj() * partials).imag
+    hess = 2.0 * (partials.conj()[:, None] * partials).real
+    hess -= 2.0 * (total.conj() * moments[n + 1 :].reshape(n, n)).real
+    return total.real**2 + total.imag**2, grad, hess, total
 
 
-def _newton_ascent(coeffs: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Saddle-free Newton ascent of |T|^2 from every row of phi at once, in place.
+def _newton_ascent(coeffs: np.ndarray, phi: np.ndarray) -> tuple[float, complex, float, int]:
+    """Saddle-free Newton ascent of |T|^2 from the n angles phi, in place.
 
     The step is |H|^-1 g, with the Hessian's eigenvalues taken by absolute
     value (floored at 1e-8 of the largest), so it climbs out of saddles.  It
     is halved until |T|^2 rises, or holds within rounding as the gradient
-    shrinks.  A start stops at its gradient tolerance, after _MAX_ITERATIONS
-    steps, or after _MAX_HALVINGS rejected trials in a row.  Each round, every
-    live start takes its direction at its current point from one stacked eigh,
-    and their trials are evaluated in one batch.
-    The angles each start accepts are written into phi; returned, per start,
-    are |T|^2, T and the gradient norm there, and the number of steps taken.
+    shrinks.  The ascent stops at its gradient tolerance, after
+    _MAX_ITERATIONS steps, or after _MAX_HALVINGS rejected trials in a row.
+    The angles it accepts are written into phi; returned are |T|^2, T and the
+    gradient norm there, and the number of steps taken.
     """
     value, grad, hess, total = _ascent_terms(coeffs, phi)
-    grad_norm = np.sqrt(np.add.reduce(grad * grad, axis=1))
-    length, steps = np.ones(len(phi)), np.zeros(len(phi), int)
-    while (live := np.flatnonzero(
-        (grad_norm > _GRADIENT_TOL) & (steps < _MAX_ITERATIONS) & (length > 0.5**_MAX_HALVINGS)
-    )).size:
-        eigvals, eigvecs = np.linalg.eigh(hess[live])
-        scale = np.abs(eigvals)
-        scale = np.maximum(scale, np.maximum(1e-8 * scale.max(axis=1, keepdims=True), _TINY))
-        along = np.einsum("mji,mj->mi", eigvecs, grad[live]) / scale
-        delta = np.einsum("mij,mj->mi", eigvecs, along)
-        trial = np.mod(phi[live] + length[live, None] * delta, TWO_PI)
+    grad_norm, length, steps = math.sqrt(grad @ grad), 1.0, 0
+    while grad_norm > _GRADIENT_TOL and steps < _MAX_ITERATIONS and length > 0.5**_MAX_HALVINGS:
+        if length == 1.0:  # a new point: its direction, kept while the step halves
+            eigvals, eigvecs = np.linalg.eigh(hess)
+            scale = np.abs(eigvals)
+            scale = np.maximum(scale, max(1e-8 * scale.max(), _TINY))
+            delta = eigvecs @ ((grad @ eigvecs) / scale)
+        trial = np.mod(phi + length * delta, TWO_PI)
         t_value, t_grad, t_hess, t_total = _ascent_terms(coeffs, trial)
-        t_norm = np.sqrt(np.add.reduce(t_grad * t_grad, axis=1))
-        before = value[live]
-        held = np.abs(t_value - before) <= _HOLD_EPS * np.maximum(before, 1.0)
-        ok = (t_value > before) | (held & (t_norm < grad_norm[live]))
-        up = live[ok]
-        phi[up], value[up], total[up] = trial[ok], t_value[ok], t_total[ok]
-        grad[up], hess[up], grad_norm[up] = t_grad[ok], t_hess[ok], t_norm[ok]
-        steps[up], length[up] = steps[up] + 1, 1.0
-        length[live[~ok]] *= 0.5  # exact: 2^-k after k rejected trials
+        t_norm = math.sqrt(t_grad @ t_grad)
+        held = abs(t_value - value) <= _HOLD_EPS * max(value, 1.0)
+        if t_value > value or (held and t_norm < grad_norm):
+            phi[:] = trial
+            value, grad, hess, total, grad_norm = t_value, t_grad, t_hess, t_total, t_norm
+            steps, length = steps + 1, 1.0
+        else:
+            length *= 0.5  # exact: 2^-k after k rejected trials
     return value, total, grad_norm, steps
 
 
@@ -342,35 +330,29 @@ def max_violation(beta: BellTable, *, seed: int = 0) -> ViolationResult:
     (`_start_points`).  Closed-form site steps, site n first and then `_SWEEPS`
     cycles over sites 1..n, turn one angle at a time to its best value
     (`_coordinate_sweeps`); no step lowers |T|.  Every block of `_START_BLOCK`
-    starts is swept first.  Of the starts swept to within `_POLISH_GAP` of the
-    best swept |T|, at most `_START_BLOCK`, the highest swept first (grid order
-    breaks ties), climb on in one batch in grid order by saddle-free Newton
-    steps over all n angles (`_newton_ascent`).  Of the polished starts whose
-    |T|^2 holds the best within `_HOLD_EPS`, the one of least gradient norm wins.
-    Its |T|, T and norm are the ones the ascent returned, not evaluated again;
-    phi0 = -arg T, so extreme_point_q(result.phases) attains the value, and
-    `converged` says the norm is at most 1e-8.  Deterministic for a given
-    seed; nonconvergence is reported via the flag, never raised.  n must be
-    1..12, as for the GHZ state that realizes it, checked before any grid.
+    starts is swept first.  The first start in grid order with the largest
+    swept |T| then climbs on alone by saddle-free Newton steps over all n
+    angles (`_newton_ascent`).  Its |T|, T and norm are the ones the ascent
+    returned, not evaluated again; phi0 = -arg T, so
+    extreme_point_q(result.phases) attains the value, and `converged` says
+    the norm is at most 1e-8.  Deterministic for a given seed; nonconvergence
+    is reported via the flag, never raised.  n must be 1..12, as for the GHZ
+    state that realizes it, checked before any grid.
     """
     if not any(beta.coefficients.numerators):
         raise ValueError("the zero table has no violation to maximize")
     coeffs = _coefficient_array(beta)
     starts = _start_points(_qubit_count(beta.n), seed)
     swept = np.concatenate([_coordinate_sweeps(coeffs, b) for b in _blocks(starts)])
-    near = np.flatnonzero(swept >= (1.0 - _POLISH_GAP) ** 2 * swept.max())  # swept holds |T|^2
-    kept = starts[np.sort(near[np.argsort(-swept[near], kind="stable")[:_START_BLOCK]])]
-    values, totals, norms, steps = _newton_ascent(coeffs, kept)  # climbs kept in place
-    tied = np.flatnonzero(values >= values.max() - _HOLD_EPS * max(values.max(), 1.0))
-    best = tied[np.argmin(norms[tied])]
+    best = starts[int(swept.argmax())]  # a view: the ascent climbs it in place
+    value, total, norm, steps = _newton_ascent(coeffs, best)
     return ViolationResult(
-        value=math.sqrt(values[best]),
-        phases=PhaseVector(-float(np.angle(totals[best])), tuple(kept[best])),
-        converged=bool(norms[best] <= 1e-8),
-        gradient_norm=float(norms[best]),
+        value=math.sqrt(value),
+        phases=PhaseVector(-float(np.angle(total)), tuple(best)),
+        converged=norm <= 1e-8,
+        gradient_norm=norm,
         starts=len(starts),
-        iterations=int(steps.sum()),
-        polished=len(kept),
+        iterations=steps,
     )
 
 

@@ -261,7 +261,7 @@ VALUE_CLASSES = {
     ViolationResult: (  # the constant table: every start is a maximum with a zero gradient
         lambda: max_violation(bell_table_from_id(2, 0)),
         "ViolationResult(value=1.0, phases=PhaseVector(phi0=0.0, phi=(0.0, 0.0)), converged=True,"
-        " gradient_norm=0.0, starts=35, iterations=0, polished=35)",
+        " gradient_norm=0.0, starts=35, iterations=0)",
     ),
 }
 IDENTITY_CLASSES = (Orbit, DensityMatrix)
