@@ -1,9 +1,9 @@
 """Record this checkout's benchmark and end-to-end rows into BENCH_<label>.json.
 
-    python bench/record.py --label NAME [--repeats 5] [--seconds 5] [--seed 9201] [--out DIR]
+    python bench/record.py --label NAME [--repeats 5] [--seconds 5] [--out DIR]
 
 Each perfbench workload runs in its own process,
-`perfbench/run.py --workload W --seed S --seconds T --trace 0`, `--repeats`
+`perfbench/run.py --workload W --seed 9201 --seconds T --trace 0`, `--repeats`
 times, round-robin over the workloads; one process per workload keeps each
 `peak_rss_mb` its own.  The end-to-end rows time fresh processes of this
 checkout's `src/`: `import bellpoly` (its cumulative -X importtime), and the
@@ -32,6 +32,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("census", "orbits", "exact", "membership")
 THREADS = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+SEED = 9201  # the benchmark baseline's seed
 CHILD_ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **THREADS)
 
 VERSIONS = """
@@ -87,9 +88,9 @@ def import_seconds() -> float:
     raise RuntimeError("-X importtime printed no line for bellpoly")
 
 
-def workload_run(name: str, seed: int, seconds: float) -> dict:
+def workload_run(name: str, seconds: float) -> dict:
     argv = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", name,
-            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+            "--seed", str(SEED), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(argv, cwd=ROOT, env=CHILD_ENV, capture_output=True, text=True)
     if proc.returncode:
         raise RuntimeError(f"{name} exited {proc.returncode}: {proc.stderr.strip()[-500:]}")
@@ -105,11 +106,11 @@ def git(*args: str) -> str:
     return subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True, text=True).stdout.rstrip()
 
 
-def record(label: str, repeats: int, seconds: float, seed: int) -> dict:
+def record(label: str, repeats: int, seconds: float) -> dict:
     runs: dict[str, list[dict]] = {name: [] for name in WORKLOADS}
     for _ in range(repeats):
         for name in WORKLOADS:
-            runs[name].append(workload_run(name, seed, seconds))
+            runs[name].append(workload_run(name, seconds))
     rows = {"import bellpoly": summary([import_seconds() for _ in range(repeats)], "s")}
     for row, args in cli_rows().items():
         walls, rss = [], []
@@ -136,7 +137,7 @@ def record(label: str, repeats: int, seconds: float, seed: int) -> dict:
         "commit": git("rev-parse", "HEAD"),
         "changed_paths": git("status", "--porcelain").splitlines(),
         "recorded_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "settings": {"repeats": repeats, "seconds": seconds, "seed": seed, "threads": THREADS},
+        "settings": {"repeats": repeats, "seconds": seconds, "seed": SEED, "threads": THREADS},
         "versions": json.loads(subprocess.run([sys.executable, "-c", VERSIONS], env=CHILD_ENV,
                                               capture_output=True, text=True, check=True).stdout),
         "host": {"platform": platform.platform(), "cpus_usable": len(os.sched_getaffinity(0))},
@@ -150,12 +151,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--label", required=True)
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--seconds", type=float, default=5.0, help="run length of each workload run")
-    parser.add_argument("--seed", type=int, default=9201)
     parser.add_argument("--out", type=Path, default=ROOT, help="directory for BENCH_<label>.json")
     args = parser.parse_args(argv)
     if args.repeats < 2:
         parser.error("--repeats must be at least 2, for quartiles")
-    result = record(args.label, args.repeats, args.seconds, args.seed)
+    result = record(args.label, args.repeats, args.seconds)
     path = args.out / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(result, indent=1) + "\n")
     print(path)

@@ -5,13 +5,13 @@ The maximal quantum value of an inequality reduces to maximizing
 `max_violation` does from grid and random starts at phi_n = 0: closed-form
 per-site coordinate sweeps (site n first) bring every start near a maximum,
 and a saddle-free Newton ascent with the exact gradient and Hessian
-finishes the one swept to the best value.  Every extreme point of the
-quantum body has the cosine form xi(s) = cos(phi0 + sum_k phi_k s_k) and is
-realized by the generalized GHZ state with observables in the x-y plane of
-the Bloch sphere.  A simulator of x-y-plane correlations (read off the state's
-anti-diagonal), the Bell operator's norm from the eigenvalues of
-C_k = A_k(1) A_k(0), and partial-transpose utilities keep the variational
-formula honest.
+finishes the one swept to the best value (the next best too, should it
+stall short of convergence).  Every extreme point of the quantum body has
+the cosine form xi(s) = cos(phi0 + sum_k phi_k s_k) and is realized by the
+generalized GHZ state with observables in the x-y plane of the Bloch sphere.
+A simulator of x-y-plane correlations (read off the state's anti-diagonal),
+the Bell operator's norm from the eigenvalues of C_k = A_k(1) A_k(0), and
+partial-transpose utilities keep the variational formula honest.
 """
 
 from __future__ import annotations
@@ -57,6 +57,8 @@ _SWEEPS = 3
 _MAX_ITERATIONS = 500
 _GRADIENT_TOL = 1e-12
 _MAX_HALVINGS = 40
+# starts polished at most, best swept first, while none converges at the best value
+_POLISH_TRIES = 4
 _HOLD_EPS = 4.0 * np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 
@@ -170,10 +172,11 @@ class ViolationResult(_Value):
     """The polished start's value, phases and gradient norm, as its ascent left them.
 
     `starts` counts every swept start, (4^(n-1) + 2^(n-1))/2 + 32, and
-    `iterations` the Newton steps of the one start polished.  That count is
-    one run on one BLAS build: the sweeps round a start with its block and the
-    BLAS, which can move which start sweeps highest and so its path; tests pin
-    only `value`, `converged` and attaining phases.
+    `iterations` the Newton steps of the starts polished: one start, unless
+    its ascent stalls (see `max_violation`).  That count is one run on one
+    BLAS build: the sweeps round a start with its block and the BLAS, which
+    can move which start sweeps highest and so its path; tests pin only
+    `value`, `converged` and attaining phases.
     """
 
     __slots__ = ("value", "phases", "converged", "gradient_norm", "starts", "iterations")
@@ -332,12 +335,16 @@ def max_violation(beta: BellTable, *, seed: int = 0) -> ViolationResult:
     (`_coordinate_sweeps`); no step lowers |T|.  Every block of `_START_BLOCK`
     starts is swept first.  The first start in grid order with the largest
     swept |T| then climbs on alone by saddle-free Newton steps over all n
-    angles (`_newton_ascent`).  Its |T|, T and norm are the ones the ascent
-    returned, not evaluated again; phi0 = -arg T, so
-    extreme_point_q(result.phases) attains the value, and `converged` says
-    the norm is at most 1e-8.  Deterministic for a given seed; nonconvergence
-    is reported via the flag, never raised.  n must be 1..12, as for the GHZ
-    state that realizes it, checked before any grid.
+    angles (`_newton_ascent`).  Should it stall with a gradient norm above
+    1e-8, the next starts by swept |T| (grid order breaks ties), up to
+    `_POLISH_TRIES` in all, climb in turn until one converges; of those whose
+    |T|^2 holds the best within `_HOLD_EPS`, the one of least gradient norm
+    wins.  The winner's |T|, T and norm are the ones its ascent returned, not
+    evaluated again; phi0 = -arg T, so extreme_point_q(result.phases) attains
+    the value, and `converged` says the norm is at most 1e-8.  Deterministic
+    for a given seed; nonconvergence is reported via the flag, never raised.
+    n must be 1..12, as for the GHZ state that realizes it, checked before
+    any grid.
     """
     if not any(beta.coefficients.numerators):
         raise ValueError("the zero table has no violation to maximize")
@@ -346,6 +353,15 @@ def max_violation(beta: BellTable, *, seed: int = 0) -> ViolationResult:
     swept = np.concatenate([_coordinate_sweeps(coeffs, b) for b in _blocks(starts)])
     best = starts[int(swept.argmax())]  # a view: the ascent climbs it in place
     value, total, norm, steps = _newton_ascent(coeffs, best)
+    if norm > 1e-8:  # stalled: the next starts by swept |T|^2 climb while none converges
+        for i in np.argsort(-swept, kind="stable")[1:_POLISH_TRIES]:
+            t_value, t_total, t_norm, t_steps = _newton_ascent(coeffs, starts[i])
+            steps += t_steps
+            held = abs(t_value - value) <= _HOLD_EPS * max(value, 1.0)
+            if (t_value > value and not held) or (held and t_norm < norm):
+                best, value, total, norm = starts[i], t_value, t_total, t_norm
+            if norm <= 1e-8:
+                break
     return ViolationResult(
         value=math.sqrt(value),
         phases=PhaseVector(-float(np.angle(total)), tuple(best)),

@@ -603,6 +603,59 @@ def test_max_violation_polishes_one_start_of_a_continuum():
     assert result.converged
 
 
+
+def stall_first_ascents(monkeypatch, stalls):
+    """Patch _newton_ascent so that its first `stalls` calls take no step and
+    end at the swept start, short of convergence; record every call's result."""
+    ascent, results = quantum._newton_ascent, []
+
+    def stalling(coeffs, phi):
+        if len(results) < stalls:
+            value, grad, _, total = quantum._ascent_terms(coeffs, phi)
+            results.append((value, total, math.sqrt(grad @ grad), 0))
+        else:
+            results.append(ascent(coeffs, phi))
+        return results[-1]
+
+    monkeypatch.setattr(quantum, "_newton_ascent", stalling)
+    return results
+
+
+def test_max_violation_polishes_the_next_start_when_the_first_stalls(monkeypatch):
+    """When the best swept start's ascent stalls above a gradient norm of 1e-8,
+    the next starts by swept |T| climb until one converges, and the search
+    still returns the value and convergence of the unpatched search."""
+    ids = random.Random(43)
+    tables = [bell_table_from_id(4, rec.canonical_id) for rec in classify_all(4)]
+    tables += [bell_table_from_id(5, ids.getrandbits(32)) for _ in range(2)]
+    stalled = 0
+    for beta in tables:
+        expected = max_violation(beta, seed=0)
+        with monkeypatch.context() as patch:
+            results = stall_first_ascents(patch, 1)
+            result = max_violation(beta, seed=0)
+        if results[0][2] <= 1e-8:  # swept onto a maximum: the first start stands
+            assert len(results) == 1 and result.converged, beta
+            continue
+        stalled += 1
+        assert 2 <= len(results) <= quantum._POLISH_TRIES
+        assert result.converged, beta
+        assert result.value >= expected.value - 1e-12, beta
+        assert result.iterations == sum(r[3] for r in results)
+    assert stalled >= 20
+
+
+def test_max_violation_polishes_at_most_polish_tries_starts(monkeypatch):
+    """When every ascent stalls, _POLISH_TRIES starts are tried and the result,
+    flagged as not converged, is the best value they reached."""
+    beta = bell_table_from_id(4, classify_all(4)[3].canonical_id)
+    results = stall_first_ascents(monkeypatch, quantum._POLISH_TRIES)
+    result = max_violation(beta, seed=0)
+    assert len(results) == quantum._POLISH_TRIES
+    assert not result.converged and result.iterations == 0
+    assert result.value**2 >= max(r[0] for r in results) * (1 - 1e-15)
+    assert result.gradient_norm in [r[2] for r in results]
+
 def batched_ascent_terms(coeffs: np.ndarray, phi: np.ndarray):
     """_ascent_terms at every row of phi at once, by one product of the rows'
     W_s = beta(s) e^(i phi.s) with the moment matrix: |T|^2, the gradient, the
@@ -711,12 +764,12 @@ def halving_loop_ascent(coeffs, phi):
     """The batched ascent before rounds: per Newton iteration, a nested loop
     halves the step of the starts still pending and re-evaluates just those,
     each row's terms evaluated on their own.  Returns the final |T|^2, the
-    final angles and the number of steps taken."""
+    final angles, gradient norms and steps taken, one per start."""
     phi = phi.copy()
     value, grad, hess, _ = row_by_row_terms(coeffs, phi)
     grad_norm = np.linalg.norm(grad, axis=1)
     active = np.flatnonzero(grad_norm > quantum._GRADIENT_TOL)
-    steps = 0
+    steps = np.zeros(len(phi), int)
     for _ in range(quantum._MAX_ITERATIONS):
         if not active.size:
             break
@@ -724,9 +777,8 @@ def halving_loop_ascent(coeffs, phi):
         scale = np.abs(eigvals)
         floor = np.maximum(1e-8 * scale.max(axis=1, keepdims=True), np.finfo(float).tiny)
         scale = np.maximum(scale, floor)
-        # the one-start ascent's products, g^T V and then V times it, per matrix of the stack
-        along = (grad[active, None, :] @ eigvecs)[:, 0] / scale
-        delta = (eigvecs @ along[:, :, None])[:, :, 0]
+        along = np.einsum("mji,mj->mi", eigvecs, grad[active]) / scale
+        delta = np.einsum("mij,mj->mi", eigvecs, along)
         pending, accepted, length = active, [], 1.0
         for _ in range(quantum._MAX_HALVINGS):
             trial = np.mod(phi[pending] + length * delta, quantum.TWO_PI)
@@ -743,25 +795,33 @@ def halving_loop_ascent(coeffs, phi):
             if not pending.size:
                 break
         moved = np.concatenate(accepted)
-        steps += moved.size
+        steps[moved] += 1
         active = moved[grad_norm[moved] > quantum._GRADIENT_TOL]
-    return value, phi, steps
+    return value, phi, grad_norm, steps
 
 
 def test_one_start_ascent_matches_the_halving_loop():
-    """Per start, the one-start ascent reaches the |T|^2 of the nested halving loop, in as many steps."""
+    """Per start, the one-start ascent reaches the |T|^2 of the nested halving
+    loop, in as many steps except in the endgame: the two form the step with
+    differently ordered products, and where both end far below the gradient
+    tolerance, that rounding may decide one held step more or less."""
     rng = np.random.default_rng(131)
     tables = [bell_table_from_id(n, rec.canonical_id) for n in (3, 4) for rec in classify_all(n)]
     tables += [random_extremal(rng, n) for n in (2, 3, 4, 5) for _ in range(3)]
+    starts, endgame = 0, 0
     for beta in tables:
         coeffs = _coefficient_array(beta)
         block = _start_points(beta.n, 0)
         _coordinate_sweeps(coeffs, block)
-        ref_value, _, ref_steps = halving_loop_ascent(coeffs, block)  # climbs a copy
-        climbs = [_newton_ascent(coeffs, row) for row in block]  # each climbs its row in place
-        value = np.array([climb[0] for climb in climbs])
-        assert np.abs(value - ref_value).max() <= 1e-12, beta
-        assert sum(climb[3] for climb in climbs) == ref_steps
+        ref_value, _, ref_norm, ref_steps = halving_loop_ascent(coeffs, block)  # climbs a copy
+        for row, *ref in zip(block, ref_value, ref_norm, ref_steps):
+            value, _, norm, steps = _newton_ascent(coeffs, row)  # climbs its row in place
+            assert abs(value - ref[0]) <= 1e-12, beta
+            starts += 1
+            if steps != ref[2]:
+                endgame += 1
+                assert abs(steps - ref[2]) == 1 and max(norm, ref[1]) <= 1e-13, beta
+    assert endgame <= starts // 100
 
 
 def test_rejected_trials_end_after_max_halvings(monkeypatch):
