@@ -9,7 +9,8 @@ times, round-robin over the workloads; one process per workload keeps each
 checkout's `src/`: `import bellpoly` (its cumulative -X importtime), and the
 CLI commands `id --mermin -n 3`, `classify -n 4`, `violation -n 8` on the
 table random.Random(1).getrandbits(256) and `violation -n 9` on the Mermin
-table, each with its wall time and the child's peak RSS (from wait4).  Every
+table, each with its wall time and the child's peak RSS (from wait4), and the
+Tier-1 tests, `python -m pytest -q` of this checkout, by wall time.  Every
 row gets the median and quartiles of its repeats, and the file records the
 commit, the paths that differ from it, the Python, numpy, BLAS and (where
 installed) scipy versions, and the thread settings.  Standard library only;
@@ -33,6 +34,7 @@ ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("census", "orbits", "exact", "membership")
 THREADS = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 SEED = 9201  # the benchmark baseline's seed
+TIER1_ROW = "tier-1 tests (python -m pytest -q)"
 CHILD_ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **THREADS)
 
 VERSIONS = """
@@ -120,6 +122,8 @@ def record(label: str, repeats: int, seconds: float) -> dict:
             rss.append(peak)
         rows[row] = summary(walls, "s")
         rows[row + " peak RSS"] = summary(rss, "MB")
+    tier1 = [sys.executable, "-m", "pytest", "-q"]
+    rows[TIER1_ROW] = summary([timed_child(tier1)[0] for _ in range(repeats)], "s")
     workloads = {}
     for name, results in runs.items():
         metrics = results[0]["metrics"]

@@ -199,10 +199,14 @@ def mermin_bound(n: int) -> float:
     return 2.0 ** ((n - 1) / 2)
 
 
+def _fits_one_block(n: int) -> bool:
+    """Whether the (4^(n-1) + 2^(n-1))/2 + `_RANDOM_STARTS` starts fit one `_START_BLOCK` (n <= 6)."""
+    return (4 ** (n - 1) + 2 ** (n - 1)) // 2 + _RANDOM_STARTS <= _START_BLOCK
+
+
 def _start_points(n: int, seed: int) -> np.ndarray:
     """`_build_start_points`, copied from a read-only cache when they fit one `_START_BLOCK` (n <= 6)."""
-    fits = (4 ** (n - 1) + 2 ** (n - 1)) // 2 + _RANDOM_STARTS <= _START_BLOCK
-    return _cached_start_points(n, seed).copy() if fits else _build_start_points(n, seed)
+    return _cached_start_points(n, seed).copy() if _fits_one_block(n) else _build_start_points(n, seed)
 
 
 def _build_start_points(n: int, seed: int) -> np.ndarray:
@@ -225,11 +229,24 @@ def _build_start_points(n: int, seed: int) -> np.ndarray:
     return points
 
 
-@lru_cache(maxsize=32)  # grids of at most 27 KB each
+@lru_cache(maxsize=32)
 def _cached_start_points(n: int, seed: int) -> np.ndarray:
+    """The start grid of a one-block (n, seed), read-only: 32 entries of at
+    most 560 x 6 floats (26.25 KiB), 840 KiB in all."""
     points = _build_start_points(n, seed)
     points.flags.writeable = False
     return points
+
+
+@lru_cache(maxsize=8)
+def _cached_phasors(n: int, seed: int) -> np.ndarray:
+    """e^(i phi.s) at the cached starts of a one-block (n, seed), read-only:
+    one row per s and one column per start, bit for bit as
+    `_coordinate_sweeps` builds them.  8 entries of at most 64 x 560 complex
+    values (560 KiB at n = 6; 17 KiB at n = 4), 4.4 MiB in all."""
+    phasors = np.exp(1j * (bit_matrix(n) @ _cached_start_points(n, seed).T))
+    phasors.flags.writeable = False
+    return phasors
 
 
 def _turn_site(weighted: np.ndarray, k: int) -> np.ndarray:
@@ -244,24 +261,34 @@ def _turn_site(weighted: np.ndarray, k: int) -> np.ndarray:
     """
     split = weighted.reshape(-1, 2, 1 << (k - 1), weighted.shape[1])
     halves = np.add.reduce(split, axis=(0, 2))
-    turn = np.subtract(*np.arctan2(halves.imag, halves.real))  # arg A - arg B
+    args = np.arctan2(halves.imag, halves.real)
+    turn = args[0] - args[1]  # arg A - arg B
     split[:, 1] *= np.exp(1j * turn)
     return turn
 
 
-def _coordinate_sweeps(coeffs: np.ndarray, phi: np.ndarray) -> np.ndarray:
+def _coordinate_sweeps(
+    coeffs: np.ndarray, phi: np.ndarray, phasors: np.ndarray | None = None
+) -> np.ndarray:
     """Closed-form site steps (`_turn_site`) from every row of phi: site n,
     then `_SWEEPS` cycles over sites 1..n.
 
     W is built once and each step rotates half of it in place.  Its starts
     run along the last axis, so every sum and rotation walks contiguous rows
-    of starts whatever the site.  No step lowers |T|, and a start on a saddle
-    steps straight off it, which leaves the Newton ascent only its quadratic
-    endgame.  The swept angles are written back into phi, reduced mod 2pi,
-    and |T|^2 = |sum_s W_s|^2 at them is returned.
+    of starts whatever the site.  W is coeffs times `phasors`, e^(i phi.s)
+    at phi as given (`_cached_phasors`), or else e^(i phi.s) built in place,
+    one complex matrix with no second beside it.  No step lowers |T|, and a
+    start on a saddle steps straight off it, which leaves the Newton ascent
+    only its quadratic endgame.  The swept angles are written back into phi,
+    reduced mod 2pi, and |T|^2 = |sum_s W_s|^2 at them is returned.
     """
     n = phi.shape[1]
-    weighted = coeffs[:, None] * np.exp(1j * (bit_matrix(n) @ phi.T))
+    if phasors is None:
+        weighted = 1j * (bit_matrix(n) @ phi.T)
+        np.exp(weighted, out=weighted)
+        weighted *= coeffs[:, None]
+    else:
+        weighted = coeffs[:, None] * phasors
     for k in [n] + [*range(1, n + 1)] * _SWEEPS:
         phi[:, k - 1] += _turn_site(weighted, k)
     np.mod(phi, TWO_PI, out=phi)
@@ -333,13 +360,16 @@ def max_violation(beta: BellTable, *, seed: int = 0) -> ViolationResult:
     (`_start_points`).  Closed-form site steps, site n first and then `_SWEEPS`
     cycles over sites 1..n, turn one angle at a time to its best value
     (`_coordinate_sweeps`); no step lowers |T|.  Every block of `_START_BLOCK`
-    starts is swept first.  The first start in grid order with the largest
-    swept |T| then climbs on alone by saddle-free Newton steps over all n
-    angles (`_newton_ascent`).  Should it stall with a gradient norm above
-    1e-8, the next starts by swept |T| (grid order breaks ties), up to
-    `_POLISH_TRIES` in all, climb in turn until one converges; of those whose
-    |T|^2 holds the best within `_HOLD_EPS`, the one of least gradient norm
-    wins.  The winner's |T|, T and norm are the ones its ascent returned, not
+    starts is swept first.  A start set of one block (n <= 6) is swept from
+    its phasors e^(i phi.s), cached read-only per (n, seed) beside the grid
+    (`_cached_phasors`: 8 entries of at most 560 KiB, 4.4 MiB in all); a
+    larger set builds each block's phasors afresh.  The first start in grid
+    order with the largest swept |T| then climbs on alone by saddle-free
+    Newton steps over all n angles (`_newton_ascent`).  Should it stall with
+    a gradient norm above 1e-8, the next starts by swept |T| (grid order
+    breaks ties), up to `_POLISH_TRIES` in all, climb in turn until one
+    converges; of those whose |T|^2 holds the best within `_HOLD_EPS`, the
+    one of least gradient norm wins.  The winner's |T|, T and norm are the ones its ascent returned, not
     evaluated again; phi0 = -arg T, so extreme_point_q(result.phases) attains
     the value, and `converged` says the norm is at most 1e-8.  Deterministic
     for a given seed; nonconvergence is reported via the flag, never raised.
@@ -349,8 +379,11 @@ def max_violation(beta: BellTable, *, seed: int = 0) -> ViolationResult:
     if not any(beta.coefficients.numerators):
         raise ValueError("the zero table has no violation to maximize")
     coeffs = _coefficient_array(beta)
-    starts = _start_points(_qubit_count(beta.n), seed)
-    swept = np.concatenate([_coordinate_sweeps(coeffs, b) for b in _blocks(starts)])
+    starts = _start_points(n := _qubit_count(beta.n), seed)
+    if _fits_one_block(n):
+        swept = _coordinate_sweeps(coeffs, starts, _cached_phasors(n, seed))
+    else:
+        swept = np.concatenate([_coordinate_sweeps(coeffs, b) for b in _blocks(starts)])
     best = starts[int(swept.argmax())]  # a view: the ascent climbs it in place
     value, total, norm, steps = _newton_ascent(coeffs, best)
     if norm > 1e-8:  # stalled: the next starts by swept |T|^2 climb while none converges

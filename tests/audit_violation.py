@@ -13,24 +13,30 @@ summary line, and exits 1 when a value falls below its reference by more than
 the path and writes its values, with the commit of the checkout it comes from.
 
 pytest does not collect this file (its name does not start with test_); a
-check takes about a minute.
+check takes about a minute.  BLAS runs on one thread unless the environment
+sets its thread count, so two runs of one tree print the same values, flags
+and gradient norms: a threaded matmul can round by how it splits the work.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import subprocess
 import sys
 import time
 from pathlib import Path
 
-import bellpoly
-from bellpoly.inequality import bell_table_from_id, mermin_sign_table, signs_to_id
-from bellpoly.quantum import max_violation
-from bellpoly.symmetry import classify_all
-from bellpoly.transform import bits_word
+for _threads in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_threads, "1")  # before numpy loads, as tests/conftest.py does
+
+import bellpoly  # noqa: E402
+from bellpoly.inequality import bell_table_from_id, mermin_sign_table, signs_to_id  # noqa: E402
+from bellpoly.quantum import max_violation  # noqa: E402
+from bellpoly.symmetry import classify_all  # noqa: E402
+from bellpoly.transform import bits_word  # noqa: E402
 
 REFERENCE = Path(__file__).with_name("audit_violation.json")
 RELATIVE_TOL = 1e-12

@@ -891,13 +891,53 @@ def test_start_points_copy_a_cached_one_block_grid():
     assert not quantum._cached_start_points(4, 0).flags.writeable
 
 
+def test_phasors_cached_read_only_for_one_block_grids():
+    """The phasors of a one-block grid (n <= 6) are cached read-only per
+    (n, seed), bit for bit the e^(i phi.s) of a fresh grid; from n = 7 the
+    sweeps build theirs block by block, and max_violation adds no entry."""
+    quantum._cached_phasors.cache_clear()
+    for n in range(1, 7):
+        for seed in (0, 7):
+            fresh = np.exp(1j * (bit_matrix(n) @ _build_start_points(n, seed).T))
+            phasors = quantum._cached_phasors(n, seed)
+            assert not phasors.flags.writeable
+            assert phasors.dtype == fresh.dtype and phasors.shape == fresh.shape
+            assert phasors.tobytes() == fresh.tobytes()
+    assert quantum._cached_phasors(6, 0).nbytes == 64 * 560 * 16  # the largest entry, 560 KiB
+    quantum._cached_phasors.cache_clear()
+    for n in (7, 8):
+        max_violation(coefficients_from_signs(mermin_sign_table(n)))
+    assert quantum._cached_phasors.cache_info().currsize == 0
+
+
 def test_max_violation_repeats_bitwise():
-    """A second call, on the cached grid, returns every field bit for bit."""
+    """A call on cold caches and a second, on the cached grid and phasors,
+    return every field bit for bit."""
     tables = [MERMIN3, bell_table_from_id(4, 279), bell_table_from_id(5, 3059489832)]
-    quantum._cached_start_points.cache_clear()
     for beta in tables:
-        first, second = max_violation(beta, seed=3), max_violation(beta, seed=3)
-        assert repr(second) == repr(first)  # repr prints every float exactly
+        quantum._cached_start_points.cache_clear()
+        quantum._cached_phasors.cache_clear()
+        cold = max_violation(beta, seed=3)
+        assert quantum._cached_phasors.cache_info().currsize == 1
+        warm = max_violation(beta, seed=3)
+        assert quantum._cached_phasors.cache_info().hits == 1
+        assert repr(warm) == repr(cold)  # repr prints every float exactly
+
+
+def test_coordinate_sweeps_build_a_fresh_block_in_place():
+    """A block swept without cached phasors builds W = beta(s) e^(i phi.s) in
+    one complex matrix: the peak is W and the float phase matrix it is made
+    from (1.5x W), not an exp result with the product beside it (2x W)."""
+    coeffs = _coefficient_array(coefficients_from_signs(mermin_sign_table(8)))
+    block = _start_points(8, 0)[: quantum._START_BLOCK].copy()
+    bit_matrix(8)  # cached on first use; not traced
+    tracemalloc.start()
+    try:
+        _coordinate_sweeps(coeffs, block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * (1 << 8) * len(block) * 16
 
 
 @pytest.mark.parametrize("n", [7, 8])
