@@ -369,12 +369,12 @@ def max_violation(beta: BellTable, *, seed: int = 0) -> ViolationResult:
     a gradient norm above 1e-8, the next starts by swept |T| (grid order
     breaks ties), up to `_POLISH_TRIES` in all, climb in turn until one
     converges; of those whose |T|^2 holds the best within `_HOLD_EPS`, the
-    one of least gradient norm wins.  The winner's |T|, T and norm are the ones its ascent returned, not
-    evaluated again; phi0 = -arg T, so extreme_point_q(result.phases) attains
-    the value, and `converged` says the norm is at most 1e-8.  Deterministic
-    for a given seed; nonconvergence is reported via the flag, never raised.
-    n must be 1..12, as for the GHZ state that realizes it, checked before
-    any grid.
+    one of least gradient norm wins.  The winner's |T|, T and norm are the
+    ones its ascent returned, not evaluated again; phi0 = -arg T, so
+    extreme_point_q(result.phases) attains the value, and `converged` says
+    the norm is at most 1e-8.  Deterministic for a given seed;
+    nonconvergence is reported via the flag, never raised.  n must be 1..12,
+    as for the GHZ state that realizes it, checked before any grid.
     """
     if not any(beta.coefficients.numerators):
         raise ValueError("the zero table has no violation to maximize")
