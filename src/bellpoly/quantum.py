@@ -56,6 +56,8 @@ _RANDOM_STARTS = 32
 _SWEEPS = 3
 _MAX_ITERATIONS = 500
 _GRADIENT_TOL = 1e-12
+# the gradient norm at or below which a polished start has converged
+_CONVERGED_NORM = 1e-8
 _MAX_HALVINGS = 40
 # starts polished at most, best swept first, while none converges at the best value
 _POLISH_TRIES = 4
@@ -205,11 +207,6 @@ def _fits_one_block(n: int) -> bool:
 
 
 def _start_points(n: int, seed: int) -> np.ndarray:
-    """`_build_start_points`, copied from a read-only cache when they fit one `_START_BLOCK` (n <= 6)."""
-    return _cached_start_points(n, seed).copy() if _fits_one_block(n) else _build_start_points(n, seed)
-
-
-def _build_start_points(n: int, seed: int) -> np.ndarray:
     """Start points over sites 1..n, all with phi_n = 0 (the sweeps set it).
 
     beta is real, so T(-phi) = conj T(phi), and grid points c and -c start
@@ -229,24 +226,22 @@ def _build_start_points(n: int, seed: int) -> np.ndarray:
     return points
 
 
-@lru_cache(maxsize=32)
-def _cached_start_points(n: int, seed: int) -> np.ndarray:
-    """The start grid of a one-block (n, seed), read-only: 32 entries of at
-    most 560 x 6 floats (26.25 KiB), 840 KiB in all."""
-    points = _build_start_points(n, seed)
-    points.flags.writeable = False
-    return points
+def _phasors(phi: np.ndarray) -> np.ndarray:
+    """e^(i phi.s), one row per s and one column per row of phi (a vector for
+    one start), made in the one complex array that first holds i phi.s."""
+    phasors = 1j * (bit_matrix(phi.shape[-1]) @ phi.T)
+    return np.exp(phasors, out=phasors)
 
 
 @lru_cache(maxsize=8)
-def _cached_phasors(n: int, seed: int) -> np.ndarray:
-    """e^(i phi.s) at the cached starts of a one-block (n, seed), read-only:
-    one row per s and one column per start, bit for bit as
-    `_coordinate_sweeps` builds them.  8 entries of at most 64 x 560 complex
-    values (560 KiB at n = 6; 17 KiB at n = 4), 4.4 MiB in all."""
-    phasors = np.exp(1j * (bit_matrix(n) @ _cached_start_points(n, seed).T))
-    phasors.flags.writeable = False
-    return phasors
+def _one_block_starts(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The start points of a one-block (n, seed) and their `_phasors`, both
+    read-only: 8 entries of at most 560 x 6 floats and 64 x 560 complex
+    values (586 KiB at n = 6), 4.6 MiB in all."""
+    points = _start_points(n, seed)
+    phasors = _phasors(points)
+    points.flags.writeable = phasors.flags.writeable = False
+    return points, phasors
 
 
 def _turn_site(weighted: np.ndarray, k: int) -> np.ndarray:
@@ -275,20 +270,17 @@ def _coordinate_sweeps(
 
     W is built once and each step rotates half of it in place.  Its starts
     run along the last axis, so every sum and rotation walks contiguous rows
-    of starts whatever the site.  W is coeffs times `phasors`, e^(i phi.s)
-    at phi as given (`_cached_phasors`), or else e^(i phi.s) built in place,
-    one complex matrix with no second beside it.  No step lowers |T|, and a
-    start on a saddle steps straight off it, which leaves the Newton ascent
-    only its quadratic endgame.  The swept angles are written back into phi,
-    reduced mod 2pi, and |T|^2 = |sum_s W_s|^2 at them is returned.
+    of starts whatever the site.  W is `_phasors(phi)`, or a copy of
+    `phasors` (e^(i phi.s) at phi as given, cached by `_one_block_starts`),
+    times coeffs in place: one complex matrix, no second beside it.  No step
+    lowers |T|, and a start on a saddle steps straight off it, which leaves
+    the Newton ascent only its quadratic endgame.  The swept angles are
+    written back into phi, reduced mod 2pi, and |T|^2 = |sum_s W_s|^2 at them
+    is returned.
     """
     n = phi.shape[1]
-    if phasors is None:
-        weighted = 1j * (bit_matrix(n) @ phi.T)
-        np.exp(weighted, out=weighted)
-        weighted *= coeffs[:, None]
-    else:
-        weighted = coeffs[:, None] * phasors
+    weighted = _phasors(phi) if phasors is None else phasors.copy()
+    weighted *= coeffs[:, None]
     for k in [n] + [*range(1, n + 1)] * _SWEEPS:
         phi[:, k - 1] += _turn_site(weighted, k)
     np.mod(phi, TWO_PI, out=phi)
@@ -306,7 +298,7 @@ def _ascent_terms(
     2 Re(conj(P_j) P_k) - 2 Re(conj(T) sum_s W_s s_j s_k).
     """
     n = len(phi)
-    moments = (coeffs * np.exp(1j * (bit_matrix(n) @ phi))) @ _moment_matrix(n)
+    moments = (coeffs * _phasors(phi)) @ _moment_matrix(n)
     total, partials = moments[0], moments[1 : n + 1]
     grad = -2.0 * (total.conj() * partials).imag
     hess = 2.0 * (partials.conj()[:, None] * partials).real
@@ -360,45 +352,48 @@ def max_violation(beta: BellTable, *, seed: int = 0) -> ViolationResult:
     (`_start_points`).  Closed-form site steps, site n first and then `_SWEEPS`
     cycles over sites 1..n, turn one angle at a time to its best value
     (`_coordinate_sweeps`); no step lowers |T|.  Every block of `_START_BLOCK`
-    starts is swept first.  A start set of one block (n <= 6) is swept from
-    its phasors e^(i phi.s), cached read-only per (n, seed) beside the grid
-    (`_cached_phasors`: 8 entries of at most 560 KiB, 4.4 MiB in all); a
-    larger set builds each block's phasors afresh.  The first start in grid
-    order with the largest swept |T| then climbs on alone by saddle-free
-    Newton steps over all n angles (`_newton_ascent`).  Should it stall with
-    a gradient norm above 1e-8, the next starts by swept |T| (grid order
-    breaks ties), up to `_POLISH_TRIES` in all, climb in turn until one
-    converges; of those whose |T|^2 holds the best within `_HOLD_EPS`, the
-    one of least gradient norm wins.  The winner's |T|, T and norm are the
-    ones its ascent returned, not evaluated again; phi0 = -arg T, so
+    starts is swept first.  A start set of one block (n <= 6) is cached
+    read-only per (n, seed) with its phasors e^(i phi.s)
+    (`_one_block_starts`: 8 entries of at most 586 KiB, 4.6 MiB in all), and
+    the sweeps climb a copy; a larger set builds each block's phasors
+    afresh.  The first start in grid order with the largest swept |T| then
+    climbs on alone by saddle-free Newton steps over all n angles
+    (`_newton_ascent`).  Should it stall with a gradient norm above
+    `_CONVERGED_NORM` (1e-8), the next starts by swept |T| (grid order breaks
+    ties), up to `_POLISH_TRIES` in all, climb in turn until one converges;
+    of those whose |T|^2 holds the best within `_HOLD_EPS`, the one of least
+    gradient norm wins.  The winner's |T|, T and norm are the ones its ascent
+    returned, not evaluated again; phi0 = -arg T, so
     extreme_point_q(result.phases) attains the value, and `converged` says
-    the norm is at most 1e-8.  Deterministic for a given seed;
+    the norm is at most `_CONVERGED_NORM`.  Deterministic for a given seed;
     nonconvergence is reported via the flag, never raised.  n must be 1..12,
     as for the GHZ state that realizes it, checked before any grid.
     """
     if not any(beta.coefficients.numerators):
         raise ValueError("the zero table has no violation to maximize")
     coeffs = _coefficient_array(beta)
-    starts = _start_points(n := _qubit_count(beta.n), seed)
-    if _fits_one_block(n):
-        swept = _coordinate_sweeps(coeffs, starts, _cached_phasors(n, seed))
+    if _fits_one_block(n := _qubit_count(beta.n)):
+        points, phasors = _one_block_starts(n, seed)
+        starts = points.copy()
+        swept = _coordinate_sweeps(coeffs, starts, phasors)
     else:
+        starts = _start_points(n, seed)
         swept = np.concatenate([_coordinate_sweeps(coeffs, b) for b in _blocks(starts)])
     best = starts[int(swept.argmax())]  # a view: the ascent climbs it in place
     value, total, norm, steps = _newton_ascent(coeffs, best)
-    if norm > 1e-8:  # stalled: the next starts by swept |T|^2 climb while none converges
+    if norm > _CONVERGED_NORM:  # stalled: the next starts by swept |T|^2 climb while none converges
         for i in np.argsort(-swept, kind="stable")[1:_POLISH_TRIES]:
             t_value, t_total, t_norm, t_steps = _newton_ascent(coeffs, starts[i])
             steps += t_steps
             held = abs(t_value - value) <= _HOLD_EPS * max(value, 1.0)
             if (t_value > value and not held) or (held and t_norm < norm):
                 best, value, total, norm = starts[i], t_value, t_total, t_norm
-            if norm <= 1e-8:
+            if norm <= _CONVERGED_NORM:
                 break
     return ViolationResult(
         value=math.sqrt(value),
         phases=PhaseVector(-float(np.angle(total)), tuple(best)),
-        converged=norm <= 1e-8,
+        converged=norm <= _CONVERGED_NORM,
         gradient_norm=norm,
         starts=len(starts),
         iterations=steps,

@@ -9,8 +9,12 @@ workflow pins, and the permutation-invariant tables at n = 7.  The reference,
 tests/audit_violation.json, holds each call's value and `converged` flag as
 recorded at the commit it names.  A check prints one JSON line per call and a
 summary line, and exits 1 when a value falls below its reference by more than
-1e-12 relative or a `converged` flag differs.  --record runs the bellpoly on
-the path and writes its values, with the commit of the checkout it comes from.
+1e-12 relative or a `converged` flag differs.  The summary's `repr_sha256` is
+the sha256 of every call's `repr(max_violation(...))`, one line each in call
+order: two trees that print the same digest return every field bit for bit
+alike.  The digest is stable only with BLAS on one thread, which this script
+sets (below).  --record runs the bellpoly on the path and writes its values,
+with the commit of the checkout it comes from.
 
 pytest does not collect this file (its name does not start with test_); a
 check takes about a minute.  BLAS runs on one thread unless the environment
@@ -21,6 +25,7 @@ and gradient norms: a threaded matmul can round by how it splits the work.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import random
@@ -71,6 +76,7 @@ def run_call(n: int, table_id: int, seed: int) -> dict:
     start = time.perf_counter()
     result = max_violation(bell_table_from_id(n, table_id), seed=seed)
     return {
+        "repr": repr(result),
         "value": result.value,
         "converged": result.converged,
         "gradient_norm": result.gradient_norm,
@@ -103,9 +109,11 @@ def check() -> int:
         return 2
     below = flipped = 0
     worst = best = 0.0  # the largest relative fall below, and rise above, the reference
+    digest = hashlib.sha256()
     start = time.perf_counter()
     for ref in reference["calls"]:
         got = run_call(ref["n"], ref["id"], ref["seed"])
+        digest.update(got.pop("repr").encode() + b"\n")
         change = (got["value"] - ref["value"]) / ref["value"]
         fell, flip = change < -RELATIVE_TOL, got["converged"] != ref["converged"]
         below, flipped = below + fell, flipped + flip
@@ -116,7 +124,7 @@ def check() -> int:
     summary = {
         "summary": True, "calls": len(reference["calls"]), "reference_commit": reference["commit"],
         "below_reference": below, "converged_flips": flipped,
-        "largest_fall": -worst, "largest_rise": best,
+        "largest_fall": -worst, "largest_rise": best, "repr_sha256": digest.hexdigest(),
         "seconds": round(time.perf_counter() - start, 1),
     }
     print(json.dumps(summary))

@@ -36,10 +36,11 @@ from bellpoly import quantum
 from bellpoly.quantum import (
     ViolationResult,
     _ascent_terms,
-    _build_start_points,
     _coefficient_array,
     _coordinate_sweeps,
     _newton_ascent,
+    _one_block_starts,
+    _phasors,
     _start_points,
     _turn_site,
 )
@@ -851,7 +852,7 @@ def test_rejected_trials_end_after_max_halvings(monkeypatch):
 
 
 def test_start_points_pair_grid_mirrors():
-    for n in range(1, 9):  # n >= 7 builds fresh, n <= 6 copies the cache
+    for n in range(1, 9):
         points = _start_points(n, 5)
         assert len(points) == (4 ** (n - 1) + 2 ** (n - 1)) // 2 + 32
         assert points.shape[1] == n and not points[:, -1].any()  # every start has phi_n = 0
@@ -872,55 +873,46 @@ def test_start_points_pair_grid_mirrors():
     assert [len(_start_points(n, 0)) - 32 for n in (4, 5)] == [36, 136]
 
 
-def test_start_points_copy_a_cached_one_block_grid():
-    """A grid of one _START_BLOCK (n <= 6) is cached read-only per (n, seed);
-    every call returns a writable copy equal to a fresh build, so the sweeps
-    writing into one call's starts leave the next call's as they were.  From
-    n = 7 the grid exceeds one block and is built fresh, never kept."""
-    quantum._cached_start_points.cache_clear()
-    for n in range(1, 9):
-        for seed in (0, 7):
-            fresh = _build_start_points(n, seed)
-            points = _start_points(n, seed)
-            assert points.flags.writeable
-            assert points.dtype == fresh.dtype and points.tobytes() == fresh.tobytes()
-            points[:] = -1.0
-            assert _start_points(n, seed).tobytes() == fresh.tobytes()
-    assert len(_start_points(7, 0)) > quantum._START_BLOCK
-    assert quantum._cached_start_points.cache_info().currsize == 6 * 2  # n = 1..6 only
-    assert not quantum._cached_start_points(4, 0).flags.writeable
-
-
-def test_phasors_cached_read_only_for_one_block_grids():
-    """The phasors of a one-block grid (n <= 6) are cached read-only per
-    (n, seed), bit for bit the e^(i phi.s) of a fresh grid; from n = 7 the
-    sweeps build theirs block by block, and max_violation adds no entry."""
-    quantum._cached_phasors.cache_clear()
+def test_one_block_starts_cached_read_only():
+    """The start points of a one-block set (n <= 6) and their phasors are
+    cached read-only per (n, seed), bit for bit a fresh `_start_points` and
+    its e^(i phi.s); max_violation sweeps a copy, so the cached points stay
+    as they were.  From n = 7 the sweeps build theirs block by block, and
+    max_violation adds no entry."""
+    _one_block_starts.cache_clear()
     for n in range(1, 7):
         for seed in (0, 7):
-            fresh = np.exp(1j * (bit_matrix(n) @ _build_start_points(n, seed).T))
-            phasors = quantum._cached_phasors(n, seed)
-            assert not phasors.flags.writeable
-            assert phasors.dtype == fresh.dtype and phasors.shape == fresh.shape
-            assert phasors.tobytes() == fresh.tobytes()
-    assert quantum._cached_phasors(6, 0).nbytes == 64 * 560 * 16  # the largest entry, 560 KiB
-    quantum._cached_phasors.cache_clear()
+            fresh = _start_points(n, seed)
+            points, phasors = _one_block_starts(n, seed)
+            assert not points.flags.writeable and not phasors.flags.writeable
+            assert points.dtype == fresh.dtype and points.tobytes() == fresh.tobytes()
+            expected = np.exp(1j * (bit_matrix(n) @ fresh.T))
+            assert phasors.dtype == expected.dtype and phasors.shape == expected.shape
+            assert phasors.tobytes() == expected.tobytes()
+            assert _phasors(fresh).tobytes() == expected.tobytes()
+    assert _one_block_starts(6, 0)[1].nbytes == 64 * 560 * 16  # the largest phasors, 560 KiB
+    points = _one_block_starts(3, 7)[0]
+    before = points.tobytes()
+    max_violation(MERMIN3, seed=7)
+    assert _one_block_starts(3, 7)[0] is points and points.tobytes() == before
+    assert _one_block_starts.cache_info().currsize == 8  # the 8 latest of n = 1..6
+    assert len(_start_points(7, 0)) > quantum._START_BLOCK
+    _one_block_starts.cache_clear()
     for n in (7, 8):
         max_violation(coefficients_from_signs(mermin_sign_table(n)))
-    assert quantum._cached_phasors.cache_info().currsize == 0
+    assert _one_block_starts.cache_info().currsize == 0
 
 
 def test_max_violation_repeats_bitwise():
-    """A call on cold caches and a second, on the cached grid and phasors,
+    """A call on a cold cache and a second, on the cached points and phasors,
     return every field bit for bit."""
     tables = [MERMIN3, bell_table_from_id(4, 279), bell_table_from_id(5, 3059489832)]
     for beta in tables:
-        quantum._cached_start_points.cache_clear()
-        quantum._cached_phasors.cache_clear()
+        _one_block_starts.cache_clear()
         cold = max_violation(beta, seed=3)
-        assert quantum._cached_phasors.cache_info().currsize == 1
+        assert _one_block_starts.cache_info().currsize == 1
         warm = max_violation(beta, seed=3)
-        assert quantum._cached_phasors.cache_info().hits == 1
+        assert _one_block_starts.cache_info().hits == 1
         assert repr(warm) == repr(cold)  # repr prints every float exactly
 
 
