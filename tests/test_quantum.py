@@ -873,30 +873,46 @@ def test_start_points_pair_grid_mirrors():
     assert [len(_start_points(n, 0)) - 32 for n in (4, 5)] == [36, 136]
 
 
-def test_one_block_starts_cached_read_only():
-    """The start points of a one-block set (n <= 6) and their phasors are
-    cached read-only per (n, seed), bit for bit a fresh `_start_points` and
-    its e^(i phi.s); max_violation sweeps a copy, so the cached points stay
-    as they were.  From n = 7 the sweeps build theirs block by block, and
-    max_violation adds no entry."""
+def test_start_points_copy_a_cached_one_block_grid():
+    """The start points of a one-block set (n <= 6) are cached read-only per
+    (n, seed), bit for bit a fresh `_start_points`; max_violation sweeps a
+    copy, so the cached points stay as they were.  From n = 7 the grid
+    exceeds one block and max_violation builds it fresh, never kept."""
     _one_block_starts.cache_clear()
     for n in range(1, 7):
         for seed in (0, 7):
             fresh = _start_points(n, seed)
-            points, phasors = _one_block_starts(n, seed)
-            assert not points.flags.writeable and not phasors.flags.writeable
+            points = _one_block_starts(n, seed)[0]
+            assert not points.flags.writeable
             assert points.dtype == fresh.dtype and points.tobytes() == fresh.tobytes()
-            expected = np.exp(1j * (bit_matrix(n) @ fresh.T))
-            assert phasors.dtype == expected.dtype and phasors.shape == expected.shape
-            assert phasors.tobytes() == expected.tobytes()
-            assert _phasors(fresh).tobytes() == expected.tobytes()
-    assert _one_block_starts(6, 0)[1].nbytes == 64 * 560 * 16  # the largest phasors, 560 KiB
     points = _one_block_starts(3, 7)[0]
     before = points.tobytes()
     max_violation(MERMIN3, seed=7)
     assert _one_block_starts(3, 7)[0] is points and points.tobytes() == before
     assert _one_block_starts.cache_info().currsize == 8  # the 8 latest of n = 1..6
     assert len(_start_points(7, 0)) > quantum._START_BLOCK
+    _one_block_starts.cache_clear()
+    for n in (7, 8):
+        max_violation(coefficients_from_signs(mermin_sign_table(n)))
+    assert _one_block_starts.cache_info().currsize == 0
+
+
+def test_phasors_cached_read_only_for_one_block_grids():
+    """The phasors of a one-block set (n <= 6) are cached read-only per
+    (n, seed), bit for bit the e^(i phi.s) of a fresh grid, and `_phasors`
+    builds the same array; from n = 7 the sweeps build theirs block by
+    block, and max_violation adds no entry."""
+    _one_block_starts.cache_clear()
+    for n in range(1, 7):
+        for seed in (0, 7):
+            fresh = _start_points(n, seed)
+            phasors = _one_block_starts(n, seed)[1]
+            expected = np.exp(1j * (bit_matrix(n) @ fresh.T))
+            assert not phasors.flags.writeable
+            assert phasors.dtype == expected.dtype and phasors.shape == expected.shape
+            assert phasors.tobytes() == expected.tobytes()
+            assert _phasors(fresh).tobytes() == expected.tobytes()
+    assert _one_block_starts(6, 0)[1].nbytes == 64 * 560 * 16  # the largest phasors, 560 KiB
     _one_block_starts.cache_clear()
     for n in (7, 8):
         max_violation(coefficients_from_signs(mermin_sign_table(n)))
