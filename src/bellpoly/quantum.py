@@ -371,6 +371,7 @@ def max_violation(beta: BellTable, *, seed: int = 0) -> ViolationResult:
     """
     if not any(beta.coefficients.numerators):
         raise ValueError("the zero table has no violation to maximize")
+    seed = operator.index(seed)  # before the cache, where 1.0 would find seed 1's entry
     coeffs = _coefficient_array(beta)
     if _fits_one_block(n := _qubit_count(beta.n)):
         points, phasors = _one_block_starts(n, seed)

@@ -2,14 +2,14 @@
 
 The group combines observable swaps (XOR shifts of the argument), outcome
 sign flips (linear sign characters), site permutations and a global sign;
-its order is n! * 2^(2n+1).  On packed table words a site transposition and
-an XOR shift are each one delta swap, so the n! 2^n images of a word take
-n(n+1)/2 array passes.  The sign flips XOR in a codeword of the
-Reed-Muller code RM(1, n), which every element maps onto itself: an orbit is
-a disjoint union of its cosets, and an Orbit holds only their least elements,
-sorted.  The least id is the first minimum and the size 2^(n+1) per coset; an
-id is a member iff its coset minimum is one, and the sorted member ids are
-expanded on first read.  The census flags are orbit invariants: the
+its order is n! * 2^(2n+1).  On packed table words a transposition or an XOR
+shift is a delta swap, and one swap makes all moves of a generator stage, so
+the n! 2^n images of a word take 2n - 1.  The sign flips XOR in a codeword of
+the Reed-Muller code RM(1, n), which every element maps onto itself: an orbit
+is a disjoint union of its cosets, and an Orbit holds only their least
+elements, sorted.  The least id is the first minimum and the size 2^(n+1) per
+coset; an id is a member iff its coset minimum is one, and the sorted member
+ids are expanded on first read.  The census flags are orbit invariants: the
 permutation-invariant tables are looked up by their coset minima, and
 factorizing is tested on one member, as the group keeps product form.
 """
@@ -108,27 +108,63 @@ def _sign_code(n: int) -> tuple[tuple[int, ...], tuple[int, ...], np.ndarray]:
     return x, tuple(basis), codewords
 
 
-def _delta_swap(words: np.ndarray, delta: int, mask: int, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Each word with bit r and bit r + delta swapped for every bit r set in mask, written
-    into out with scratch as work space (both arrays shaped like words).  The moved bits,
-    mask << delta, must lie in the word and clear of mask."""
-    t = np.right_shift(words, delta, out=scratch)
+@lru_cache(maxsize=8)
+def _lead_table(n: int) -> tuple[int, np.ndarray, tuple[int, ...]]:
+    """(shift, table, rest): the basis words with their leading bit in a word's top nine bits
+    are XORed in by one lookup, table[word >> shift] (read-only); those of rest one by one."""
+    _, basis, codewords = _sign_code(n)
+    shift = max(0, (1 << n) - 9)
+    index = np.arange(1 << ((1 << n) - shift), dtype=codewords.dtype)
+    table = np.bitwise_xor.reduce([(index >> (b.bit_length() - 1 - shift) & 1) * b for b in basis if b >> shift])
+    table.flags.writeable = False
+    return shift, table, tuple(b for b in basis if not b >> shift)
+
+
+def _coset_minima(n: int, words: int | np.ndarray) -> int | np.ndarray:
+    """The least element of each word's coset: every basis leading bit cleared (each is set in
+    its own basis word only).  An array is reduced in place, with one scratch array."""
+    shift, table, rest = _lead_table(n)
+    if not isinstance(words, np.ndarray):
+        words ^= int(table[words >> shift])
+        for b in rest:
+            words ^= (words >> (b.bit_length() - 1) & 1) * b
+        return words
+    t = words >> shift
+    words ^= table.take(t, out=t, mode="clip")  # every index is in range; "raise" would copy out
+    for b in rest:
+        np.right_shift(words, b.bit_length() - 1, out=t)
+        t &= 1
+        t *= b
+        words ^= t
+    return words
+
+
+@lru_cache(maxsize=8)
+def _sweep_stages(n: int) -> tuple[np.ndarray, ...]:
+    """Each generator stage's moves as read-only word-dtype columns (delta, mask, 2^delta + 1),
+    shaped (3, moves, 1).  Stage m, S_(m+1) = union of the cosets S_m (k m), k <= m, moves bits r
+    with r_k = 1, r_m = 0 by 2^m - 2^k; then each XOR shift r -> r ^ 2^k moves r_k = 0 by 2^k."""
+    x, _, codewords = _sign_code(n)
+    full = (1 << (1 << n)) - 1
+    stages = [[((1 << m) - (1 << k), x[k] & ~x[m]) for k in range(m)] for m in range(1, n)]
+    stages += [[(1 << k, full ^ x[k])] for k in range(n)]
+    columns = np.array([(d, mask, (1 << d) + 1) for moves in stages for d, mask in moves], codewords.dtype)
+    columns = columns.T[..., None]
+    columns.flags.writeable = False  # and so its views, one per stage
+    return tuple(np.split(columns, np.cumsum([len(moves) for moves in stages[:-1]]), axis=1))
+
+
+def _delta_swap(words: np.ndarray, stage: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Row i of out, shaped (moves, len(words)): each word with bits r and r + delta_i swapped
+    for every bit r set in mask_i, given a stage's (delta, mask, 2^delta + 1) columns.  The
+    moved bits, mask << delta, must lie in the word and clear of mask."""
+    delta, mask, mult = stage
+    t = np.right_shift(words, delta, out=out)
     t ^= words
     t &= mask
-    t *= (1 << delta) + 1  # t | t << delta in one pass: the two bit sets are disjoint
-    return np.bitwise_xor(words, t, out=out)
-
-
-def _coset_minima(words: int | np.ndarray, basis: tuple, scratch=None) -> int | np.ndarray:
-    """The least element of each word's coset: every basis leading bit cleared.
-    Given a scratch array, an array of words is reduced in place."""
-    for b in basis:
-        if scratch is None:
-            words = words ^ ((words >> (b.bit_length() - 1)) & 1) * b
-        else:
-            np.bitwise_and(np.right_shift(words, b.bit_length() - 1, out=scratch), 1, out=scratch)
-            words ^= np.multiply(scratch, b, out=scratch)
-    return words
+    t *= mult  # t | t << delta in one pass: the two bit sets are disjoint
+    t ^= words
+    return t
 
 
 class Orbit(_Value):
@@ -157,7 +193,7 @@ class Orbit(_Value):
 
     def _holds(self, words: int | np.ndarray) -> np.bool_ | np.ndarray:
         """Whether each word's coset, so the word itself, lies in the orbit."""
-        words = np.asarray(_coset_minima(words, _sign_code(self.n)[1]), self.coset_minima.dtype)
+        words = np.asarray(_coset_minima(self.n, words), self.coset_minima.dtype)
         idx = np.minimum(np.searchsorted(self.coset_minima, words), len(self.coset_minima) - 1)
         return self.coset_minima[idx] == words
 
@@ -173,7 +209,7 @@ class Orbit(_Value):
     @cached_property
     def permutation_invariant(self) -> bool:
         """Some member's f(r) depends only on weight(r): look those 2^(n+1) tables up."""
-        return bool(self._holds(_symmetric_ids(self.n)).any())
+        return bool(self._holds(_symmetric_ids(self.n).astype(self.coset_minima.dtype)).any())
 
     @cached_property
     def factorizing(self) -> bool:
@@ -201,22 +237,15 @@ def orbit_of_id(n: int, table_id: int) -> Orbit:
         raise ValueError(f"orbit sweeps are limited to n <= {MAX_ORBIT_SITES}")
     if not 0 <= operator.index(table_id) < 1 << (1 << n):
         raise ValueError(f"id {table_id} out of range for n={n}")
-    x, basis, codewords = _sign_code(n)
-    # one stage per m, S_(m+1) = union of the cosets S_m (k m), k <= m, moving bits r with r_k = 1,
-    # r_m = 0; then one per XOR shift r -> r ^ 2^k, moving bits r with r_k = 0, each a doubling
-    full = (1 << (1 << n)) - 1
-    stages = [[((1 << m) - (1 << k), x[k] & ~x[m]) for k in range(m)] for m in range(1, n)]
-    stages += [[(1 << k, full ^ x[k])] for k in range(n)]
-    # the n! 2^n images fill one array block by block, then are reduced in place
-    words = np.empty(math.factorial(n) << n, codewords.dtype)
-    scratch = np.empty_like(words)
+    # the n! 2^n images fill one array block by block, one swap per stage, then are reduced in place
+    words = np.empty(math.factorial(n) << n, _sign_code(n)[2].dtype)
     words[0], size = table_id, 1
-    for moves in stages:
-        for slot, (delta, mask) in enumerate(moves, 1):
-            _delta_swap(words[:size], delta, mask, words[slot * size : (slot + 1) * size], scratch[:size])
-        size *= len(moves) + 1
+    for stage in _sweep_stages(n):
+        moves = stage.shape[1]
+        _delta_swap(words[:size], stage, words[size : (moves + 1) * size].reshape(moves, size))
+        size *= moves + 1
     # sort and compare, not np.unique (numpy 2.4 hashes uint64, ~40x slower here)
-    _coset_minima(words, basis, scratch).sort()
+    _coset_minima(n, words).sort()
     minima = words[np.append(True, words[1:] != words[:-1])]
     minima.flags.writeable = False
     return Orbit(n=n, canonical_id=int(minima[0]), size=len(minima) << (n + 1), coset_minima=minima)
@@ -239,8 +268,8 @@ def classify_all(n: int) -> list[Orbit]:
     """
     if site_count(n) > MAX_CENSUS_SITES:
         raise ValueError(f"the exhaustive census is limited to n <= {MAX_CENSUS_SITES}")
-    ids = np.arange(1 << (1 << n), dtype=_sign_code(n)[2].dtype)
-    seen = _coset_minima(ids, _sign_code(n)[1]) != ids
+    pivots = sum(1 << (b.bit_length() - 1) for b in _sign_code(n)[1])
+    seen = np.arange(1 << (1 << n), dtype=_sign_code(n)[2].dtype) & pivots != 0
     orbits: list[Orbit] = []
     seed = 0
     while not seen[seed]:  # seed is the least unseen id, or 0 once all are seen

@@ -932,6 +932,23 @@ def test_max_violation_repeats_bitwise():
         assert repr(warm) == repr(cold)  # repr prints every float exactly
 
 
+def test_max_violation_takes_integer_seeds_only():
+    """A float seed raises whether or not its integer's start set is cached (1.0
+    and 1 would share a cache key), at n = 3 (one cached block) and at n = 7
+    (no cache); a numpy integer seed is its int."""
+    beta = bell_table_from_id(3, 105)
+    _one_block_starts.cache_clear()
+    with pytest.raises(TypeError):
+        max_violation(beta, seed=1.0)  # cold
+    result = max_violation(beta, seed=1)
+    with pytest.raises(TypeError):
+        max_violation(beta, seed=1.0)  # warm: the seed-1 entry is cached
+    assert _one_block_starts.cache_info().currsize == 1
+    assert repr(max_violation(beta, seed=np.int64(1))) == repr(result)
+    with pytest.raises(TypeError):
+        max_violation(coefficients_from_signs(mermin_sign_table(7)), seed=1.0)
+
+
 def test_coordinate_sweeps_build_a_fresh_block_in_place():
     """A block swept without cached phasors builds W = beta(s) e^(i phi.s) in
     one complex matrix: the peak is W and the float phase matrix it is made

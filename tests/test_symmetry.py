@@ -1,8 +1,10 @@
 """Symmetry group: the action, orbits, and the exhaustive census."""
 
 import copy
+import hashlib
 import itertools
 import pickle
+import random
 import tracemalloc
 
 import numpy as np
@@ -22,6 +24,7 @@ from bellpoly.symmetry import (
     _coset_minima,
     _delta_swap,
     _sign_code,
+    _sweep_stages,
     _symmetric_ids,
     apply,
     classify_all,
@@ -157,14 +160,23 @@ def test_bit_moves_match_group_elements(n):
     for k in range(n):
         pi = [r ^ 1 << k for r in range(1 << n)]
         moves.append((GroupElement(tuple(range(n)), 1 << k, 0, 1), pi, 1 << k, full ^ x[k]))
-    for g, pi, delta, mask in moves:
+    # every move in one stage column: row i of the output is move i's image
+    stage = np.array([(delta, mask, (1 << delta) + 1) for _, _, delta, mask in moves], packed.dtype).T[..., None]
+    out = np.empty((len(moves), len(words)), packed.dtype)
+    assert _delta_swap(packed, stage, out) is out
+    assert packed.tolist() == words
+    for (g, pi, _, _), row in zip(moves, out.tolist()):
         expected = [signs_to_id(apply(g, id_to_signs(n, w))) for w in words]
-        out = np.empty_like(packed)
-        assert _delta_swap(packed, delta, mask, out, np.empty_like(packed)) is out
-        assert out.tolist() == expected and packed.tolist() == words
+        assert row == expected
         # bit r of the image is bit pi(r) of the word
         for w, image in zip(words, expected):
             assert all((image >> r & 1) == (w >> pi[r] & 1) for r in range(1 << n))
+    # the sweep's stages hold these moves, each once: stage m the transpositions (k m), then the shifts
+    stages = _sweep_stages(n)
+    assert all(not st.flags.writeable and st.dtype == packed.dtype for st in stages)
+    assert [st.shape[1] for st in stages] == list(range(1, n)) + [1] * n
+    swept = [tuple(move) for st in stages for move in st[..., 0].T.tolist()]
+    assert sorted(swept) == sorted(tuple(move) for move in stage[..., 0].T.tolist())
 
 
 def _sign_character_masks(n):
@@ -195,13 +207,21 @@ def test_sign_code_is_the_sign_character_masks(n):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_coset_minima_are_brute_force_minima(n):
     words = _seeded_words(n, 40, 70 + n)
-    _, basis, codewords = _sign_code(n)
-    got = _coset_minima(np.array(words, dtype=codewords.dtype), basis).tolist()
-    assert got == [min(w ^ c for c in codewords.tolist()) for w in words]
-    assert [_coset_minima(w, basis) for w in words] == got  # Python ints, as `in` reduces them
+    _, _, codewords = _sign_code(n)
     packed = np.array(words, dtype=codewords.dtype)  # in place, as the sweep reduces
-    assert _coset_minima(packed, basis, np.empty_like(packed)) is packed
-    assert packed.tolist() == got
+    assert _coset_minima(n, packed) is packed
+    got = packed.tolist()
+    assert got == [min(w ^ c for c in codewords.tolist()) for w in words]
+    assert [_coset_minima(n, w) for w in words] == got  # Python ints, as `in` reduces them
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_coset_minima_are_the_words_with_no_leading_bit_set(n):
+    """The census's seed rule: a word is its own coset minimum iff ids & pivots == 0."""
+    _, basis, codewords = _sign_code(n)
+    pivots = sum(1 << (b.bit_length() - 1) for b in basis)
+    ids = np.arange(1 << (1 << n), dtype=codewords.dtype)
+    assert np.array_equal(ids & pivots == 0, _coset_minima(n, ids.copy()) == ids)
 
 
 def test_group_element_validation():
@@ -436,6 +456,25 @@ def test_orbit_matches_brute_force_sweep(n, count):
         orb = orbit_of_id(n, table_id)
         _assert_well_formed(orb)
         assert orb.member_ids.tolist() == expected
+
+
+# sha256 over (n, id, canonical_id, size) and the coset minima' bytes, recorded at commit
+# 5d57f15, before the sweep took one delta swap per generator stage and the coset reduction
+# one table lookup; it pins n = 5 and 6, which the CLI's recorded classify digests do not reach
+ORBIT_DIGEST = "13f32e62e5200fab72ac8f13dd3aa94202bd0f604717acb7c197a9318d17b350"
+
+
+def test_orbits_match_the_recorded_digest():
+    rng = random.Random(2026)
+    cases = [(5, rng.getrandbits(32)) for _ in range(200)] + [(6, rng.getrandbits(64)) for _ in range(10)]
+    for _ in range(8):  # seeded images of the Mermin table
+        g = GroupElement(rng.sample(range(6), 6), rng.getrandbits(6), rng.getrandbits(6), rng.choice((-1, 1)))
+        cases.append((6, signs_to_id(apply(g, mermin_sign_table(6)))))
+    digest = hashlib.sha256()
+    for n, table_id in cases:
+        orb = orbit_of_id(n, table_id)
+        digest.update(repr((n, table_id, orb.canonical_id, orb.size)).encode() + orb.coset_minima.tobytes())
+    assert digest.hexdigest() == ORBIT_DIGEST
 
 
 def test_generic_n6_orbit():
