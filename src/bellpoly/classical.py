@@ -68,9 +68,6 @@ class CorrelationVector(_Value):
             raise DimensionMismatchError(f"length {m} is not a power of two")
         return cls(m.bit_length() - 1, tuple(values))
 
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.xi, dtype=float)
-
 
 def extreme_point(n: int, r: int, sign: int = 1) -> CorrelationVector:
     """The deterministic correlation vector xi(s) = sign * (-1)^<r,s>."""

@@ -246,7 +246,9 @@ def orbit_of_id(n: int, table_id: int) -> Orbit:
         size *= moves + 1
     # sort and compare, not np.unique (numpy 2.4 hashes uint64, ~40x slower here)
     _coset_minima(n, words).sort()
-    minima = words[np.append(True, words[1:] != words[:-1])]
+    keep = np.ones(len(words), bool)
+    np.not_equal(words[1:], words[:-1], out=keep[1:])
+    minima = words[keep]
     minima.flags.writeable = False
     return Orbit(n=n, canonical_id=int(minima[0]), size=len(minima) << (n + 1), coset_minima=minima)
 

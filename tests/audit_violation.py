@@ -4,22 +4,23 @@
     PYTHONPATH=src python tests/audit_violation.py --record   # rewrite the reference
 
 The calls are the census representatives at n = 2..4 (seeds 0 and 1), seeded
-random tables at n = 2..8, the Mermin tables at n = 3..10, the tables the CI
-workflow pins, and the permutation-invariant tables at n = 7.  The reference,
-tests/audit_violation.json, holds each call's value and `converged` flag as
-recorded at the commit it names.  A check prints one JSON line per call and a
-summary line, and exits 1 when a value falls below its reference by more than
-1e-12 relative or a `converged` flag differs.  The summary's `repr_sha256` is
-the sha256 of every call's `repr(max_violation(...))`, one line each in call
-order: two trees that print the same digest return every field bit for bit
-alike.  The digest is stable only with BLAS on one thread, which this script
-sets (below).  --record runs the bellpoly on the path and writes its values,
-with the commit of the checkout it comes from.
+random tables at n = 2..8, the Mermin tables at n = 3..10, four tables whose
+values Tier-1 pins to 9 decimals, and the permutation-invariant tables at
+n = 7.  The reference, tests/audit_violation.json, holds each call's value and
+`converged` flag as recorded at the commit it names.  A check prints one JSON
+line per call and a summary line, and exits 1 when a value falls below its
+reference by more than 1e-12 relative or a `converged` flag differs.  The
+summary's `repr_sha256` is the sha256 of every call's `repr(max_violation(...))`,
+one line each in call order: two trees that print the same digest return every
+field bit for bit alike.  The digest is stable only with BLAS on one thread,
+which this script sets (below).  --record runs the bellpoly on the path and
+writes its values, with the commit of the checkout it comes from.
 
 pytest does not collect this file (its name does not start with test_); a
-check takes about a minute.  BLAS runs on one thread unless the environment
-sets its thread count, so two runs of one tree print the same values, flags
-and gradient norms: a threaded matmul can round by how it splits the work.
+check takes about 15 s on a 2-core Intel Xeon host.  BLAS runs on one thread
+unless the environment sets its thread count, so two runs of one tree print
+the same values, flags and gradient norms: a threaded matmul can round by how
+it splits the work.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from bellpoly.transform import bits_word  # noqa: E402
 REFERENCE = Path(__file__).with_name("audit_violation.json")
 RELATIVE_TOL = 1e-12
 
-# the tables the CI workflow's violation steps pin, with their seeds
+# the tables whose values Tier-1 pins to 9 decimals, with their seeds
 PINNED = [
     ("seeded-6", 6, 7106521602475165645, 0),
     ("seeded-8", 8, 13654052880323412379663692421328806547061611885489941438207873342831887495669, 0),

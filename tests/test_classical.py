@@ -55,13 +55,13 @@ def test_extreme_point_validation():
 
 def test_mix_point_mass_and_cancellation():
     n = 2
-    ones = np.clip(1.0 * extreme_point(n, 0).as_array(), -1.0, 1.0)
+    ones = np.clip(1.0 * np.asarray(extreme_point(n, 0).xi), -1.0, 1.0)
     assert CorrelationVector(n, tuple(ones)).xi == (1, 1, 1, 1)
     zero = np.clip(
-        0.5 * extreme_point(n, 0).as_array() + 0.5 * extreme_point(n, 0, -1).as_array(), -1.0, 1.0
+        0.5 * np.asarray(extreme_point(n, 0).xi) + 0.5 * np.asarray(extreme_point(n, 0, -1).xi), -1.0, 1.0
     )
     assert CorrelationVector(n, tuple(zero)).xi == (0, 0, 0, 0)
-    uniform = np.clip(sum(0.25 * extreme_point(n, r).as_array() for r in range(4)), -1.0, 1.0)
+    uniform = np.clip(sum(0.25 * np.asarray(extreme_point(n, r).xi) for r in range(4)), -1.0, 1.0)
     assert CorrelationVector(n, tuple(uniform)).xi == (1, 0, 0, 0)
 
 
@@ -152,7 +152,7 @@ def test_mixtures_never_violate_extremal_inequalities():
         merged = {}
         for k, w in zip(keys, weights):
             merged[k] = merged.get(k, 0.0) + float(w)
-        acc = sum(w * extreme_point(2, r, sign).as_array() for (r, sign), w in merged.items())
+        acc = sum(w * np.asarray(extreme_point(2, r, sign).xi) for (r, sign), w in merged.items())
         xi = CorrelationVector(2, tuple(np.clip(acc, -1.0, 1.0)))
         for value in range(16):
             beta = bell_table_from_id(2, value)
@@ -185,7 +185,7 @@ def linprog_membership(xi):
     bits = bit_matrix(xi.n)
     signs = 1.0 - 2.0 * ((bits @ bits.T) % 2)  # column r is the extreme point (+r)
     a_eq = np.vstack([np.hstack([signs, -signs]), np.ones((1, 2 << xi.n))])
-    b_eq = np.append(xi.as_array(), 1.0)
+    b_eq = np.append(np.asarray(xi.xi), 1.0)
     res = linprog(c=np.zeros(2 << xi.n), A_eq=a_eq, b_eq=b_eq, bounds=(0.0, None), method="highs")
     assert res.status in (0, 2), res.message  # feasible or infeasible, nothing else
     return res.status == 0
@@ -239,7 +239,7 @@ def test_nnls_residual_matches_the_scipy_reference(n):
         *(1.0 + rng.uniform(-1e-6, 1e-6, 40)),  # within 1e-6 of the boundary
     ]
     for target in targets:
-        b = np.append(scaled_to_margin(rng, n, target).as_array(), 1.0)
+        b = np.append(np.asarray(scaled_to_margin(rng, n, target).xi), 1.0)
         assert abs(classical._nnls_residual(a, b) - nnls(a, b)[1]) <= 1e-12, target
 
 

@@ -161,11 +161,12 @@ def test_a_reader_that_stops_early_is_not_an_error():
     """`enumerate -n 4 --all | head -n 1` once exited 2 with "error: [Errno 32] Broken pipe"."""
     argv = [sys.executable, "-m", "bellpoly.cli", "enumerate", "-n", "4", "--all"]
     with subprocess.Popen(argv, env=_fresh_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
-        first = json.loads(proc.stdout.readline())
+        first = proc.stdout.readline()
         proc.stdout.close()
         err = proc.stderr.read()
         code = proc.wait(timeout=60)
-    assert (first["id"], code, err) == (0, EXIT_OK, "")
+    row = '{"n": 4, "id": 0, "polynomial": "a1 b1 c1 d1", "signs": "++++++++++++++++"}\n'
+    assert (first, code, err) == (row, EXIT_OK, "")
 
 
 class _FlushLog(io.StringIO):
@@ -298,6 +299,8 @@ RECORDED_DIGESTS = {
     ("classify", "-n", "4", "--no-violations"): "fd85e6178481ddd2025e1755d15e2a899267d4b5b5e78473a821e98514f9b033",
     # recorded before the starts carried phi_n = 0 into the sweeps' first site step
     ("classify", "-n", "4"): "af9b1190a38dcada10e2e16dd1108ab316add7e1f64bc7950beb1951cc04c285",
+    # recorded at commit 1bcc0de: every representative converges from seed 1's random starts too
+    ("classify", "-n", "4", "--seed", "1"): "e18427cf92b3c438c3804b5aa45eec2e04a3b717cb7e545fa3696f4e0d551a1a",
 }
 
 
@@ -409,6 +412,14 @@ def test_id_from_signs_and_polynomial(capsys):
         capsys, "id", "--polynomial", "1/2 a1 b1 + 1/2 a1 b2 + 1/2 a2 b1 - 1/2 a2 b2"
     )
     assert code == EXIT_OK and json.loads(out) == {"n": 2, "id": 8}
+    # the term scan reads glued tokens, shuffled terms and factors, and tabs
+    text = (
+        "1/8b2d2a1c1\t+-1/8b1d1a2c1\t+1/8d1a2b2c1\t+1/8a2c1d2b2\t+-1/8d1b1a2c2\t+1/8b2a1c1d1\t"
+        "+-1/8c2d2a1b1\t+-1/8d1b1a1c1\t+-3/8d2c2b2a2\t+-3/8a2c2d1b2\t+-1/8a1d1b1c2\t+-3/8c2d2a1b2\t"
+        "+5/8b2d1a1c2\t+-1/8d2c2b1a2\t+-1/8a1b1c1d2\t+-1/8d2a2c1b1"
+    )
+    code, out, _ = run(capsys, "id", "-n", "4", "--polynomial", text)
+    assert (code, out) == (EXIT_OK, '{"n": 4, "id": 15469}\n')
 
 
 def test_id_takes_signs_that_start_with_minus(capsys):
@@ -427,6 +438,13 @@ def test_id_rejects_non_extremal_polynomial(capsys):
     assert (code, out, err) == (EXIT_INVALID, "", "error: got 3 signs, expected a power of two\n")
     code, _, _ = run(capsys, "id", "--mermin")
     assert code == EXIT_INVALID
+    # the error names the first r whose transform value is not +-1, or where the term scan stopped
+    for text, message in (
+        ("1/2 a1 b1 + 1/2 a2 b2", "transform value 0 at r=1 is not +-1"),
+        ("a1 b1 + 1/2 # a2 b2", "cannot parse polynomial near ' # a2 b2'"),
+    ):
+        code, out, err = run(capsys, "id", "--polynomial", text)
+        assert (code, out, err) == (EXIT_INVALID, "", f"error: {message}\n")
 
 
 def test_id_rejects_a_zero_denominator(capsys):

@@ -274,7 +274,7 @@ def test_max_violation_n3_representatives(value, expected):
     ids=["seeded-6", "seeded-8", "mermin-5", "mermin-6", "mermin-7"],
 )
 def test_max_violation_reaches_the_recorded_values(n, table_id, expected):
-    """The values the CLI steps of the CI workflow print, to their 9 decimals."""
+    """The values `bellpoly violation` prints for these tables, to their 9 decimals."""
     if table_id is None:
         beta = coefficients_from_signs(mermin_sign_table(n))
     else:
