@@ -1,13 +1,17 @@
-"""Short-run validity check of bench/record.py.
+"""Short-run validity check of bench/record.py's pair mode.
 
     python bench/check_record.py
 
-Runs the recorder with 2 repeats of 0.2 s per workload into a temporary
-directory and checks the file it writes: every workload passed, every
-end-to-end metric that BENCHMARK.json names has a median within its
-quartiles, and every command row, the Tier-1 row and every version is
-there.  It takes about a minute and a half, 50 s of it two runs of the test
-suite, so it runs apart from the test suite (pytest does not collect it).
+Runs the recorder on HEAD against the work tree (`--base HEAD`), with 2
+repeats of 0.2 s per workload, into a temporary directory, and checks both
+files it writes: every workload passed, every end-to-end metric that
+BENCHMARK.json names has a median within its quartiles, every command row,
+the Tier-1 row and every version is there, and each file names the other.
+The recorder's printed comparison ends with how many rows fall outside the
+base's interquartile range; on a clean checkout both sides are one tree, so
+that count is the noise floor of a pair.  It takes about three minutes, two
+of them four runs of the test suite, so it runs apart from the test suite
+(pytest does not collect it).
 """
 
 from __future__ import annotations
@@ -51,12 +55,28 @@ def problems(result: dict) -> list[str]:
     return found
 
 
+def pair_problems(base: dict, work: dict) -> list[str]:
+    found = []
+    if base.get("pair", {}).get("file") != f"BENCH_{work['label']}.json":
+        found.append(f"the base file names {base.get('pair')}")
+    if work.get("pair", {}).get("file") != f"BENCH_{base['label']}.json":
+        found.append(f"the work-tree file names {work.get('pair')}")
+    if base["commit"] != work["commit"] or base["settings"] != work["settings"]:
+        found.append(f"HEAD against HEAD recorded commits {base['commit']} and {work['commit']}")
+    rows = record.comparison(base, work)
+    if {r["row"] for r in rows} != set(record.flat_rows(work)) or any(r["repeats"] != 2 for r in rows):
+        found.append("the comparison does not cover every row once per repeat")
+    return found
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as out:
-        subprocess.run([sys.executable, str(ROOT / "bench" / "record.py"), "--label", "check",
+        subprocess.run([sys.executable, str(ROOT / "bench" / "record.py"), "--label", "check", "--base", "HEAD",
                         "--repeats", "2", "--seconds", "0.2", "--out", out], check=True)
-        result = json.loads((Path(out) / "BENCH_check.json").read_text())
-    found = problems(result)
+        work = json.loads((Path(out) / "BENCH_check.json").read_text())
+        base = json.loads((Path(out) / work["pair"]["file"]).read_text())
+    found = [f"{res['label']}: {line}" for res in (base, work) for line in problems(res)]
+    found += pair_problems(base, work)
     for line in found:
         print(line, file=sys.stderr)
     print("bench/record.py: ok" if not found else f"bench/record.py: {len(found)} problems")

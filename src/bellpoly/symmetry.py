@@ -2,12 +2,14 @@
 
 The group combines observable swaps (XOR shifts of the argument), outcome
 sign flips (linear sign characters), site permutations and a global sign;
-its order is n! * 2^(2n+1).  On packed table words a transposition or an XOR
-shift is a delta swap, and one swap makes all moves of a generator stage, so
-the n! 2^n images of a word take 2n - 1.  The sign flips XOR in a codeword of
-the Reed-Muller code RM(1, n), which every element maps onto itself: an orbit
-is a disjoint union of its cosets, and an Orbit holds only their least
-elements, sorted.  The least id is the first minimum and the size 2^(n+1) per
+its order is n! * 2^(2n+1).  The sign flips XOR in a codeword of the
+Reed-Muller code RM(1, n), which every element maps onto itself: an orbit is
+a disjoint union of its cosets, and an Orbit holds only their least
+elements, sorted.  A sweep works coset-first: one gather makes the 2^n XOR
+shifts of a packed table word, which are reduced to coset minima and deduped;
+on packed words a transposition is a delta swap, and one swap makes all
+moves of a generator stage, so the n! images of each distinct coset take
+n - 1 swaps.  The least id is the first minimum and the size 2^(n+1) per
 coset; an id is a member iff its coset minimum is one, and the sorted member
 ids are expanded on first read.  The census flags are orbit invariants: the
 permutation-invariant tables are looked up by their coset minima, and
@@ -141,17 +143,43 @@ def _coset_minima(n: int, words: int | np.ndarray) -> int | np.ndarray:
 
 @lru_cache(maxsize=8)
 def _sweep_stages(n: int) -> tuple[np.ndarray, ...]:
-    """Each generator stage's moves as read-only word-dtype columns (delta, mask, 2^delta + 1),
+    """Each transposition stage's moves as read-only word-dtype columns (delta, mask, 2^delta + 1),
     shaped (3, moves, 1).  Stage m, S_(m+1) = union of the cosets S_m (k m), k <= m, moves bits r
-    with r_k = 1, r_m = 0 by 2^m - 2^k; then each XOR shift r -> r ^ 2^k moves r_k = 0 by 2^k."""
+    with r_k = 1, r_m = 0 by 2^m - 2^k."""
     x, _, codewords = _sign_code(n)
-    full = (1 << (1 << n)) - 1
-    stages = [[((1 << m) - (1 << k), x[k] & ~x[m]) for k in range(m)] for m in range(1, n)]
-    stages += [[(1 << k, full ^ x[k])] for k in range(n)]
-    columns = np.array([(d, mask, (1 << d) + 1) for moves in stages for d, mask in moves], codewords.dtype)
-    columns = columns.T[..., None]
-    columns.flags.writeable = False  # and so its views, one per stage
-    return tuple(np.split(columns, np.cumsum([len(moves) for moves in stages[:-1]]), axis=1))
+    stages = []
+    for m in range(1, n):
+        moves = [((1 << m) - (1 << k), x[k] & ~x[m]) for k in range(m)]
+        stage = np.array([(d, mask, (1 << d) + 1) for d, mask in moves], codewords.dtype).T[..., None]
+        stage.flags.writeable = False
+        stages.append(stage)
+    return tuple(stages)
+
+
+@lru_cache(maxsize=8)
+def _shift_index(n: int) -> np.ndarray:
+    """The (2^n, 2^n) gather index of the XOR shifts, read-only: row r0 holds r ^ r0."""
+    r = np.arange(1 << n, dtype=np.uint8)
+    index = r ^ r[:, None]
+    index.flags.writeable = False
+    return index
+
+
+def _shift_words(n: int, table_id: int) -> np.ndarray:
+    """The table's 2^n XOR-shift images w(r ^ r0), in r0 order, as words of the sweep dtype."""
+    bits = np.frombuffer(word_bits(1 << n, table_id), np.uint8)
+    packed = np.packbits(bits[_shift_index(n)], axis=1, bitorder="little")
+    dtype = _sign_code(n)[2].dtype  # the packed bytes are little-endian words on any host
+    return packed.view(dtype.newbyteorder("<")).ravel().astype(dtype, copy=False)
+
+
+def _sorted_unique(words: np.ndarray) -> np.ndarray:
+    """Sort words in place and return its distinct values, a new array.  Not np.unique:
+    numpy 2.4 dedupes uint64 through a hash table, ~40x slower here."""
+    words.sort()
+    keep = np.ones(len(words), bool)
+    np.not_equal(words[1:], words[:-1], out=keep[1:])
+    return words[keep]
 
 
 def _delta_swap(words: np.ndarray, stage: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -228,27 +256,26 @@ class Orbit(_Value):
 
 
 def orbit_of_id(n: int, table_id: int) -> Orbit:
-    """Sweep the whole group over one table (feasible up to n = 6).
+    """Sweep the group over one table coset by coset (feasible up to n = 6).
 
-    Every element maps the sign code onto itself, so an orbit is a disjoint union of its
-    cosets: the images w(pi(r) ^ r0) are reduced to coset minima and deduped.
+    Every element is a permutation after an XOR shift, times a sign mask, and permutations
+    map the sign code onto itself, so they carry cosets to cosets: the XOR-shift images are
+    reduced to coset minima and deduped, and only those distinct cosets are permuted.
     """
     if site_count(n) > MAX_ORBIT_SITES:
         raise ValueError(f"orbit sweeps are limited to n <= {MAX_ORBIT_SITES}")
-    if not 0 <= operator.index(table_id) < 1 << (1 << n):
+    if not 0 <= (table_id := operator.index(table_id)) < 1 << (1 << n):
         raise ValueError(f"id {table_id} out of range for n={n}")
-    # the n! 2^n images fill one array block by block, one swap per stage, then are reduced in place
-    words = np.empty(math.factorial(n) << n, _sign_code(n)[2].dtype)
-    words[0], size = table_id, 1
+    cosets = _sorted_unique(_coset_minima(n, _shift_words(n, table_id)))
+    # the n! images of each coset fill one array block by block, one swap per stage
+    words = np.empty(math.factorial(n) * len(cosets), cosets.dtype)
+    size = len(cosets)
+    words[:size] = cosets
     for stage in _sweep_stages(n):
         moves = stage.shape[1]
         _delta_swap(words[:size], stage, words[size : (moves + 1) * size].reshape(moves, size))
         size *= moves + 1
-    # sort and compare, not np.unique (numpy 2.4 hashes uint64, ~40x slower here)
-    _coset_minima(n, words).sort()
-    keep = np.ones(len(words), bool)
-    np.not_equal(words[1:], words[:-1], out=keep[1:])
-    minima = words[keep]
+    minima = _sorted_unique(_coset_minima(n, words))
     minima.flags.writeable = False
     return Orbit(n=n, canonical_id=int(minima[0]), size=len(minima) << (n + 1), coset_minima=minima)
 

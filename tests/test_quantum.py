@@ -15,7 +15,9 @@ from bellpoly.inequality import (
     bell_table_from_id,
     coefficients_from_signs,
     evaluate,
+    id_to_signs,
     mermin_sign_table,
+    signs_to_id,
 )
 from bellpoly.quantum import (
     DensityMatrix,
@@ -1010,6 +1012,27 @@ def test_exhaustive_n3_constant_on_orbits(exhaustive_n3_values):
         orbit_values = [exhaustive_n3_values[int(v)] for v in members]
         assert max(orbit_values) - min(orbit_values) < 1e-7
         assert orbit_values[0] == pytest.approx(published[rec.canonical_id], abs=1e-6)
+
+
+@pytest.mark.parametrize("n, tables", [(5, 40), (6, 20)])
+def test_max_violation_is_constant_on_seeded_orbits(n, tables):
+    """The maximal violation is a class invariant, so a reference-free check: each seeded
+    table and k = 3 random group images of it, each searched with its own seed 0..k, must
+    agree within 1e-12 relative of the largest value."""
+    from bellpoly.symmetry import GroupElement, apply
+
+    rng = np.random.default_rng(2200 + n)
+    k = 3
+    for _ in range(tables):
+        f = id_to_signs(n, int(rng.integers(0, (1 << (1 << n)) - 1, dtype=np.uint64, endpoint=True)))
+        images = [f]
+        for _ in range(k):
+            g = GroupElement(rng.permutation(n).tolist(), int(rng.integers(1 << n)), int(rng.integers(1 << n)),
+                             int(rng.choice((-1, 1))))
+            images.append(apply(g, f))
+        values = [max_violation(bell_table_from_id(n, signs_to_id(h)), seed=seed).value
+                  for seed, h in enumerate(images)]
+        assert max(values) - min(values) <= 1e-12 * max(values), values
 
 
 def test_extreme_point_q_examples():

@@ -23,6 +23,8 @@ from bellpoly.symmetry import (
     GroupElement,
     _coset_minima,
     _delta_swap,
+    _shift_index,
+    _shift_words,
     _sign_code,
     _sweep_stages,
     _symmetric_ids,
@@ -171,12 +173,50 @@ def test_bit_moves_match_group_elements(n):
         # bit r of the image is bit pi(r) of the word
         for w, image in zip(words, expected):
             assert all((image >> r & 1) == (w >> pi[r] & 1) for r in range(1 << n))
-    # the sweep's stages hold these moves, each once: stage m the transpositions (k m), then the shifts
+    # the sweep's stages hold the transpositions, each once: stage m the moves (k m), k < m;
+    # the XOR shifts are gathered up front (_shift_words)
     stages = _sweep_stages(n)
     assert all(not st.flags.writeable and st.dtype == packed.dtype for st in stages)
-    assert [st.shape[1] for st in stages] == list(range(1, n)) + [1] * n
+    assert [st.shape[1] for st in stages] == list(range(1, n))
     swept = [tuple(move) for st in stages for move in st[..., 0].T.tolist()]
-    assert sorted(swept) == sorted(tuple(move) for move in stage[..., 0].T.tolist())
+    transpositions = stage[..., 0].T.tolist()[: n * (n - 1) // 2]
+    assert sorted(swept) == sorted(tuple(move) for move in transpositions)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_shift_words_are_the_xor_shift_images(n):
+    """Row r0 of the one gather is the image under the XOR shift r0, as a sweep-dtype word."""
+    index = _shift_index(n)
+    assert not index.flags.writeable and index.shape == (1 << n, 1 << n)
+    for w in _seeded_words(n, 12, 80 + n):
+        f = id_to_signs(n, w)
+        words = _shift_words(n, w)
+        assert words.dtype == _sign_code(n)[2].dtype and words.dtype.isnative
+        expected = [signs_to_id(apply(GroupElement(tuple(range(n)), r0, 0, 1), f)) for r0 in range(1 << n)]
+        assert words.tolist() == expected
+
+
+def test_mermin_n6_shifts_land_in_one_coset(monkeypatch):
+    """The Mermin table is quadratic, so every XOR shift of it or of an image of it stays in
+    one coset of RM(1, 6), and the permutation stages start from that one word."""
+    started = []
+
+    def record_start(words, stage, out):
+        if stage is _sweep_stages(6)[0]:
+            started.append(words.copy())
+        return _delta_swap(words, stage, out)
+
+    monkeypatch.setattr("bellpoly.symmetry._delta_swap", record_start)
+    rng = np.random.default_rng(46)
+    mermin = mermin_sign_table(6)
+    tables = [mermin] + [apply(random_element(6, rng), mermin) for _ in range(6)]
+    for f in tables:
+        table_id = signs_to_id(f)
+        minima = _coset_minima(6, _shift_words(6, table_id))
+        assert (minima == minima[0]).all()
+        assert orbit_of_id(6, table_id).size == 128
+        assert started.pop().tolist() == [int(minima[0])]
+    assert not started
 
 
 def _sign_character_masks(n):
