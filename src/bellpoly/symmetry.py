@@ -174,12 +174,13 @@ def _shift_words(n: int, table_id: int) -> np.ndarray:
 
 
 def _sorted_unique(words: np.ndarray) -> np.ndarray:
-    """Sort words in place and return its distinct values, a new array.  Not np.unique:
-    numpy 2.4 dedupes uint64 through a hash table, ~40x slower here."""
+    """Sort words in place and return its distinct values: words itself when all differ, as
+    in a generic orbit, and else a new array.  Not np.unique: numpy 2.4 dedupes uint64
+    through a hash table, ~40x slower here."""
     words.sort()
     keep = np.ones(len(words), bool)
     np.not_equal(words[1:], words[:-1], out=keep[1:])
-    return words[keep]
+    return words if keep.all() else words[keep]
 
 
 def _delta_swap(words: np.ndarray, stage: np.ndarray, out: np.ndarray) -> np.ndarray:
